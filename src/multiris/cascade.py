@@ -19,6 +19,7 @@ from . import multiport
 from .errors import (
     DimensionMismatch,
     MissingSideLinks,
+    NonFiniteInput,
     SectorIndexOutOfRange,
 )
 
@@ -30,6 +31,8 @@ def _as_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} has NaN or infinite entries")
     return arr
 
 
@@ -119,6 +122,10 @@ class CascadeChannels:
 
     def widths(self) -> tuple[int, ...]:
         return tuple(self.width(k) for k in range(self.n_l))
+
+    def hops(self) -> list[np.ndarray]:
+        """The link matrices in product order: h_ri_l, inter[l-2], ..., inter[0], h_it_1."""
+        return [self.h_ri_l, *reversed(self.inter), self.h_it_1]
 
     def to_json(self) -> str:
         """Row-major [re, im] pair serialization of every block."""
@@ -212,18 +219,32 @@ def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
     return thetas
 
 
-def _chain(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
-    """h_ri_l (Th_L - d_L I) inter[L-2] (Th_{L-1} - d I) ... inter[0] (Th_1 - d I) h_it_1,
+def _factor(theta: np.ndarray, offset: float) -> np.ndarray:
+    return theta - offset * np.eye(theta.shape[0])
 
-    accumulated left to right so the surface factors appear in strictly
-    decreasing order. offsets[k] is the coefficient of I subtracted at
-    surface k (1 for the physical model, 0 for the widely used one).
+
+def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """End links (left, right) of surface pos with every other surface folded in.
+
+    The pure-cascade channel is left (Th_pos - d I) right, with left =
+    h_ri_l (Th_{L-1} - d I) inter[L-2] ... inter[pos] and right = inter[pos-1] ...
+    (Th_0 - d I) h_it_1 (0-based). offsets[k] is the d of surface k: 1 for the
+    physical model, 0 for the widely used one. Both products grow inward from
+    the thin end links, so no step multiplies two n x n matrices.
     """
-    l = ch.n_l
-    acc = ch.h_ri_l @ (thetas[l - 1] - offsets[l - 1] * np.eye(ch.width(l - 1)))
-    for k in range(l - 2, -1, -1):
-        acc = acc @ ch.inter[k] @ (thetas[k] - offsets[k] * np.eye(ch.width(k)))
-    return acc @ ch.h_it_1
+    left = ch.h_ri_l
+    for k in range(ch.n_l - 1, pos, -1):
+        left = left @ _factor(thetas[k], offsets[k]) @ ch.inter[k - 1]
+    right = ch.h_it_1
+    for k in range(pos):
+        right = ch.inter[k] @ (_factor(thetas[k], offsets[k]) @ right)
+    return left, right
+
+
+def _chain(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
+    """The whole pure-cascade product h_ri_l (Th_{L-1} - d I) ... (Th_0 - d I) h_it_1."""
+    left, right = fold(ch, thetas, offsets, 0)
+    return left @ _factor(thetas[0], offsets[0]) @ right
 
 
 def assemble_physics_channel(ch: CascadeChannels, stack) -> np.ndarray:
@@ -251,15 +272,14 @@ def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
     # receiver-side link leaving surface k / transmitter-side link entering surface k
     out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
     in_links = [ch.h_it_1] + list(ch.sides.h_it)
-    eyes = [np.eye(ch.width(k)) for k in range(l)]
 
     h = ch.sides.h_rt.astype(complex).copy()
     for k in range(l):
-        h = h + out_links[k] @ (thetas[k] - eyes[k]) @ in_links[k]
+        h = h + out_links[k] @ _factor(thetas[k], 1.0) @ in_links[k]
     for top in range(1, l):
-        acc = out_links[top] @ (thetas[top] - eyes[top])
+        acc = out_links[top] @ _factor(thetas[top], 1.0)
         for k in range(top - 1, -1, -1):
-            acc = acc @ ch.inter[k] @ (thetas[k] - eyes[k])
+            acc = acc @ ch.inter[k] @ _factor(thetas[k], 1.0)
             h = h + acc @ in_links[k]
     return h
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .errors import MultirisError, SpecError, UnknownPreset
-from .harness import ExperimentSpec, emit, figure_preset, preset_names, run_experiment
+from .harness import ExperimentSpec, emit, figure_preset, format_table, preset_names, run_experiment
 from .validation import validate
 
 
@@ -50,7 +50,8 @@ def _cmd_run(args) -> int:
         spec = figure_preset(args.preset)
     else:
         try:
-            text = open(args.spec, "r").read()
+            with open(args.spec, "r") as fh:
+                text = fh.read()
         except OSError as exc:
             print(f"error: cannot read spec file: {exc}", file=sys.stderr)
             return 2
@@ -67,11 +68,8 @@ def _cmd_run(args) -> int:
     out = args.out if args.out is not None else spec.output_path
     fmt = args.format if args.format is not None else spec.output_format
     if out is None:
-        # no destination anywhere: print the CSV payload instead of writing
-        from .harness import _CSV_COLUMNS, _cell
-        print(",".join(_CSV_COLUMNS))
-        for row in table.rows:
-            print(",".join(_cell(getattr(row, name)) for name in _CSV_COLUMNS))
+        # no destination anywhere: print what emit would have written
+        sys.stdout.write(format_table(table, fmt))
         return 0
     path = emit(table, fmt, out)
     print(f"wrote {len(table)} rows to {path}")

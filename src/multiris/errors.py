@@ -53,8 +53,8 @@ class ZeroVector(MultirisError):
     """A vector that must be normalized has zero norm."""
 
 
-class CascadeTooLong(MultirisError):
-    """The exponential-cost bound was asked for more surfaces than the cap allows."""
+class NonFiniteInput(MultirisError):
+    """An input array carries NaN or infinite entries."""
 
 
 class EmptySample(MultirisError):

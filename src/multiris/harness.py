@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -490,22 +490,25 @@ def _row_dict(row: GainStats) -> dict:
     return {name: getattr(row, name) for name in _CSV_COLUMNS}
 
 
-def emit(table: GainTable, fmt: str | None = None, path: str | Path = "results.csv") -> Path:
-    """Write the table to disk. Every file embeds the spec and seed; identical
-    inputs produce identical bytes."""
+def format_table(table: GainTable, fmt: str | None = None) -> str:
+    """The table as CSV or JSON text. The text embeds the spec and seed;
+    identical inputs produce identical text."""
     fmt = fmt or table.spec.output_format
     if fmt not in ("csv", "json"):
         raise SpecError(f"format must be 'csv' or 'json', got {fmt!r}")
-    path = Path(path)
     spec_json = json.dumps(table.spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
     if fmt == "csv":
         lines = [f"# spec {spec_json}", ",".join(_CSV_COLUMNS)]
         for row in table.rows:
             lines.append(",".join(_cell(getattr(row, name)) for name in _CSV_COLUMNS))
-        payload = "\n".join(lines) + "\n"
-    else:
-        doc = {"spec": table.spec.to_json_dict(),
-               "rows": [_row_dict(r) for r in table.rows]}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    path.write_text(payload)
+        return "\n".join(lines) + "\n"
+    doc = {"spec": table.spec.to_json_dict(),
+           "rows": [_row_dict(r) for r in table.rows]}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def emit(table: GainTable, fmt: str | None = None, path: str | Path = "results.csv") -> Path:
+    """Write format_table(table, fmt) to path; identical inputs produce identical bytes."""
+    path = Path(path)
+    path.write_text(format_table(table, fmt))
     return path

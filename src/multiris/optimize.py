@@ -9,32 +9,32 @@ achievable gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 
-from .cascade import CascadeChannels, ScatteringStack
-from .errors import (
-    CascadeTooLong,
-    DimensionMismatch,
-    NotRankOne,
-    ZeroVector,
-)
+from .cascade import CascadeChannels, ScatteringStack, fold
+from .errors import DimensionMismatch, NotRankOne, ZeroVector
 from .rng import RandomStream
 
 _TINY = 1e-300
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 10000
 
 
 # -- spectral primitives -----------------------------------------------------------
 
 
-def dominant_singular_pair(h, tol: float = 1e-12, max_iter: int = 10000):
+def dominant_singular_pair(h):
     """Largest singular triple (sigma, u, v) of h by two-sided power iteration.
 
     Deterministic: starts from the first canonical basis vector plus a fixed
     ramp perturbation, and fixes the free phase so the largest-modulus entry
     of v is real positive. Returns sigma = 0 with canonical u, v for a zero
     matrix.
+
+    Kept only for the callers that need (u, v); an SVD would pick a different
+    rounding-level argmax |v| on uniform-modulus line-of-sight links, moving the
+    cross gains of _rank_one_factors. sigma alone comes from spectral_norm.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
@@ -49,7 +49,7 @@ def dominant_singular_pair(h, tol: float = 1e-12, max_iter: int = 10000):
     sigma = 0.0
     u = np.zeros(m, dtype=complex)
     u[0] = 1.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = h @ v
         norm_w = np.linalg.norm(w)
         if norm_w <= _TINY:
@@ -60,7 +60,7 @@ def dominant_singular_pair(h, tol: float = 1e-12, max_iter: int = 10000):
         if sigma <= _TINY:
             return 0.0, u, v
         v = z / sigma
-        if abs(sigma - sigma_prev) <= tol * sigma:
+        if abs(sigma - sigma_prev) <= _POWER_TOL * sigma:
             break
         sigma_prev = sigma
 
@@ -75,7 +75,11 @@ def dominant_singular_pair(h, tol: float = 1e-12, max_iter: int = 10000):
 
 
 def spectral_norm(h) -> float:
-    return dominant_singular_pair(h)[0]
+    """Largest singular value of h, from LAPACK."""
+    h = np.asarray(h)
+    if h.ndim != 2:
+        raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
+    return float(np.linalg.norm(h, 2))
 
 
 def channel_gain(h) -> float:
@@ -297,23 +301,9 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     never decreases (up to iteration noise).
     """
     cfg = cfg or OptimizerConfig()
-    offset = 1.0 if cfg.model == "physics" else 0.0
     l = ch.n_l
+    offsets = [1.0 if cfg.model == "physics" else 0.0] * l
     thetas = _init_thetas(ch, cfg, stream)
-    eyes = [np.eye(ch.width(k), dtype=complex) for k in range(l)]
-
-    def folded(pos: int):
-        """End links seen by surface pos with every other surface folded in."""
-        left = ch.h_ri_l
-        for k in range(l - 1, pos, -1):
-            left = left @ ((thetas[k] - offset * eyes[k]) @ ch.inter[k - 1])
-        right = ch.h_it_1
-        for k in range(pos):
-            right = ch.inter[k] @ ((thetas[k] - offset * eyes[k]) @ right)
-        return left, right
-
-    def fold_channel(pos, left, right):
-        return left @ ((thetas[pos] - offset * eyes[pos]) @ right)
 
     trace: list[float] = []
     converged = False
@@ -321,16 +311,16 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     best = 0.0
     for sweeps in range(1, cfg.max_outer_iters + 1):
         for pos in range(l):
-            left, right = folded(pos)
-            sigma, u, v = dominant_singular_pair(fold_channel(pos, left, right))
+            # folded channel: direct + left Theta right, direct the structural path
+            left, right = fold(ch, thetas, offsets, pos)
+            direct = -offsets[pos] * (left @ right)
+            sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
             best = sigma ** 2
             for _ in range(cfg.max_inner_iters):
                 g_ri = u.conj() @ left
                 g_it = right @ v
-                if offset:
-                    g_rt = -complex(u.conj() @ (left @ (right @ v)))
-                else:
-                    g_rt = 0.0 + 0.0j
+                # an exact 0 keeps np.angle(g_rt) at 0; a signed -0.0 would read as pi
+                g_rt = complex(u.conj() @ direct @ v) if offsets[pos] else 0j
                 data = InnerProblemData(g_rt, g_ri, g_it, u, v)
                 if cfg.architecture == "diagonal":
                     thetas[pos] = inner_solve_diagonal(data)
@@ -341,7 +331,7 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
                         # the fold through this surface is identically zero;
                         # nothing to tune here
                         break
-                sigma, u, v = dominant_singular_pair(fold_channel(pos, left, right))
+                sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
                 value = sigma ** 2
                 gained = value - best
                 best = value
@@ -359,52 +349,31 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
 # -- upper bounds ------------------------------------------------------------------------------
 
 
-MAX_BOUND_SURFACES = 16
-
-
 def upper_bound_physics(ch: CascadeChannels) -> float:
     """Architecture-independent gain ceiling for the physical pure-cascade model.
 
-    Expands prod (Theta_k - I) into 2^l signed terms, bounds each by the
-    spectral norms of the maximal contiguous channel products between the
-    surviving Theta positions (each |Theta| <= 1), and sums. Exponential in
-    l, hence the surface cap.
+    Expanding prod (Theta_k - I) gives one signed term per set of kept Theta
+    factors; each term is bounded by the spectral norms of the contiguous link
+    products between the kept positions (each |Theta| <= 1). The sum of those
+    bounds over all 2^l sets is a path sum over cut points, computed in O(l^2)
+    segment norms: paths[0] = 1, paths[j] = sum_{i<j} paths[i] ||F_i ... F_{j-1}||.
     """
-    l = ch.n_l
-    if l > MAX_BOUND_SURFACES:
-        raise CascadeTooLong(f"bound expansion needs 2^{l} terms; cap is {MAX_BOUND_SURFACES}")
-    # factors in product order: h_ri_l, inter[l-2], ..., inter[0], h_it_1
-    factors = [ch.h_ri_l] + [ch.inter[k] for k in range(l - 2, -1, -1)] + [ch.h_it_1]
+    # a surface sits between each neighbouring pair of hops
+    factors = ch.hops()
     count = len(factors)
-    seg_norm = {}
+    paths = [1.0] + [0.0] * count
     for i in range(count):
-        acc = factors[i]
-        seg_norm[(i, i)] = spectral_norm(acc)
-        for j in range(i + 1, count):
-            acc = acc @ factors[j]
-            seg_norm[(i, j)] = spectral_norm(acc)
-
-    total = 0.0
-    for keep in _cartesian((False, True), repeat=l):
-        # keep[k] selects the Theta term of surface k (0-based); surface k sits
-        # between factors l-1-k and l-k in product order.
-        cuts = sorted(l - 1 - k for k in range(l) if keep[k])
-        term = 1.0
-        start = 0
-        for c in cuts:
-            term *= seg_norm[(start, c)]
-            start = c + 1
-        term *= seg_norm[(start, count - 1)]
-        total += term
-    return float(total ** 2)
+        segment = factors[i]
+        for j in range(i + 1, count + 1):
+            if j > i + 1:
+                segment = segment @ factors[j - 1]
+            paths[j] += paths[i] * spectral_norm(segment)
+    return float(paths[count] ** 2)
 
 
 def upper_bound_widely(ch: CascadeChannels) -> float:
     """Gain ceiling for the widely used model: product of squared link norms."""
-    gains = [channel_gain(ch.h_ri_l)]
-    gains += [channel_gain(m) for m in ch.inter]
-    gains.append(channel_gain(ch.h_it_1))
-    return float(np.prod(gains))
+    return float(np.prod([channel_gain(m) for m in ch.hops()]))
 
 
 def best_of_restarts(ch: CascadeChannels, cfg: OptimizerConfig, stream: RandomStream,

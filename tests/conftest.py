@@ -1,5 +1,7 @@
 """Shared test helpers: brute-force oracles and instance shorthands."""
 
+from itertools import product
+
 import numpy as np
 
 from multiris.cascade import CascadeChannels
@@ -24,6 +26,40 @@ def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
     disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
     return (t + np.sqrt(disc)) / 2.0
+
+
+def upper_bound_physics_expansion(ch: CascadeChannels) -> float:
+    """The physical-model bound by explicit 2^l expansion of prod (Theta_k - I).
+
+    Each set of kept Theta terms is bounded by the SVD spectral norms of the
+    maximal contiguous link products between the kept positions; the bound is
+    the squared sum over all sets. Exponential in l: the oracle for the path sum.
+    """
+    l = ch.n_l
+    # links in product order: h_ri_l, inter[l-2], ..., inter[0], h_it_1
+    factors = [ch.h_ri_l] + [ch.inter[k] for k in range(l - 2, -1, -1)] + [ch.h_it_1]
+    count = len(factors)
+    seg_norm = {}
+    for i in range(count):
+        acc = factors[i]
+        seg_norm[(i, i)] = np.linalg.svd(acc, compute_uv=False)[0]
+        for j in range(i + 1, count):
+            acc = acc @ factors[j]
+            seg_norm[(i, j)] = np.linalg.svd(acc, compute_uv=False)[0]
+
+    total = 0.0
+    for keep in product((False, True), repeat=l):
+        # keep[k] selects the Theta term of surface k, which sits between
+        # factors l-1-k and l-k in product order
+        cuts = sorted(l - 1 - k for k in range(l) if keep[k])
+        term = 1.0
+        start = 0
+        for c in cuts:
+            term *= seg_norm[(start, c)]
+            start = c + 1
+        term *= seg_norm[(start, count - 1)]
+        total += term
+    return float(total ** 2)
 
 
 def grid_search_gain_l2(ch: CascadeChannels, offset: float = 1.0, levels: int = 64,

@@ -8,16 +8,19 @@ from multiris.cascade import (
     CascadeChannels,
     MultiSectorSpec,
     ScatteringStack,
+    SideLinks,
     SurfaceSectors,
     assemble_full_physics,
     assemble_multisector,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
+    fold,
 )
 from multiris.errors import (
     DimensionMismatch,
     MissingSideLinks,
+    NonFiniteInput,
     SectorIndexOutOfRange,
 )
 from multiris.multiport import channel_z_matched, channel_z_pure_cascade, scattering_to_z
@@ -59,6 +62,11 @@ class TestScatteringStack:
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         ScatteringStack("unitary", (q,))
 
+    def test_non_finite_rejected(self):
+        theta = np.diag([1.0, np.nan]).astype(complex)
+        with pytest.raises(NonFiniteInput):
+            ScatteringStack("diagonal", (theta,))
+
 
 class TestCascadeChannels:
     def test_chain_mismatch_rejected(self):
@@ -78,6 +86,18 @@ class TestCascadeChannels:
         assert rel_err(back.h_it_1, ch.h_it_1) == 0.0
         assert all(rel_err(a, b) == 0.0 for a, b in zip(back.inter, ch.inter))
         assert rel_err(back.sides.h_rt, ch.sides.h_rt) == 0.0
+
+    def test_non_finite_rejected(self):
+        inter = np.ones((4, 4))
+        inter[1, 2] = np.nan
+        with pytest.raises(NonFiniteInput):
+            CascadeChannels(np.ones((4, 2)), (inter,), np.ones((2, 4)))
+
+    def test_side_links_non_finite_rejected(self):
+        h_rt = np.ones((2, 2), dtype=complex)
+        h_rt[0, 0] = complex(0.0, np.inf)
+        with pytest.raises(NonFiniteInput):
+            SideLinks(h_rt, (np.ones((2, 4)),), (np.ones((4, 2)),))
 
 
 class TestPureCascadeAssembly:
@@ -125,6 +145,22 @@ class TestPureCascadeAssembly:
             h_z = channel_z_pure_cascade(net, loads)
             h_s = assemble_physics_channel(cascade_from_network(net), stack)
             assert rel_err(h_z, h_s) < 1e-12
+
+    def test_fold_reassembles_channel(self):
+        rng = np.random.default_rng(19)
+        for l in (1, 2, 3, 4):
+            ch = random_cascade_channels(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
+            diag = random_phase_stack((4,) * l, rng).thetas
+            unit = tuple(np.linalg.qr(rng.standard_normal((4, 4)) +
+                                      1j * rng.standard_normal((4, 4)))[0] for _ in range(l))
+            for thetas in (diag, unit):
+                for offset, assemble in ((1.0, assemble_physics_channel),
+                                         (0.0, assemble_widely_used)):
+                    whole = assemble(ch, thetas)
+                    for pos in range(l):
+                        left, right = fold(ch, thetas, [offset] * l, pos)
+                        h = left @ (thetas[pos] - offset * np.eye(4)) @ right
+                        assert rel_err(h, whole) < 1e-12
 
     def test_theta_count_checked(self):
         ch = ones_cascade(l=2)

@@ -1,12 +1,13 @@
 """Experiment spec parsing, the run/aggregate pipeline, emission, and the CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multiris.cli import main
-from multiris.errors import DimensionMismatch, SpecError, UnknownPreset
+from multiris.errors import DimensionMismatch, SpecError, UnknownPreset, ZeroVector
 from multiris.harness import (
     ExperimentSpec,
     GainTable,
@@ -267,11 +268,14 @@ class TestCli:
         assert '"trials":2' in lines[0]
         assert "wrote" in capsys.readouterr().out
 
-    def test_run_preset_stdout(self, capsys):
-        code = main(["run", "--preset", "smoke", "--trials", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("scenario,")
+    def test_run_preset_stdout(self, tmp_path, capsys):
+        # without --out, stdout carries exactly the bytes emit writes
+        table = run_experiment(replace(figure_preset("smoke"), trials=1, trial_overrides={}))
+        for fmt in ("csv", "json"):
+            code = main(["run", "--preset", "smoke", "--trials", "1", "--format", fmt])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert out == emit(table, fmt, tmp_path / f"smoke.{fmt}").read_text()
 
     def test_run_spec_file(self, tmp_path):
         spec_path = tmp_path / "exp.json"
@@ -312,13 +316,19 @@ class TestCli:
                                       "trials": 5, "seed": 1, "extra": 1}))
         assert main(["run", "--spec", str(schema)]) == 2
 
-    def test_runtime_failure_exit_1(self, tmp_path, capsys):
-        spec_path = tmp_path / "deep.json"
+    def test_runtime_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        import multiris.harness as harness
+
+        def failing_bound(ch):
+            raise ZeroVector("injected runtime failure")
+
+        monkeypatch.setattr(harness, "upper_bound_physics", failing_bound)
+        spec_path = tmp_path / "fail.json"
         spec_path.write_text(json.dumps({
-            "scenario": "rayleigh", "l": 17, "n_i_grid": [1], "trials": 1, "seed": 1,
+            "scenario": "rayleigh", "l": 2, "n_i_grid": [2], "trials": 1, "seed": 1,
             "models": ["physics"]}))
         assert main(["run", "--spec", str(spec_path)]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "error: injected runtime failure" in capsys.readouterr().err
 
     def test_bad_parallel_exit_2(self, capsys):
         assert main(["run", "--preset", "smoke", "--parallel", "0"]) == 2

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import grid_search_gain_l2, ones_cascade
+from conftest import grid_search_gain_l2, ones_cascade, upper_bound_physics_expansion
 from multiris.cascade import (
     CascadeChannels,
     assemble_physics_channel,
     assemble_widely_used,
 )
-from multiris.errors import CascadeTooLong, DimensionMismatch, NotRankOne, ZeroVector
+from multiris.errors import DimensionMismatch, NotRankOne, ZeroVector
 from multiris.fading import FadingSpec, draw_los_link, gen_cascade
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -65,6 +65,21 @@ class TestDominantSingularPair:
 
     def test_spectral_norm_of_identity(self):
         assert spectral_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_spectral_norm_near_degenerate_2x2(self):
+        # sigma2 / sigma1 = 1 - 1e-7: a power iteration stalls about 5e-8 low here
+        rng = np.random.default_rng(7)
+        links = []
+        for _ in range(3):
+            q1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            q2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            links.append(q1 @ np.diag([1.0, 1.0 - 1e-7]) @ q2.conj().T)
+        sn = lambda m: np.linalg.svd(m, compute_uv=False)[0]
+        for h in links:
+            assert spectral_norm(h) == pytest.approx(sn(h), rel=1e-12)
+        ch = CascadeChannels(links[0], (links[1],), links[2])
+        expect = np.prod([sn(h) ** 2 for h in links])
+        assert upper_bound_widely(ch) == pytest.approx(expect, rel=1e-12)
 
 
 class TestRankOneFactors:
@@ -246,10 +261,12 @@ class TestUpperBounds:
         expect = (sn(ch.h_ri_l) * sn(ch.inter[0]) * sn(ch.inter[1]) * sn(ch.h_it_1)) ** 2
         assert upper_bound_widely(ch) == pytest.approx(expect, rel=1e-10)
 
-    def test_cascade_cap(self):
-        ch = ones_cascade(l=17)
-        with pytest.raises(CascadeTooLong):
-            upper_bound_physics(ch)
+    def test_path_sum_matches_expansion_oracle(self):
+        rng = np.random.default_rng(51)
+        for l in (1, 2, 3, 4, 5, 6, 17):
+            ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=2, l=l), rng)
+            expect = upper_bound_physics_expansion(ch)
+            assert upper_bound_physics(ch) == pytest.approx(expect, rel=1e-12)
 
     def test_bounds_hold_for_random_configurations(self):
         rng = np.random.default_rng(53)
