@@ -219,8 +219,28 @@ def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
     return thetas
 
 
-def _factor(theta: np.ndarray, offset: float) -> np.ndarray:
-    return theta - offset * np.eye(theta.shape[0])
+def times_factor(m: np.ndarray, theta: np.ndarray, offset: float) -> np.ndarray:
+    """m (Theta - d I). A 1-D theta is a diagonal surface's phase vector."""
+    if theta.ndim == 1:
+        return m * (theta - offset)
+    return m @ theta - offset * m
+
+
+def factor_times(theta: np.ndarray, offset: float, m: np.ndarray) -> np.ndarray:
+    """(Theta - d I) m. A 1-D theta is a diagonal surface's phase vector."""
+    if theta.ndim == 1:
+        return (theta - offset)[:, None] * m
+    return theta @ m - offset * m
+
+
+def _grow_left(ch: CascadeChannels, left, thetas, offsets, k: int) -> np.ndarray:
+    """Extend a left fold inward past surface k: left (Th_k - d I) inter[k-1]."""
+    return times_factor(left, thetas[k], offsets[k]) @ ch.inter[k - 1]
+
+
+def _grow_right(ch: CascadeChannels, right, thetas, offsets, k: int) -> np.ndarray:
+    """Extend a right fold inward past surface k: inter[k] (Th_k - d I) right."""
+    return ch.inter[k] @ factor_times(thetas[k], offsets[k], right)
 
 
 def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,22 +249,42 @@ def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np
     The pure-cascade channel is left (Th_pos - d I) right, with left =
     h_ri_l (Th_{L-1} - d I) inter[L-2] ... inter[pos] and right = inter[pos-1] ...
     (Th_0 - d I) h_it_1 (0-based). offsets[k] is the d of surface k: 1 for the
-    physical model, 0 for the widely used one. Both products grow inward from
+    physical model, 0 for the widely used one. thetas[k] is an n x n matrix or
+    the 1-D phase vector of a diagonal surface. Both products grow inward from
     the thin end links, so no step multiplies two n x n matrices.
     """
     left = ch.h_ri_l
     for k in range(ch.n_l - 1, pos, -1):
-        left = left @ _factor(thetas[k], offsets[k]) @ ch.inter[k - 1]
+        left = _grow_left(ch, left, thetas, offsets, k)
     right = ch.h_it_1
     for k in range(pos):
-        right = ch.inter[k] @ (_factor(thetas[k], offsets[k]) @ right)
+        right = _grow_right(ch, right, thetas, offsets, k)
     return left, right
+
+
+def sweep_folds(ch: CascadeChannels, thetas: list, offsets):
+    """Yield fold(ch, thetas, offsets, pos) for pos = 0, 1, ..., l-1 in one pass.
+
+    The left folds of every position are built up front and the right fold grows
+    through surface pos only after the caller resumes the generator, so the
+    caller may replace thetas[pos] (in the list it passed) before asking for
+    pos + 1: O(l) link products per sweep instead of O(l^2).
+    """
+    l = ch.n_l
+    lefts = [ch.h_ri_l] * l
+    for k in range(l - 1, 0, -1):
+        lefts[k - 1] = _grow_left(ch, lefts[k], thetas, offsets, k)
+    right = ch.h_it_1
+    for pos in range(l):
+        yield lefts[pos], right
+        if pos + 1 < l:
+            right = _grow_right(ch, right, thetas, offsets, pos)
 
 
 def _chain(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
     """The whole pure-cascade product h_ri_l (Th_{L-1} - d I) ... (Th_0 - d I) h_it_1."""
     left, right = fold(ch, thetas, offsets, 0)
-    return left @ _factor(thetas[0], offsets[0]) @ right
+    return times_factor(left, thetas[0], offsets[0]) @ right
 
 
 def assemble_physics_channel(ch: CascadeChannels, stack) -> np.ndarray:
@@ -273,13 +313,13 @@ def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
     out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
     in_links = [ch.h_it_1] + list(ch.sides.h_it)
 
-    h = ch.sides.h_rt.astype(complex).copy()
+    h = ch.sides.h_rt
     for k in range(l):
-        h = h + out_links[k] @ _factor(thetas[k], 1.0) @ in_links[k]
+        h = h + times_factor(out_links[k], thetas[k], 1.0) @ in_links[k]
     for top in range(1, l):
-        acc = out_links[top] @ _factor(thetas[top], 1.0)
+        acc = times_factor(out_links[top], thetas[top], 1.0)
         for k in range(top - 1, -1, -1):
-            acc = acc @ ch.inter[k] @ _factor(thetas[k], 1.0)
+            acc = times_factor(acc @ ch.inter[k], thetas[k], 1.0)
             h = h + acc @ in_links[k]
     return h
 

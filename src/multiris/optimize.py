@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeChannels, ScatteringStack, fold
+from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import DimensionMismatch, NotRankOne, ZeroVector
 from .rng import RandomStream
 
@@ -32,9 +32,10 @@ def dominant_singular_pair(h):
     of v is real positive. Returns sigma = 0 with canonical u, v for a zero
     matrix.
 
-    Kept only for the callers that need (u, v); an SVD would pick a different
-    rounding-level argmax |v| on uniform-modulus line-of-sight links, moving the
-    cross gains of _rank_one_factors. sigma alone comes from spectral_norm.
+    Kept only for _rank_one_factors: an SVD would pick a different
+    rounding-level argmax |v| on uniform-modulus line-of-sight links, moving
+    their cross gains. alg1_optimize takes its pair from LAPACK, and sigma
+    alone comes from spectral_norm.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
@@ -196,14 +197,25 @@ def inner_objective(data: InnerProblemData, theta) -> float:
     return float(np.abs(data.g_rt + data.g_ri @ theta @ data.g_it) ** 2)
 
 
+def _angle(z: complex) -> float:
+    """arg z, taken as 0 for either signed zero (np.angle(-0.0 + 0j) is pi)."""
+    return float(np.angle(z)) if z != 0 else 0.0
+
+
+def _diagonal_phases(data: InnerProblemData) -> np.ndarray:
+    """The phase vector of inner_solve_diagonal."""
+    phases = _angle(data.g_rt) - np.angle(data.g_ri) - np.angle(data.g_it)
+    return np.exp(1j * phases)
+
+
 def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
     """Optimal diagonal phases: align every product term with g_rt.
 
     theta_n = arg(g_rt) - arg(g_ri[n]) - arg(g_it[n]) attains
-    (|g_rt| + sum_n |g_ri[n] g_it[n]|)^2. A zero g_rt contributes phase 0.
+    (|g_rt| + sum_n |g_ri[n] g_it[n]|)^2. A zero g_rt, of either sign,
+    contributes phase 0.
     """
-    phases = np.angle(data.g_rt) - np.angle(data.g_ri) - np.angle(data.g_it)
-    return np.diag(np.exp(1j * phases))
+    return np.diag(_diagonal_phases(data))
 
 
 def _unitary_with_first_column(x: np.ndarray) -> np.ndarray:
@@ -223,14 +235,14 @@ def inner_solve_unitary(data: InnerProblemData) -> np.ndarray:
 
     Maps the direction of g_it onto e^(j arg g_rt) g_ri^H / ||g_ri||, so
     |g_rt + g_ri Theta g_it| = |g_rt| + ||g_ri|| ||g_it||, the Cauchy-Schwarz
-    ceiling for unitary Theta.
+    ceiling for unitary Theta. A zero g_rt, of either sign, contributes phase 0.
     """
     norm_ri = np.linalg.norm(data.g_ri)
     norm_it = np.linalg.norm(data.g_it)
     if norm_ri <= _TINY or norm_it <= _TINY:
         raise ZeroVector("inner_solve_unitary needs nonzero g_ri and g_it")
     x = data.g_it / norm_it
-    y = np.exp(1j * np.angle(data.g_rt)) * data.g_ri.conj() / norm_ri
+    y = np.exp(1j * _angle(data.g_rt)) * data.g_ri.conj() / norm_ri
     qx = _unitary_with_first_column(x)
     qy = _unitary_with_first_column(y)
     return qy @ qx.conj().T
@@ -281,12 +293,18 @@ class OptimizationResult:
 
 def _init_thetas(ch: CascadeChannels, cfg: OptimizerConfig,
                  stream: RandomStream | None) -> list[np.ndarray]:
+    """Initial surfaces as phase vectors."""
     if cfg.init == "identity":
-        return [np.eye(ch.width(k), dtype=complex) for k in range(ch.n_l)]
+        return [np.ones(ch.width(k), dtype=complex) for k in range(ch.n_l)]
     rng = (stream.generator() if stream is not None
            else RandomStream(cfg.seed, ("alg1-init",)).generator())
-    return [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))))
-            for k in range(ch.n_l)]
+    return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))) for k in range(ch.n_l)]
+
+
+def _top_pair(h: np.ndarray):
+    """Largest singular triple (sigma, u, v) of h from LAPACK, in no fixed phase."""
+    u, s, vh = np.linalg.svd(h)
+    return s[0], u[:, 0], vh[0].conj()
 
 
 def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
@@ -299,10 +317,14 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     surface until the fold's gain stalls. The trace records the gain after
     each full sweep; every step solves its subproblem exactly, so the trace
     never decreases (up to iteration noise).
+
+    Diagonal surfaces are carried as phase vectors and become n x n matrices
+    only in the returned stack. The inner solutions do not depend on the
+    common phase of (u, v), so the pair needs no phase convention.
     """
     cfg = cfg or OptimizerConfig()
-    l = ch.n_l
-    offsets = [1.0 if cfg.model == "physics" else 0.0] * l
+    offset = 1.0 if cfg.model == "physics" else 0.0
+    offsets = [offset] * ch.n_l
     thetas = _init_thetas(ch, cfg, stream)
 
     trace: list[float] = []
@@ -310,20 +332,16 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     sweeps = 0
     best = 0.0
     for sweeps in range(1, cfg.max_outer_iters + 1):
-        for pos in range(l):
-            # folded channel: direct + left Theta right, direct the structural path
-            left, right = fold(ch, thetas, offsets, pos)
-            direct = -offsets[pos] * (left @ right)
-            sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+        for pos, (left, right) in enumerate(sweep_folds(ch, thetas, offsets)):
+            sigma, u, v = _top_pair(times_factor(left, thetas[pos], offset) @ right)
             best = sigma ** 2
             for _ in range(cfg.max_inner_iters):
                 g_ri = u.conj() @ left
                 g_it = right @ v
-                # an exact 0 keeps np.angle(g_rt) at 0; a signed -0.0 would read as pi
-                g_rt = complex(u.conj() @ direct @ v) if offsets[pos] else 0j
-                data = InnerProblemData(g_rt, g_ri, g_it, u, v)
+                # the structural path -d left right seen through (u, v)
+                data = InnerProblemData(-offset * (g_ri @ g_it), g_ri, g_it, u, v)
                 if cfg.architecture == "diagonal":
-                    thetas[pos] = inner_solve_diagonal(data)
+                    thetas[pos] = _diagonal_phases(data)
                 else:
                     try:
                         thetas[pos] = inner_solve_unitary(data)
@@ -331,7 +349,7 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
                         # the fold through this surface is identically zero;
                         # nothing to tune here
                         break
-                sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+                sigma, u, v = _top_pair(times_factor(left, thetas[pos], offset) @ right)
                 value = sigma ** 2
                 gained = value - best
                 best = value
@@ -342,8 +360,9 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
             converged = True
             break
 
-    stack = ScatteringStack(cfg.architecture, tuple(thetas))
-    return OptimizationResult(stack, tuple(trace), converged, sweeps)
+    matrices = tuple(np.diag(t) if t.ndim == 1 else t for t in thetas)
+    return OptimizationResult(ScatteringStack(cfg.architecture, matrices), tuple(trace),
+                              converged, sweeps)
 
 
 # -- upper bounds ------------------------------------------------------------------------------

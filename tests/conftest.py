@@ -1,10 +1,32 @@
 """Shared test helpers: brute-force oracles and instance shorthands."""
 
+import tempfile
 from itertools import product
 
 import numpy as np
 
-from multiris.cascade import CascadeChannels
+from multiris.cascade import CascadeChannels, ScatteringStack, fold
+from multiris.errors import ZeroVector
+from multiris.optimize import (
+    InnerProblemData,
+    OptimizationResult,
+    dominant_singular_pair,
+    inner_solve_diagonal,
+    inner_solve_unitary,
+)
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # the property suite skips itself without hypothesis
+    pass
+else:
+    # fixed examples and no example database, so runs repeat; the constants
+    # hypothesis caches from local source files go to a directory removed at exit
+    settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+    settings.load_profile("deterministic")
+    _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def ones_cascade(l: int, n_i: int = 1, n_t: int = 1, n_r: int = 1) -> CascadeChannels:
@@ -94,3 +116,54 @@ def grid_search_gain_l2(ch: CascadeChannels, offset: float = 1.0, levels: int = 
         prod = block[:, None, :, :] @ right[None, :, :, :]   # (chunk, combos, 2, 2)
         best = max(best, float(sigma_max_sq_2x2(prod).max()))
     return best
+
+
+def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult:
+    """alg1_optimize on the dense reference path, the oracle for the fast one.
+
+    Every surface is an n x n matrix, both end links are refolded from scratch
+    at every position of every sweep, and the singular pair comes from the
+    package's power iteration. Draws the same initial phases as alg1_optimize.
+    """
+    l = ch.n_l
+    offsets = [1.0 if cfg.model == "physics" else 0.0] * l
+    if cfg.init == "identity":
+        thetas = [np.eye(w, dtype=complex) for w in ch.widths()]
+    else:
+        rng = stream.generator()
+        thetas = [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w))) for w in ch.widths()]
+
+    trace = []
+    converged = False
+    sweeps = 0
+    best = 0.0
+    for sweeps in range(1, cfg.max_outer_iters + 1):
+        for pos in range(l):
+            left, right = fold(ch, thetas, offsets, pos)
+            direct = -offsets[pos] * (left @ right)
+            sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+            best = sigma ** 2
+            for _ in range(cfg.max_inner_iters):
+                g_ri = u.conj() @ left
+                g_it = right @ v
+                g_rt = complex(u.conj() @ direct @ v)
+                data = InnerProblemData(g_rt, g_ri, g_it, u, v)
+                if cfg.architecture == "diagonal":
+                    thetas[pos] = inner_solve_diagonal(data)
+                else:
+                    try:
+                        thetas[pos] = inner_solve_unitary(data)
+                    except ZeroVector:
+                        break
+                sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+                value = sigma ** 2
+                gained = value - best
+                best = value
+                if gained <= cfg.rel_tol * max(value, 1e-300):
+                    break
+        trace.append(best)
+        if sweeps >= 2 and abs(trace[-1] - trace[-2]) <= cfg.rel_tol * max(trace[-1], 1e-300):
+            converged = True
+            break
+    return OptimizationResult(ScatteringStack(cfg.architecture, tuple(thetas)), tuple(trace),
+                              converged, sweeps)

@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import grid_search_gain_l2, ones_cascade, upper_bound_physics_expansion
+from conftest import (
+    alg1_dense_reference,
+    grid_search_gain_l2,
+    ones_cascade,
+    upper_bound_physics_expansion,
+)
+from multiris import optimize
 from multiris.cascade import (
     CascadeChannels,
     assemble_physics_channel,
     assemble_widely_used,
+    fold,
+    sweep_folds,
 )
 from multiris.errors import DimensionMismatch, NotRankOne, ZeroVector
 from multiris.fading import FadingSpec, draw_los_link, gen_cascade
@@ -144,9 +152,14 @@ class TestInnerSolvers:
 
     def test_zero_g_rt_uses_zero_phase(self):
         u = np.array([1.0 + 0j])
-        data = InnerProblemData(0j, np.ones(3, dtype=complex), np.ones(3, dtype=complex), u, u)
-        value = inner_objective(data, inner_solve_diagonal(data))
-        assert value == pytest.approx(9.0, rel=1e-12)
+        ones = np.ones(3, dtype=complex)
+        # np.angle reads a signed zero as +-pi; every zero must give phase 0
+        for g_rt in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            data = InnerProblemData(g_rt, ones, ones, u, u)
+            theta = inner_solve_diagonal(data)
+            assert np.array_equal(np.diag(theta), ones)
+            assert inner_objective(data, theta) == pytest.approx(9.0, rel=1e-12)
+            assert np.allclose(inner_solve_unitary(data) @ ones, ones, atol=1e-12)
 
     def test_unitary_attains_cauchy_schwarz_value(self):
         rng = np.random.default_rng(19)
@@ -375,3 +388,39 @@ class TestAlg1:
         p = channel_gain(assemble_physics_channel(ch, thetas))
         p_rot = channel_gain(assemble_physics_channel(ch, rotated))
         assert abs(p_rot - p) > 1e-6 * p
+
+
+class TestAlg1MatchesDenseReference:
+    def test_trial_by_trial(self, monkeypatch):
+        """Phase vectors, one fold pass per sweep and the LAPACK pair change no result.
+
+        Also checks, at every position of every sweep, that the end links the
+        one-pass fold hands out are exactly fold(...) of the current surfaces.
+        """
+        positions = []
+
+        def checked_sweep(ch, thetas, offsets):
+            for pos, (left, right) in enumerate(sweep_folds(ch, thetas, offsets)):
+                want_left, want_right = fold(ch, thetas, offsets, pos)
+                assert np.array_equal(left, want_left)
+                assert np.array_equal(right, want_right)
+                positions.append(pos)
+                yield left, right
+
+        monkeypatch.setattr(optimize, "sweep_folds", checked_sweep)
+        stream = RandomStream(97, ("dense-reference",))
+        for l in (1, 2, 3, 4):
+            for n_i in (4, 8):
+                for seed in range(3):
+                    ch = gen_cascade(Dimensions(n_t=2, n_r=2, n_i=n_i, l=l),
+                                     FadingSpec("rayleigh"), stream.child("ch", l, n_i, seed))
+                    for model in ("physics", "widely_used"):
+                        for arch in ("diagonal", "unitary"):
+                            cfg = OptimizerConfig(model=model, architecture=arch)
+                            opt = stream.child("opt", l, n_i, seed, model, arch)
+                            fast = alg1_optimize(ch, cfg, opt)
+                            ref = alg1_dense_reference(ch, cfg, opt)
+                            assert fast.converged == ref.converged
+                            assert fast.iterations == ref.iterations
+                            assert abs(fast.gain - ref.gain) <= 1e-9 * ref.gain
+        assert set(positions) == {0, 1, 2, 3}

@@ -1,0 +1,61 @@
+"""Invariants of the optimizer and the assemblies on small random cascades."""
+
+import numpy as np
+import pytest
+
+from multiris.cascade import _chain, assemble_physics_channel
+from multiris.fading import FadingSpec, gen_cascade
+from multiris.multiport import Dimensions
+from multiris.optimize import (
+    OptimizerConfig,
+    alg1_optimize,
+    upper_bound_physics,
+    upper_bound_widely,
+)
+from multiris.rng import RandomStream
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+seeds = st.integers(0, 2 ** 32 - 1)
+cascades = st.builds(
+    lambda n_t, n_r, n_i, l, seed: gen_cascade(Dimensions(n_t, n_r, n_i, l),
+                                               FadingSpec("rayleigh"),
+                                               RandomStream(seed, ("property-cascade",))),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), seeds)
+configs = st.builds(OptimizerConfig, model=st.sampled_from(("physics", "widely_used")),
+                    architecture=st.sampled_from(("diagonal", "unitary")))
+
+
+def _run(ch, cfg, seed):
+    return alg1_optimize(ch, cfg, RandomStream(seed, ("property-opt",)))
+
+
+@given(cascades, configs, seeds)
+def test_gain_within_bound(ch, cfg, seed):
+    bound = upper_bound_physics(ch) if cfg.model == "physics" else upper_bound_widely(ch)
+    assert _run(ch, cfg, seed).gain <= bound * (1 + 1e-9)
+
+
+@given(cascades, configs, seeds)
+def test_gain_trace_never_falls(ch, cfg, seed):
+    res = _run(ch, cfg, seed)
+    assert np.all(np.diff(res.gain_trace) >= -1e-9 * res.gain)
+
+
+@given(cascades, st.sampled_from(("physics", "widely_used")), seeds)
+def test_diagonal_stacks_are_unit_modulus_diagonal(ch, model, seed):
+    res = _run(ch, OptimizerConfig(model=model, architecture="diagonal"), seed)
+    for theta in res.stack.thetas:
+        diag = np.diag(theta)
+        assert np.array_equal(theta, np.diag(diag))
+        assert np.abs(np.abs(diag) - 1.0).max() <= 1e-12
+
+
+@given(cascades)
+def test_identity_surfaces_null_physical_channel(ch):
+    eyes = [np.eye(w) for w in ch.widths()]
+    assert not assemble_physics_channel(ch, eyes).any()
+    # the phase-vector form of the same surfaces
+    ones = [np.ones(w, dtype=complex) for w in ch.widths()]
+    assert not _chain(ch, ones, [1.0] * ch.n_l).any()
