@@ -49,6 +49,7 @@ from .optimize import (
     InnerProblemData,
     OptimizationResult,
     OptimizerConfig,
+    alg1_batch,
     alg1_optimize,
     best_of_restarts,
     channel_gain,

@@ -219,18 +219,70 @@ def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
     return thetas
 
 
-def times_factor(m: np.ndarray, theta: np.ndarray, offset: float) -> np.ndarray:
-    """m (Theta - d I). A 1-D theta is a diagonal surface's phase vector."""
-    if theta.ndim == 1:
-        return m * (theta - offset)
-    return m @ theta - offset * m
+@dataclass(frozen=True)
+class CascadeBatch:
+    """The links of B same-shaped cascades, each stacked on a leading axis.
+
+    Exposes the link attributes fold and sweep_folds read from a
+    CascadeChannels, so both fold every member of a batch in one pass.
+    """
+
+    h_it_1: np.ndarray
+    inter: tuple[np.ndarray, ...]
+    h_ri_l: np.ndarray
+
+    @staticmethod
+    def stack(chs) -> "CascadeBatch":
+        """Stack validated cascades; raises DimensionMismatch unless all shapes agree."""
+        first = chs[0]
+        for ch in chs[1:]:
+            if (ch.n_l, ch.n_t, ch.n_r, ch.widths()) != \
+                    (first.n_l, first.n_t, first.n_r, first.widths()):
+                raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
+        return CascadeBatch(np.stack([ch.h_it_1 for ch in chs]),
+                            tuple(np.stack(links) for links in zip(*(ch.inter for ch in chs))),
+                            np.stack([ch.h_ri_l for ch in chs]))
+
+    @property
+    def n_l(self) -> int:
+        return len(self.inter) + 1
+
+    def compact(self, keep: np.ndarray) -> "CascadeBatch":
+        """The members where keep is True, moved to the front of these buffers.
+
+        Overwrites this batch's arrays and returns views of them: a dropped
+        member's links are not copied again, and no second stack is allocated.
+        """
+        rows = np.flatnonzero(keep)
+
+        def squeeze(links):
+            for j, i in enumerate(rows):
+                if i != j:
+                    links[j] = links[i]
+            return links[:len(rows)]
+
+        return CascadeBatch(squeeze(self.h_it_1), tuple(squeeze(m) for m in self.inter),
+                            squeeze(self.h_ri_l))
 
 
-def factor_times(theta: np.ndarray, offset: float, m: np.ndarray) -> np.ndarray:
-    """(Theta - d I) m. A 1-D theta is a diagonal surface's phase vector."""
-    if theta.ndim == 1:
-        return (theta - offset)[:, None] * m
-    return theta @ m - offset * m
+def times_factor(m: np.ndarray, theta: np.ndarray, offset) -> np.ndarray:
+    """m (Theta - d I), over any leading batch axes.
+
+    A theta with one axis fewer than m is a diagonal surface's phase vector.
+    offset is a scalar or one d per batch member.
+    """
+    d = np.asarray(offset)[..., None]
+    if theta.ndim < m.ndim:
+        return m * (theta - d)[..., None, :]
+    return m @ theta - d[..., None] * m
+
+
+def factor_times(theta: np.ndarray, offset, m: np.ndarray) -> np.ndarray:
+    """(Theta - d I) m, over any leading batch axes; theta and offset as in times_factor."""
+    d = np.asarray(offset)[..., None]
+    if theta.ndim < m.ndim:
+        return (theta - d)[..., :, None] * m
+    return theta @ m - d[..., None] * m
 
 
 def _grow_left(ch: CascadeChannels, left, thetas, offsets, k: int) -> np.ndarray:
@@ -250,8 +302,10 @@ def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np
     h_ri_l (Th_{L-1} - d I) inter[L-2] ... inter[pos] and right = inter[pos-1] ...
     (Th_0 - d I) h_it_1 (0-based). offsets[k] is the d of surface k: 1 for the
     physical model, 0 for the widely used one. thetas[k] is an n x n matrix or
-    the 1-D phase vector of a diagonal surface. Both products grow inward from
-    the thin end links, so no step multiplies two n x n matrices.
+    the 1-D phase vector of a diagonal surface; for a CascadeBatch ch, both
+    carry a leading member axis and offsets[k] may hold one d per member. Both
+    products grow inward from the thin end links, so no step multiplies two
+    n x n matrices.
     """
     left = ch.h_ri_l
     for k in range(ch.n_l - 1, pos, -1):
@@ -262,13 +316,14 @@ def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np
     return left, right
 
 
-def sweep_folds(ch: CascadeChannels, thetas: list, offsets):
+def sweep_folds(ch: CascadeChannels | CascadeBatch, thetas: list, offsets):
     """Yield fold(ch, thetas, offsets, pos) for pos = 0, 1, ..., l-1 in one pass.
 
-    The left folds of every position are built up front and the right fold grows
-    through surface pos only after the caller resumes the generator, so the
-    caller may replace thetas[pos] (in the list it passed) before asking for
-    pos + 1: O(l) link products per sweep instead of O(l^2).
+    The left folds of every position are built up front and the right fold
+    grows through surface pos only after the caller resumes the generator, so
+    the caller may replace thetas[pos] (in the list it passed) before asking for
+    pos + 1: O(l) link products per sweep instead of O(l^2). ch may be a
+    CascadeBatch, as in fold.
     """
     l = ch.n_l
     lefts = [ch.h_ri_l] * l

@@ -22,8 +22,9 @@ from .cascade import assemble_physics_channel, assemble_widely_used
 from .errors import DimensionMismatch, SpecError, UnknownPreset
 from .fading import FadingSpec, gen_cascade
 from .multiport import Dimensions
-from .optimize import (
+from .optimize import (  # noqa: F401  alg1_optimize: the benchmark tracer binds it here by name
     OptimizerConfig,
+    alg1_batch,
     alg1_optimize,
     channel_gain,
     los_optimal_phases_physics,
@@ -38,6 +39,11 @@ MODELS = ("physics", "widely_used", "suboptimal_cross")
 ARCHITECTURES = ("diagonal", "unitary")
 
 _OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol", "init")
+
+# trials per unit of work: the trials of one block of a grid point are optimized
+# as one alg1 batch per architecture, and sequential and parallel runs execute
+# the same blocks
+BLOCK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -308,82 +314,105 @@ def _point_label(point: _GridPoint) -> tuple:
     return ("point", point.l, point.n_i)
 
 
-def _run_trial(spec: ExperimentSpec, point: _GridPoint, trial: int) -> dict:
-    """One paired trial: same channel draw for every model and architecture."""
-    dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=point.n_i, l=point.l)
-    root = RandomStream(spec.seed, _point_label(point)).child("trial", trial)
-    ch = gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
+def _optimize_block(spec: ExperimentSpec, chs, roots, results: list[dict]):
+    """Bounds per trial, then one alg1 batch per architecture over every (trial, model)."""
+    for ch, res in zip(chs, results):
+        res["bounds"]["physics"] = upper_bound_physics(ch) if "physics" in spec.models else None
+        res["bounds"]["widely_used"] = \
+            upper_bound_widely(ch) if "widely_used" in spec.models else None
+    models = [m for m in ("widely_used", "physics") if m in spec.models]
+    members = [(t, m) for t in range(len(chs)) for m in models]
+    for arch in spec.architectures:
+        runs = alg1_batch([chs[t] for t, _ in members],
+                          [spec.optimizer_config(m, arch) for _, m in members],
+                          [roots[t].child("opt", m, arch) for t, m in members])
+        stacks_w = {}
+        for (t, m), run in zip(members, runs):
+            results[t]["gains"][(m, arch)] = run.gain
+            results[t]["converged"][(m, arch)] = run.converged
+            if m == "widely_used":
+                stacks_w[t] = run.stack
+        if "suboptimal_cross" in spec.models:
+            for t, (ch, res) in enumerate(zip(chs, results)):
+                res["gains"][("suboptimal_cross", arch)] = channel_gain(
+                    assemble_physics_channel(ch, stacks_w[t].thetas))
+                res["converged"][("suboptimal_cross", arch)] = \
+                    res["converged"][("widely_used", arch)]
 
-    gains: dict[tuple[str, str], float] = {}
-    converged: dict[tuple[str, str], bool] = {}
-    bounds: dict[str, float | None] = {}
 
-    if spec.scenario == "los":
-        for arch in spec.architectures:
-            # closed forms are diagonal; they are optimal for both architectures
-            if "physics" in spec.models:
-                stack_p = los_optimal_phases_physics(ch)
-                gains[("physics", arch)] = channel_gain(assemble_physics_channel(ch, stack_p))
-                converged[("physics", arch)] = True
-            if "widely_used" in spec.models:
-                stack_w = los_optimal_phases_widely(ch)
-                gains[("widely_used", arch)] = channel_gain(assemble_widely_used(ch, stack_w))
-                converged[("widely_used", arch)] = True
-                if "suboptimal_cross" in spec.models:
-                    gains[("suboptimal_cross", arch)] = channel_gain(
-                        assemble_physics_channel(ch, stack_w))
-                    converged[("suboptimal_cross", arch)] = True
-        bounds["physics"] = None
-        bounds["widely_used"] = None
-    else:
-        bounds["physics"] = upper_bound_physics(ch) if "physics" in spec.models else None
-        bounds["widely_used"] = upper_bound_widely(ch) if "widely_used" in spec.models else None
-        for arch in spec.architectures:
-            stack_w = None
-            if "widely_used" in spec.models:
-                cfg = spec.optimizer_config("widely_used", arch)
-                res = alg1_optimize(ch, cfg, root.child("opt", "widely_used", arch))
-                gains[("widely_used", arch)] = res.gain
-                converged[("widely_used", arch)] = res.converged
-                stack_w = res.stack
-            if "physics" in spec.models:
-                cfg = spec.optimizer_config("physics", arch)
-                res = alg1_optimize(ch, cfg, root.child("opt", "physics", arch))
-                gains[("physics", arch)] = res.gain
-                converged[("physics", arch)] = res.converged
+def _closed_forms(spec: ExperimentSpec, ch, res: dict):
+    """The line-of-sight closed forms of one trial; they are diagonal and optimal for
+    both architectures."""
+    for arch in spec.architectures:
+        if "physics" in spec.models:
+            stack_p = los_optimal_phases_physics(ch)
+            res["gains"][("physics", arch)] = channel_gain(assemble_physics_channel(ch, stack_p))
+            res["converged"][("physics", arch)] = True
+        if "widely_used" in spec.models:
+            stack_w = los_optimal_phases_widely(ch)
+            res["gains"][("widely_used", arch)] = channel_gain(assemble_widely_used(ch, stack_w))
+            res["converged"][("widely_used", arch)] = True
             if "suboptimal_cross" in spec.models:
-                gains[("suboptimal_cross", arch)] = channel_gain(
-                    assemble_physics_channel(ch, stack_w.thetas))
-                converged[("suboptimal_cross", arch)] = converged[("widely_used", arch)]
-    return {"gains": gains, "converged": converged, "bounds": bounds}
+                res["gains"][("suboptimal_cross", arch)] = channel_gain(
+                    assemble_physics_channel(ch, stack_w))
+                res["converged"][("suboptimal_cross", arch)] = True
+    res["bounds"]["physics"] = None
+    res["bounds"]["widely_used"] = None
 
 
-def _trial_task(args):
-    return _run_trial(*args)
+def _run_block(spec: ExperimentSpec, point: _GridPoint, first: int, count: int) -> list[dict]:
+    """Trials first .. first+count-1 of one grid point, paired: every model and
+    architecture of a trial sees the same channel draw, drawn from the trial's
+    own stream."""
+    dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=point.n_i, l=point.l)
+    point_root = RandomStream(spec.seed, _point_label(point))
+    roots = [point_root.child("trial", t) for t in range(first, first + count)]
+
+    def draw(root):
+        return gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
+
+    results = [{"gains": {}, "converged": {}, "bounds": {}} for _ in roots]
+    if spec.scenario == "los":
+        # closed forms need no batch: hold one channel at a time
+        for root, res in zip(roots, results):
+            _closed_forms(spec, draw(root), res)
+    else:
+        _optimize_block(spec, [draw(root) for root in roots], roots, results)
+    return results
+
+
+def _block_task(args):
+    return _run_block(*args)
+
+
+def _blocks(spec: ExperimentSpec, point: _GridPoint) -> list[tuple]:
+    """The (spec, point, first trial, trial count) units of work of one grid point."""
+    n_trials = spec.trials_for(point.n_i)
+    return [(spec, point, first, min(BLOCK_TRIALS, n_trials - first))
+            for first in range(0, n_trials, BLOCK_TRIALS)]
 
 
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     """Run the full grid and aggregate per-point statistics.
 
-    parallel > 1 distributes trials over worker processes; results are
-    reduced in trial order either way, so output is identical.
+    The unit of work is a block of BLOCK_TRIALS consecutive trials of one grid
+    point, whatever parallel is. parallel > 1 maps every block of the grid over
+    worker processes; results are reduced in trial order either way, so the
+    output is identical.
     """
     if parallel < 1:
         raise DimensionMismatch(f"parallel must be >= 1, got {parallel}")
+    per_point = [_blocks(spec, point) for point in _grid(spec)]
+    tasks = [block for blocks in per_point for block in blocks]
+    if parallel == 1:
+        done = iter([_run_block(*task) for task in tasks])
+    else:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            done = iter(list(pool.map(_block_task, tasks)))
     rows: list[GainStats] = []
-    pool = ProcessPoolExecutor(max_workers=parallel) if parallel > 1 else None
-    try:
-        for point in _grid(spec):
-            n_trials = spec.trials_for(point.n_i)
-            tasks = [(spec, point, t) for t in range(n_trials)]
-            if pool is None:
-                results = [_run_trial(*t) for t in tasks]
-            else:
-                results = list(pool.map(_trial_task, tasks, chunksize=max(1, n_trials // 64)))
-            rows.extend(_aggregate(spec, point, results))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for blocks in per_point:
+        results = [r for _ in blocks for r in next(done)]
+        rows.extend(_aggregate(spec, blocks[0][1], results))
     return GainTable(spec, tuple(rows))
 
 

@@ -8,17 +8,19 @@ achievable gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
+from .cascade import CascadeBatch, CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import DimensionMismatch, NotRankOne, ZeroVector
 from .rng import RandomStream
 
 _TINY = 1e-300
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10000
+_UNIT_TOL = 1e-9
 
 
 # -- spectral primitives -----------------------------------------------------------
@@ -183,9 +185,7 @@ class InnerProblemData:
         v = np.asarray(self.v, dtype=complex)
         if g_ri.ndim != 1 or g_it.ndim != 1 or g_ri.shape != g_it.shape:
             raise DimensionMismatch("g_ri and g_it must be 1-D and equally long")
-        for name, vec in (("u", u), ("v", v)):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-                raise DimensionMismatch(f"{name} must be unit norm")
+        _check_unit_pairs(u, v)
         object.__setattr__(self, "g_rt", complex(self.g_rt))
         object.__setattr__(self, "g_ri", g_ri)
         object.__setattr__(self, "g_it", g_it)
@@ -197,37 +197,59 @@ def inner_objective(data: InnerProblemData, theta) -> float:
     return float(np.abs(data.g_rt + data.g_ri @ theta @ data.g_it) ** 2)
 
 
-def _angle(z: complex) -> float:
-    """arg z, taken as 0 for either signed zero (np.angle(-0.0 + 0j) is pi)."""
-    return float(np.angle(z)) if z != 0 else 0.0
+def _check_unit_pairs(u: np.ndarray, v: np.ndarray):
+    """Raise DimensionMismatch unless every row of u and of v has unit norm."""
+    sq = np.abs(np.concatenate((u, v), axis=-1)) ** 2
+    norms = np.sqrt(np.add.reduceat(sq, [0, u.shape[-1]], axis=-1))
+    if (np.abs(norms - 1.0) > _UNIT_TOL).any():
+        raise DimensionMismatch("u and v must be unit norm")
 
 
-def _diagonal_phases(data: InnerProblemData) -> np.ndarray:
-    """The phase vector of inner_solve_diagonal."""
-    phases = _angle(data.g_rt) - np.angle(data.g_ri) - np.angle(data.g_it)
-    return np.exp(1j * phases)
+def _phase_angles(g_rt) -> np.ndarray:
+    """arg g_rt elementwise, taken as 0 for either signed zero.
+
+    np.angle reads -0.0 as pi; adding +0.0 first turns every signed zero into
+    +0.0, whose angle is 0, and changes no other value.
+    """
+    return np.angle(np.add(g_rt, 0.0))
+
+
+def _diagonal_phases(g_rt, terms: np.ndarray) -> np.ndarray:
+    """The phase vectors of inner_solve_diagonal, over any leading batch axes;
+    terms holds the products g_ri[n] g_it[n]."""
+    return np.exp(1j * (_phase_angles(g_rt)[..., None] - np.angle(terms)))
 
 
 def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
     """Optimal diagonal phases: align every product term with g_rt.
 
-    theta_n = arg(g_rt) - arg(g_ri[n]) - arg(g_it[n]) attains
+    theta_n = arg(g_rt) - arg(g_ri[n] g_it[n]) attains
     (|g_rt| + sum_n |g_ri[n] g_it[n]|)^2. A zero g_rt, of either sign,
     contributes phase 0.
     """
-    return np.diag(_diagonal_phases(data))
+    return np.diag(_diagonal_phases(data.g_rt, data.g_ri * data.g_it))
 
 
-def _unitary_with_first_column(x: np.ndarray) -> np.ndarray:
-    """A unitary matrix whose first column is exactly the unit vector x."""
-    n = x.size
-    basis = np.eye(n, dtype=complex)
-    basis[:, 0] = x
+def _unitaries_with_first_columns(x: np.ndarray) -> np.ndarray:
+    """Unitary matrices whose first columns are exactly the unit rows of x (B, n)."""
+    count, n = x.shape
+    basis = np.tile(np.eye(n, dtype=complex), (count, 1, 1))
+    basis[:, :, 0] = x
     q, _ = np.linalg.qr(basis)
-    # qr fixes the column only up to a unit phase; rotate it back onto x
-    alpha = np.vdot(q[:, 0], x)
-    q[:, 0] = q[:, 0] * alpha
+    # qr fixes each column only up to a unit phase; rotate it back onto x
+    alpha = (q[:, None, :, 0].conj() @ x[:, :, None])[:, :, 0]
+    q[:, :, 0] *= alpha
     return q
+
+
+def _unitary_solutions(g_rt: np.ndarray, g_ri: np.ndarray, g_it: np.ndarray,
+                       norm_ri: np.ndarray, norm_it: np.ndarray) -> np.ndarray:
+    """inner_solve_unitary for a stack of subproblems with nonzero g_ri and g_it rows."""
+    x = g_it / norm_it[:, None]
+    y = np.exp(1j * _phase_angles(g_rt))[:, None] * g_ri.conj() / norm_ri[:, None]
+    q = _unitaries_with_first_columns(np.concatenate((x, y)))
+    qx, qy = q[:len(x)], q[len(x):]
+    return qy @ qx.conj().transpose(0, 2, 1)
 
 
 def inner_solve_unitary(data: InnerProblemData) -> np.ndarray:
@@ -241,11 +263,8 @@ def inner_solve_unitary(data: InnerProblemData) -> np.ndarray:
     norm_it = np.linalg.norm(data.g_it)
     if norm_ri <= _TINY or norm_it <= _TINY:
         raise ZeroVector("inner_solve_unitary needs nonzero g_ri and g_it")
-    x = data.g_it / norm_it
-    y = np.exp(1j * _angle(data.g_rt)) * data.g_ri.conj() / norm_ri
-    qx = _unitary_with_first_column(x)
-    qy = _unitary_with_first_column(y)
-    return qy @ qx.conj().T
+    return _unitary_solutions(np.array([data.g_rt]), data.g_ri[None], data.g_it[None],
+                              np.array([norm_ri]), np.array([norm_it]))[0]
 
 
 # -- alternating optimization --------------------------------------------------------------
@@ -301,10 +320,128 @@ def _init_thetas(ch: CascadeChannels, cfg: OptimizerConfig,
     return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))) for k in range(ch.n_l)]
 
 
-def _top_pair(h: np.ndarray):
-    """Largest singular triple (sigma, u, v) of h from LAPACK, in no fixed phase."""
+def _top_pairs(h: np.ndarray):
+    """(sigma^2, u, v) of the largest singular triple of each stacked matrix, from
+    LAPACK, in no fixed phase."""
     u, s, vh = np.linalg.svd(h)
-    return s[0], u[:, 0], vh[0].conj()
+    return s[:, 0] ** 2, u[:, :, 0], vh[:, 0].conj()
+
+
+def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
+                  offsets: np.ndarray, cfg: OptimizerConfig):
+    """Alternate the pair (u, v) and one surface's inner solution, member by member.
+
+    left (A, n_r, n) and right (A, n, n_t) are the surface's end links, theta its
+    stack (phase vectors (A, n) or matrices (A, n, n)), offsets the d of each
+    member. A member stops once a step gains at most rel_tol of its fold gain, or
+    (unitary) once its fold through this surface is identically zero; stopped
+    members leave the working arrays. Returns the tuned stack and the fold gains.
+    """
+    gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
+    if cfg.architecture == "unitary" and theta.ndim == 2:
+        theta = theta[:, :, None] * np.eye(theta.shape[1])
+    out_theta, out_gain = theta.copy(), gain.copy()
+    rows = np.arange(len(gain))
+    for _ in range(cfg.max_inner_iters):
+        _check_unit_pairs(u, v)
+        g_ri = (u.conj()[:, None, :] @ left)[:, 0]
+        g_it = (right @ v[:, :, None])[:, :, 0]
+        terms = g_ri * g_it
+        # the structural path -d left right seen through (u, v)
+        g_rt = -offsets * terms.sum(axis=1)
+        if cfg.architecture == "diagonal":
+            theta = _diagonal_phases(g_rt, terms)
+        else:
+            norm_ri = np.linalg.norm(g_ri, axis=1)
+            norm_it = np.linalg.norm(g_it, axis=1)
+            live = (norm_ri > _TINY) & (norm_it > _TINY)
+            if not live.all():
+                # the fold through this surface is identically zero; nothing to tune
+                out_theta[rows[~live]] = theta[~live]
+                out_gain[rows[~live]] = gain[~live]
+                (rows, left, right, theta, offsets, gain, g_rt, g_ri, g_it, norm_ri,
+                 norm_it) = (a[live] for a in (rows, left, right, theta, offsets, gain, g_rt,
+                                               g_ri, g_it, norm_ri, norm_it))
+                if not rows.size:
+                    return out_theta, out_gain
+            theta = _unitary_solutions(g_rt, g_ri, g_it, norm_ri, norm_it)
+        value, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
+        going = value - gain > cfg.rel_tol * np.maximum(value, _TINY)
+        gain = value
+        if not going.all():
+            out_theta[rows[~going]] = theta[~going]
+            out_gain[rows[~going]] = gain[~going]
+            rows, left, right, theta, offsets, gain, u, v = (
+                a[going] for a in (rows, left, right, theta, offsets, gain, u, v))
+            if not rows.size:
+                return out_theta, out_gain
+    out_theta[rows] = theta
+    out_gain[rows] = gain
+    return out_theta, out_gain
+
+
+def _shared_config(cfgs) -> OptimizerConfig:
+    """The settings every member of a batch shares; only model and seed may differ."""
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        if replace(cfg, model=first.model, seed=first.seed) != first:
+            raise DimensionMismatch(
+                "batched runs must share architecture, iteration caps, rel_tol and init")
+    return first
+
+
+def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
+               streams: Sequence[RandomStream | None] | None = None) -> list[OptimizationResult]:
+    """alg1_optimize for B independent members at once: chs[b], cfgs[b], streams[b].
+
+    Members share cascade shapes, architecture, iteration caps, rel_tol and init
+    (DimensionMismatch otherwise); each has its own model and draws its initial
+    phases from its own stream, so each member's result is that of its own run,
+    up to rounding. Links are stacked on a leading axis, singular pairs come
+    from one stacked LAPACK SVD per step, and each member leaves the working
+    arrays as soon as it stops: the inner loop when its step gain stalls, the
+    sweep loop when it converges.
+    """
+    count = len(chs)
+    streams = [None] * count if streams is None else list(streams)
+    if count == 0 or len(cfgs) != count or len(streams) != count:
+        raise DimensionMismatch("a batch needs one config and one stream per cascade")
+    cfg = _shared_config(cfgs)
+    links = CascadeBatch.stack(chs)
+    starts = [_init_thetas(ch, c, s) for ch, c, s in zip(chs, cfgs, streams)]
+    thetas = [np.stack(surface) for surface in zip(*starts)]
+    offsets = np.array([1.0 if c.model == "physics" else 0.0 for c in cfgs])
+
+    members = np.arange(count)
+    traces: list[list[float]] = [[] for _ in range(count)]
+    # (surfaces, converged, sweeps) of each member once it stops
+    finals: list[tuple | None] = [None] * count
+    previous = None
+    for sweeps in range(1, cfg.max_outer_iters + 1):
+        for pos, (left, right) in enumerate(sweep_folds(links, thetas, [offsets] * links.n_l)):
+            thetas[pos], gain = _tune_surface(left, right, thetas[pos], offsets, cfg)
+        for m, g in zip(members, gain.tolist()):
+            traces[m].append(g)
+        converged = np.zeros(len(members), dtype=bool) if previous is None else \
+            np.abs(gain - previous) <= cfg.rel_tol * np.maximum(gain, _TINY)
+        stop = converged | (sweeps == cfg.max_outer_iters)
+        for i in np.flatnonzero(stop):
+            finals[members[i]] = ([t[i].copy() for t in thetas], bool(converged[i]), sweeps)
+        if stop.all():
+            break
+        if stop.any():
+            keep = ~stop
+            members, offsets, gain = members[keep], offsets[keep], gain[keep]
+            links = links.compact(keep)
+            thetas = [t[keep] for t in thetas]
+        previous = gain
+    # the n x n stacks are built only once the stacked links are gone
+    del links, thetas
+    return [OptimizationResult(
+        ScatteringStack(cfg.architecture,
+                        tuple(np.diag(t) if t.ndim == 1 else t for t in surfaces)),
+        tuple(trace), converged, sweeps)
+        for (surfaces, converged, sweeps), trace in zip(finals, traces)]
 
 
 def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
@@ -316,53 +453,13 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     (u, v) of the folded channel and the closed-form inner solution for this
     surface until the fold's gain stalls. The trace records the gain after
     each full sweep; every step solves its subproblem exactly, so the trace
-    never decreases (up to iteration noise).
+    never decreases (up to iteration noise). A batch of one of alg1_batch.
 
     Diagonal surfaces are carried as phase vectors and become n x n matrices
     only in the returned stack. The inner solutions do not depend on the
     common phase of (u, v), so the pair needs no phase convention.
     """
-    cfg = cfg or OptimizerConfig()
-    offset = 1.0 if cfg.model == "physics" else 0.0
-    offsets = [offset] * ch.n_l
-    thetas = _init_thetas(ch, cfg, stream)
-
-    trace: list[float] = []
-    converged = False
-    sweeps = 0
-    best = 0.0
-    for sweeps in range(1, cfg.max_outer_iters + 1):
-        for pos, (left, right) in enumerate(sweep_folds(ch, thetas, offsets)):
-            sigma, u, v = _top_pair(times_factor(left, thetas[pos], offset) @ right)
-            best = sigma ** 2
-            for _ in range(cfg.max_inner_iters):
-                g_ri = u.conj() @ left
-                g_it = right @ v
-                # the structural path -d left right seen through (u, v)
-                data = InnerProblemData(-offset * (g_ri @ g_it), g_ri, g_it, u, v)
-                if cfg.architecture == "diagonal":
-                    thetas[pos] = _diagonal_phases(data)
-                else:
-                    try:
-                        thetas[pos] = inner_solve_unitary(data)
-                    except ZeroVector:
-                        # the fold through this surface is identically zero;
-                        # nothing to tune here
-                        break
-                sigma, u, v = _top_pair(times_factor(left, thetas[pos], offset) @ right)
-                value = sigma ** 2
-                gained = value - best
-                best = value
-                if gained <= cfg.rel_tol * max(value, _TINY):
-                    break
-        trace.append(best)
-        if sweeps >= 2 and abs(trace[-1] - trace[-2]) <= cfg.rel_tol * max(trace[-1], _TINY):
-            converged = True
-            break
-
-    matrices = tuple(np.diag(t) if t.ndim == 1 else t for t in thetas)
-    return OptimizationResult(ScatteringStack(cfg.architecture, matrices), tuple(trace),
-                              converged, sweeps)
+    return alg1_batch([ch], [cfg or OptimizerConfig()], [stream])[0]
 
 
 # -- upper bounds ------------------------------------------------------------------------------
@@ -397,12 +494,10 @@ def upper_bound_widely(ch: CascadeChannels) -> float:
 
 def best_of_restarts(ch: CascadeChannels, cfg: OptimizerConfig, stream: RandomStream,
                      restarts: int = 1) -> OptimizationResult:
-    """Run alg1_optimize from several random initializations and keep the best."""
+    """Run alg1 from several random initializations as one batch; the first strictly
+    best run wins."""
     if restarts < 1:
         raise DimensionMismatch("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        result = alg1_optimize(ch, cfg, stream.child("restart", r))
-        if best is None or result.gain > best.gain:
-            best = result
-    return best
+    runs = alg1_batch([ch] * restarts, [cfg] * restarts,
+                      [stream.child("restart", r) for r in range(restarts)])
+    return max(runs, key=lambda run: run.gain)

@@ -9,6 +9,7 @@ import pytest
 from multiris.cli import main
 from multiris.errors import DimensionMismatch, SpecError, UnknownPreset, ZeroVector
 from multiris.harness import (
+    BLOCK_TRIALS,
     ExperimentSpec,
     GainTable,
     emit,
@@ -178,6 +179,21 @@ class TestRunExperiment:
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1]
         assert blobs[0] == blobs[2]
+
+    @pytest.mark.parametrize("scenario", [
+        dict(scenario="rayleigh", l=(2,), n_i_grid=(2,),
+             architectures=("diagonal", "unitary")),
+        dict(scenario="rician", l=(2,), n_i_grid=(2,), rician_k=(0.0, 4.0)),
+    ])
+    def test_multi_block_bytes_match_across_parallelism(self, tmp_path, scenario):
+        # two full blocks and a partial one per grid point
+        spec = ExperimentSpec(seed=13, trials=2 * BLOCK_TRIALS + 3,
+                              models=("physics", "widely_used", "suboptimal_cross"),
+                              optimizer={"max_outer_iters": 30}, **scenario)
+        for fmt in ("csv", "json"):
+            blobs = [emit(run_experiment(spec, parallel=workers), fmt,
+                          tmp_path / f"{workers}.{fmt}").read_bytes() for workers in (1, 2)]
+            assert blobs[0] == blobs[1]
 
     def test_parallel_must_be_positive(self):
         with pytest.raises(DimensionMismatch):

@@ -23,6 +23,7 @@ from multiris.multiport import Dimensions
 from multiris.optimize import (
     InnerProblemData,
     OptimizerConfig,
+    alg1_batch,
     alg1_optimize,
     best_of_restarts,
     channel_gain,
@@ -392,10 +393,15 @@ class TestAlg1:
 
 class TestAlg1MatchesDenseReference:
     def test_trial_by_trial(self, monkeypatch):
-        """Phase vectors, one fold pass per sweep and the LAPACK pair change no result.
+        """Batches, phase vectors, one fold pass per sweep and the LAPACK pair change
+        no result.
 
-        Also checks, at every position of every sweep, that the end links the
-        one-pass fold hands out are exactly fold(...) of the current surfaces.
+        One batch per (l, n_i, architecture) mixes both models over three draws;
+        members converge at different sweeps, one hits the sweep cap, and every
+        unitary batch also carries a member whose fold is identically zero (a
+        zero first link). Each member must also match its own batch-of-one run.
+        At every position of every sweep, the end links the one-pass fold hands
+        out must be exactly fold(...) of the current surfaces.
         """
         positions = []
 
@@ -408,19 +414,73 @@ class TestAlg1MatchesDenseReference:
                 yield left, right
 
         monkeypatch.setattr(optimize, "sweep_folds", checked_sweep)
-        stream = RandomStream(97, ("dense-reference",))
+        stream = RandomStream(101, ("batch-reference",))
+        sweep_counts, capped, zero_folds = set(), 0, 0
         for l in (1, 2, 3, 4):
             for n_i in (4, 8):
-                for seed in range(3):
-                    ch = gen_cascade(Dimensions(n_t=2, n_r=2, n_i=n_i, l=l),
-                                     FadingSpec("rayleigh"), stream.child("ch", l, n_i, seed))
-                    for model in ("physics", "widely_used"):
-                        for arch in ("diagonal", "unitary"):
-                            cfg = OptimizerConfig(model=model, architecture=arch)
-                            opt = stream.child("opt", l, n_i, seed, model, arch)
-                            fast = alg1_optimize(ch, cfg, opt)
-                            ref = alg1_dense_reference(ch, cfg, opt)
-                            assert fast.converged == ref.converged
-                            assert fast.iterations == ref.iterations
-                            assert abs(fast.gain - ref.gain) <= 1e-9 * ref.gain
+                draws = [_rayleigh(stream.child("ch", l, n_i, s), l, n_i) for s in range(3)]
+                for arch in ("diagonal", "unitary"):
+                    chs = list(draws)
+                    if arch == "unitary":
+                        chs.append(CascadeChannels(np.zeros_like(draws[0].h_it_1), draws[0].inter,
+                                                   draws[0].h_ri_l))
+                    members = [(ch, OptimizerConfig(model=model, architecture=arch),
+                                stream.child("opt", l, n_i, arch, k, model))
+                               for k, ch in enumerate(chs)
+                               for model in ("physics", "widely_used")]
+                    runs = alg1_batch(*zip(*members))
+                    for (ch, cfg, opt), run in zip(members, runs):
+                        ref = alg1_dense_reference(ch, cfg, opt)
+                        alone = alg1_optimize(ch, cfg, opt)
+                        assert (run.converged, run.iterations) == (ref.converged, ref.iterations)
+                        assert (run.converged, run.iterations) == \
+                            (alone.converged, alone.iterations)
+                        assert abs(run.gain - ref.gain) <= 1e-9 * ref.gain
+                        assert abs(run.gain - alone.gain) <= 1e-12 * alone.gain
+                        assert np.allclose(run.gain_trace, alone.gain_trace, rtol=1e-12, atol=0)
+                        for mine, theirs in zip(run.stack.thetas, alone.stack.thetas):
+                            assert np.allclose(mine, theirs, rtol=0, atol=1e-9)
+                        assert run.stack.architecture == arch
+                        sweep_counts.add(run.iterations)
+                        capped += not run.converged
+                        zero_folds += run.gain == 0.0
         assert set(positions) == {0, 1, 2, 3}
+        assert len(sweep_counts) >= 5
+        assert capped > 0
+        assert zero_folds == 2 * 8
+
+
+def _rayleigh(stream, l, n_i):
+    return gen_cascade(Dimensions(n_t=2, n_r=2, n_i=n_i, l=l), FadingSpec("rayleigh"), stream)
+
+
+class TestAlg1Batch:
+    def test_mismatched_members_rejected(self):
+        stream = RandomStream(107, ("batch-mismatch",))
+        a, b = _rayleigh(stream.child("a"), 2, 4), _rayleigh(stream.child("b"), 2, 5)
+        c = _rayleigh(stream.child("c"), 3, 4)
+        diag, unit = OptimizerConfig(), OptimizerConfig(architecture="unitary")
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([a, b], [diag, diag])
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([a, c], [diag, diag])
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([a, a], [diag, unit])
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([a, a], [diag, OptimizerConfig(max_outer_iters=5)])
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([a, a], [diag])
+        with pytest.raises(DimensionMismatch):
+            alg1_batch([], [])
+
+    def test_best_of_restarts_keeps_the_best_run(self):
+        stream = RandomStream(109, ("restarts",))
+        ch = _rayleigh(stream.child("ch"), 2, 4)
+        cfg = OptimizerConfig(model="physics", rel_tol=1e-9)
+        alone = [alg1_optimize(ch, cfg, stream.child("opt").child("restart", r))
+                 for r in range(6)]
+        gains = [run.gain for run in alone]
+        best = best_of_restarts(ch, cfg, stream.child("opt"), restarts=6)
+        want = alone[int(np.argmax(gains))]
+        assert best.gain == pytest.approx(want.gain, rel=1e-12)
+        assert best.gain_trace == pytest.approx(want.gain_trace, rel=1e-12)
