@@ -38,12 +38,24 @@ SCENARIOS = ("los", "rayleigh", "rician")
 MODELS = ("physics", "widely_used", "suboptimal_cross")
 ARCHITECTURES = ("diagonal", "unitary")
 
-_OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol", "init")
-
 # trials per unit of work: the trials of one block of a grid point are optimized
 # as one alg1 batch per architecture, and sequential and parallel runs execute
 # the same blocks
 BLOCK_TRIALS = 32
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the optimizer settings a spec may override, with the type check of each value
+_OPTIMIZER_KEYS = {"max_outer_iters": _is_int, "max_inner_iters": _is_int,
+                   "rel_tol": _is_real, "init": lambda value: isinstance(value, str)}
 
 
 @dataclass(frozen=True)
@@ -74,26 +86,25 @@ class ExperimentSpec:
         object.__setattr__(self, "rician_k", tuple(self.rician_k))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "architectures", tuple(self.architectures))
-        if not self.l or any(not isinstance(v, int) or v < 1 for v in self.l):
+        if not self.l or any(not _is_int(v) or v < 1 for v in self.l):
             raise SpecError(f"l must be one or more positive integers, got {self.l!r}")
-        if not self.n_i_grid or any(not isinstance(v, int) or v < 1 for v in self.n_i_grid):
+        if not self.n_i_grid or any(not _is_int(v) or v < 1 for v in self.n_i_grid):
             raise SpecError(f"n_i_grid must be positive integers, got {self.n_i_grid!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise SpecError(f"trials must be a positive integer, got {self.trials!r}")
         overrides = dict(self.trial_overrides or {})
         for k, v in overrides.items():
-            if not isinstance(k, int) or not isinstance(v, int) or v < 1:
+            if not _is_int(k) or not _is_int(v) or v < 1:
                 raise SpecError(f"trial override {k!r}: {v!r} must map int n_i to positive int")
         object.__setattr__(self, "trial_overrides", overrides)
-        if not isinstance(self.n_t, int) or self.n_t < 1 or \
-           not isinstance(self.n_r, int) or self.n_r < 1:
-            raise SpecError("n_t and n_r must be positive integers")
+        if not _is_int(self.n_t) or self.n_t < 1 or not _is_int(self.n_r) or self.n_r < 1:
+            raise SpecError(f"n_t and n_r must be positive integers, got {self.n_t!r}, {self.n_r!r}")
         if self.scenario == "rician":
             if not self.rician_k:
                 raise SpecError("a rician scenario needs a non-empty rician_k grid")
-            if any(not np.isfinite(k) or k < 0 for k in self.rician_k):
+            if any(not _is_real(k) or not np.isfinite(k) or k < 0 for k in self.rician_k):
                 raise SpecError(f"rician_k values must be finite and >= 0, got {self.rician_k!r}")
         elif self.rician_k:
             raise SpecError(f"rician_k only applies to the rician scenario, got {self.rician_k!r}")
@@ -110,12 +121,18 @@ class ExperimentSpec:
         for a in self.architectures:
             if a not in ARCHITECTURES:
                 raise SpecError(f"unknown architecture {a!r}; expected a subset of {ARCHITECTURES}")
-        if not (np.isfinite(self.path_gain) and self.path_gain > 0):
+        if not (_is_real(self.path_gain) and np.isfinite(self.path_gain) and self.path_gain > 0):
             raise SpecError(f"path_gain must be finite and positive, got {self.path_gain!r}")
         opt = dict(self.optimizer or {})
-        for key in opt:
+        for key, value in opt.items():
             if key not in _OPTIMIZER_KEYS:
-                raise SpecError(f"unknown optimizer key {key!r}; allowed: {_OPTIMIZER_KEYS}")
+                raise SpecError(f"unknown optimizer key {key!r}; allowed: {tuple(_OPTIMIZER_KEYS)}")
+            if not _OPTIMIZER_KEYS[key](value):
+                raise SpecError(f"optimizer {key} has the wrong type: {value!r}")
+        try:
+            OptimizerConfig(**opt)
+        except DimensionMismatch as exc:
+            raise SpecError(f"optimizer: {exc}") from exc
         object.__setattr__(self, "optimizer", opt)
         if self.output_format not in ("csv", "json"):
             raise SpecError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
@@ -166,6 +183,11 @@ class ExperimentSpec:
             if required not in obj:
                 raise SpecError(f"spec is missing required key {required!r}")
 
+        def number(value, name):
+            if not _is_real(value):
+                raise SpecError(f"{name} must be a number, got {value!r}")
+            return float(value)
+
         scenario = obj["scenario"]
         rician_k: tuple[float, ...] = ()
         if isinstance(scenario, dict):
@@ -178,7 +200,7 @@ class ExperimentSpec:
             ks = scenario.get("k")
             if not isinstance(ks, list) or not ks:
                 raise SpecError("rician scenario needs a non-empty list under 'k'")
-            rician_k = tuple(float(k) for k in ks)
+            rician_k = tuple(number(k, "rician k") for k in ks)
             scenario = "rician"
         elif not isinstance(scenario, str):
             raise SpecError(f"scenario must be a string or a rician object, got {scenario!r}")
@@ -242,7 +264,7 @@ class ExperimentSpec:
             trial_overrides=overrides,
             models=str_tuple(obj.get("models"), "models", ("physics", "widely_used")),
             architectures=str_tuple(obj.get("architectures"), "architectures", ("diagonal",)),
-            path_gain=float(obj.get("path_gain", 1.0)),
+            path_gain=number(obj.get("path_gain", 1.0), "path_gain"),
             optimizer=optimizer,
             output_path=output_path,
             output_format=output_format,

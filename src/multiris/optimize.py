@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, NotRankOne, ZeroVector
 from .rng import RandomStream
 
 _TINY = 1e-300
+_NORMAL = np.finfo(float).tiny
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10000
 _UNIT_TOL = 1e-9
@@ -231,25 +232,49 @@ def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
 
 
 def _unitaries_with_first_columns(x: np.ndarray) -> np.ndarray:
-    """Unitary matrices whose first columns are exactly the unit rows of x (B, n)."""
+    """Unitary matrices whose first columns are exactly the unit rows of x (B, n).
+
+    The Q factor of [x, e_1, ..., e_{n-1}] in closed form: column k >= 1 is e_k
+    made orthogonal to x, e_1, ..., e_{k-1}. With p_k = |x_0|^2 + sum_{j>=k} |x_j|^2
+    (p_n = |x_0|^2) it holds sqrt(p_{k+1} / p_k) in row k,
+    -x_i conj(x_k) / sqrt(p_k p_{k+1}) in row 0 and in every row i > k, and 0
+    elsewhere. LAPACK's Householder QR returns the same columns times -1 on
+    complex input. A row whose |x_0|^2 is not a normal float makes that basis
+    (numerically) singular; it gets the reflection I - (e_0 - x)(e_0 - x)^H,
+    which also maps e_0 to x. The result for x.conj() is the conjugate of the
+    result for x.
+    """
     count, n = x.shape
-    basis = np.tile(np.eye(n, dtype=complex), (count, 1, 1))
-    basis[:, :, 0] = x
-    q, _ = np.linalg.qr(basis)
-    # qr fixes each column only up to a unit phase; rotate it back onto x
-    alpha = (q[:, None, :, 0].conj() @ x[:, :, None])[:, :, 0]
-    q[:, :, 0] *= alpha
+    sq = x.real ** 2 + x.imag ** 2
+    flat = sq[:, 0] < _NORMAL
+    head = np.where(flat, 1.0, sq[:, 0])[:, None]
+    # sqrt(p_k) for k = 1, ..., n
+    root = np.sqrt(np.concatenate((head + np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1], head),
+                                  axis=1))
+    scale = np.empty_like(x)
+    scale[:, 0] = 1.0
+    scale[:, 1:] = -x[:, 1:].conj() / (root[:, :-1] * root[:, 1:])
+    keep = np.tri(n, n, -1, dtype=bool)
+    keep[0] = keep[:, 0] = True
+    q = x[:, :, None] * scale[:, None, :]
+    q *= keep
+    q.reshape(count, n * n)[:, n + 1::n + 1] = root[:, 1:] / root[:, :-1]
+    if flat.any():
+        w = -x[flat]
+        w[:, 0] += 1.0
+        q[flat] = np.eye(n) - w[:, :, None] * w[:, None, :].conj()
     return q
 
 
 def _unitary_solutions(g_rt: np.ndarray, g_ri: np.ndarray, g_it: np.ndarray,
                        norm_ri: np.ndarray, norm_it: np.ndarray) -> np.ndarray:
-    """inner_solve_unitary for a stack of subproblems with nonzero g_ri and g_it rows."""
+    """inner_solve_unitary for a stack of subproblems with nonzero g_ri and g_it rows:
+    Q_y Q_x^H with Q_x e_0 = x = g_it / ||g_it|| and Q_y e_0 = y."""
     x = g_it / norm_it[:, None]
     y = np.exp(1j * _phase_angles(g_rt))[:, None] * g_ri.conj() / norm_ri[:, None]
-    q = _unitaries_with_first_columns(np.concatenate((x, y)))
-    qx, qy = q[:len(x)], q[len(x):]
-    return qy @ qx.conj().transpose(0, 2, 1)
+    # the completion of x.conj() is conj(Q_x), so no conjugate copy of Q_x is needed
+    q = _unitaries_with_first_columns(np.concatenate((x.conj(), y)))
+    return q[len(x):] @ q[:len(x)].transpose(0, 2, 1)
 
 
 def inner_solve_unitary(data: InnerProblemData) -> np.ndarray:

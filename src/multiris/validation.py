@@ -58,11 +58,11 @@ from .rng import RandomStream
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary matrix via phase-fixed QR."""
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed unitary matrix: the unitary polar factor W V^H of a complex
+    Gaussian matrix W S V^H, whose law is invariant under unitaries on both sides."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, _, vh = np.linalg.svd(g)
+    return w @ vh
 
 
 def well_conditioned_block(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared test helpers: brute-force oracles and instance shorthands."""
 
 import tempfile
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -11,8 +12,8 @@ from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
     dominant_singular_pair,
+    _phase_angles,
     inner_solve_diagonal,
-    inner_solve_unitary,
 )
 
 try:
@@ -124,12 +125,77 @@ def grid_search_gain_l2(ch: CascadeChannels, offset: float = 1.0, levels: int = 
     return best
 
 
+def unitaries_with_first_columns_qr(x: np.ndarray) -> np.ndarray:
+    """Unitary matrices whose first columns are the unit rows of x (B, n), from
+    LAPACK's Householder QR of [x, e_1, ..., e_{n-1}]: the oracle for the closed form.
+
+    On complex input every column k >= 1 is -1 times the Gram-Schmidt column the
+    package builds, and the sign cancels in Q_y Q_x^H. When the trailing diagonal
+    entry is exactly real, as for a real x, zlarfg takes its tau = 0 branch and
+    keeps the last column's sign, so a real x paired with a non-real y gives a
+    Theta that differs in that column's sign. Both are optimal (unitary, Theta x = y).
+    """
+    count, n = x.shape
+    basis = np.tile(np.eye(n, dtype=complex), (count, 1, 1))
+    basis[:, :, 0] = x
+    q, _ = np.linalg.qr(basis)
+    # qr fixes each column only up to a unit phase; rotate it back onto x
+    alpha = (q[:, None, :, 0].conj() @ x[:, :, None])[:, :, 0]
+    q[:, :, 0] *= alpha
+    return q
+
+
+def inner_solve_unitary_qr(data: InnerProblemData) -> np.ndarray:
+    """inner_solve_unitary with its completion taken from LAPACK's QR."""
+    norm_ri, norm_it = np.linalg.norm(data.g_ri), np.linalg.norm(data.g_it)
+    if norm_ri <= 1e-300 or norm_it <= 1e-300:
+        raise ZeroVector("inner_solve_unitary needs nonzero g_ri and g_it")
+    x = data.g_it / norm_it
+    y = np.exp(1j * _phase_angles(data.g_rt)) * data.g_ri.conj() / norm_ri
+    qx, qy = unitaries_with_first_columns_qr(np.stack((x, y)))
+    return qy @ qx.conj().T
+
+
+def unitary_with_first_column_exact(x: np.ndarray) -> np.ndarray:
+    """The Q of [x, e_1, ..., e_{n-1}] with a positive diagonal in R, by Gram-Schmidt
+    in exact rational arithmetic; only the final normalisation rounds.
+
+    Unlike LAPACK, whose normwise backward error moves a tiny x_0 by about
+    1e-16 / |x_0| relative, every entry comes out to a few ulps.
+    """
+    n = len(x)
+
+    def dot(a, b):  # a^H b of complex rationals held as (re, im) pairs
+        return (sum(p[0] * q[0] + p[1] * q[1] for p, q in zip(a, b)),
+                sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(a, b)))
+
+    columns = [[(Fraction(v.real), Fraction(v.imag)) for v in x]]
+    columns += [[(Fraction(int(i == k)), Fraction(0)) for i in range(n)] for k in range(1, n)]
+    ortho = []
+    for column in columns:
+        w = column
+        for u, norm_sq in ortho:
+            re, im = dot(u, column)
+            w = [(a - (p * re - q * im) / norm_sq, b - (p * im + q * re) / norm_sq)
+                 for (a, b), (p, q) in zip(w, u)]
+        ortho.append((w, dot(w, w)[0]))
+    q = np.empty((n, n), dtype=complex)
+    for k, (w, norm_sq) in enumerate(ortho):
+        # scale by a power of two first so the rationals convert without underflow
+        shift = norm_sq.numerator.bit_length() - norm_sq.denominator.bit_length()
+        scale = Fraction(2) ** (-(shift // 2))
+        norm = np.sqrt(float(norm_sq * scale * scale))
+        q[:, k] = [complex(float(a * scale), float(b * scale)) / norm for a, b in w]
+    return q
+
+
 def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult:
     """alg1_optimize on the dense reference path, the oracle for the fast one.
 
     Every surface is an n x n matrix, both end links are refolded from scratch
     at every position of every sweep, and the singular pair comes from the
-    package's power iteration. Draws the same initial phases as alg1_optimize.
+    package's power iteration, and unitary surfaces take their completion from
+    LAPACK's QR. Draws the same initial phases as alg1_optimize.
     """
     l = ch.n_l
     offsets = [1.0 if cfg.model == "physics" else 0.0] * l
@@ -158,7 +224,7 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
                     thetas[pos] = inner_solve_diagonal(data)
                 else:
                     try:
-                        thetas[pos] = inner_solve_unitary(data)
+                        thetas[pos] = inner_solve_unitary_qr(data)
                     except ZeroVector:
                         break
                 sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)

@@ -91,6 +91,29 @@ class TestSpecValidation:
             ExperimentSpec.from_json_dict({"scenario": "los", "l": True, "n_i_grid": [4],
                                            "trials": 5, "seed": 1})
 
+    @pytest.mark.parametrize("change", [
+        {"n_t": True},
+        {"n_r": False},
+        {"path_gain": "2.5"},
+        {"path_gain": True},
+        {"scenario": {"kind": "rician", "k": ["3"]}},
+        {"scenario": {"kind": "rician", "k": [True]}},
+        {"trials": {"default": True}},
+        {"trials": {"default": 5, "4": True}},
+        {"optimizer": {"rel_tol": "1e-3"}},
+        {"optimizer": {"rel_tol": False}},
+        {"optimizer": {"max_inner_iters": 2.5}},
+        {"optimizer": {"max_outer_iters": True}},
+        {"optimizer": {"init": 1}},
+        {"optimizer": {"max_outer_iters": 0}},
+        {"optimizer": {"rel_tol": -1.0}},
+        {"optimizer": {"init": "zeros"}},
+    ])
+    def test_mistyped_values_rejected(self, change):
+        obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
+        with pytest.raises(SpecError):
+            ExperimentSpec.from_json_dict(obj)
+
     def test_rician_k_constraints(self):
         with pytest.raises(SpecError, match="non-empty rician_k"):
             ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=1, trials=5)
@@ -331,6 +354,14 @@ class TestCli:
         schema.write_text(json.dumps({"scenario": "los", "l": 2, "n_i_grid": [4],
                                       "trials": 5, "seed": 1, "extra": 1}))
         assert main(["run", "--spec", str(schema)]) == 2
+
+    def test_mistyped_spec_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "typo.json"
+        spec_path.write_text(json.dumps({"scenario": "rayleigh", "l": 2, "n_i_grid": [2],
+                                         "trials": 1, "seed": 1,
+                                         "optimizer": {"rel_tol": "1e-3"}}))
+        assert main(["run", "--spec", str(spec_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_runtime_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         import multiris.harness as harness

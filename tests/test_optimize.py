@@ -7,6 +7,8 @@ from conftest import (
     alg1_dense_reference,
     grid_search_gain_l2,
     ones_cascade,
+    unitaries_with_first_columns_qr,
+    unitary_with_first_column_exact,
     upper_bound_physics_expansion,
 )
 from multiris import optimize
@@ -40,6 +42,16 @@ from multiris.optimize import (
 from multiris.optimize import _rank_one_factors
 from multiris.rng import RandomStream
 from multiris.validation import random_cascade_channels
+
+
+def _unit_rows(rng, count, n, first=None):
+    """count random complex unit rows of length n; first[i], if not None, sets the
+    modulus of row i's first entry before the row is normalised."""
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    for i, x0 in enumerate(first or ()):
+        if x0 is not None:
+            z[i, 0] *= x0 / abs(z[i, 0])
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 class TestDominantSingularPair:
@@ -163,18 +175,88 @@ class TestInnerSolvers:
             assert np.allclose(inner_solve_unitary(data) @ ones, ones, atol=1e-12)
 
     def test_unitary_attains_cauchy_schwarz_value(self):
+        """Random draws up to n = 128, plus the degenerate directions: a g_it or a
+        g_ri whose first entry is exactly 0, and g_it = e_{n-1}. Those take the
+        reflection branch of the completion and must not leak a divide warning."""
         rng = np.random.default_rng(19)
         u = np.array([1.0 + 0j])
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            g_ri = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            g_it = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            g_rt = complex(rng.standard_normal() + 1j * rng.standard_normal())
+
+        def draw(n):
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def zero_first(n):
+            g = draw(n)
+            g[0] = 0.0
+            return g
+
+        cases = [(draw(n), draw(n)) for n in [int(k) for k in rng.integers(1, 9, 20)] + [32, 128]]
+        for n in (2, 3, 8, 128):
+            last = np.zeros(n, dtype=complex)
+            last[-1] = 1.0
+            cases += [(draw(n), zero_first(n)), (zero_first(n), draw(n)), (draw(n), last),
+                      (zero_first(n), last)]
+        for g_ri, g_it in cases:
+            n = len(g_ri)
+            g_rt = complex(draw(1)[0])
             data = InnerProblemData(g_rt, g_ri, g_it, u, u)
             theta = inner_solve_unitary(data)
+            assert np.isfinite(theta).all()
             assert np.abs(theta.conj().T @ theta - np.eye(n)).max() < 1e-12
             expect = (abs(g_rt) + np.linalg.norm(g_ri) * np.linalg.norm(g_it)) ** 2
             assert inner_objective(data, theta) == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128])
+    def test_completion_matches_lapack(self, n):
+        """Theta = Q_y Q_x^H from the closed-form completion equals the one from
+        LAPACK's QR on random complex pairs."""
+        rng = np.random.default_rng(29 + n)
+        pairs = _unit_rows(rng, 2 * 20, n)
+        closed, lapack = (q[20:] @ q[:20].conj().transpose(0, 2, 1)
+                          for q in (optimize._unitaries_with_first_columns(pairs),
+                                    unitaries_with_first_columns_qr(pairs)))
+        assert np.abs(closed - lapack).max() <= 1e-12
+
+    @pytest.mark.parametrize("x0", [1e-8, 1e-150])
+    def test_completion_with_tiny_first_entry(self, x0):
+        """A first entry of modulus x0 in x, in y or in both.
+
+        LAPACK's normwise backward error moves such an entry by about 1e-16
+        absolute, so its Theta is off by about 1e-16 / x0 (about 1e-8 at
+        x0 = 1e-8, anything at 1e-150); the closed form must match the exact
+        rational Gram-Schmidt instead, to 1e-12."""
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 8):
+            for tiny_x, tiny_y in ((True, False), (False, True), (True, True)):
+                x, y = _unit_rows(rng, 2, n, first=(x0 if tiny_x else None,
+                                                    x0 if tiny_y else None))
+                exact = [unitary_with_first_column_exact(z) for z in (x, y)]
+                qx, qy = optimize._unitaries_with_first_columns(np.stack((x, y)))
+                theta = qy @ qx.conj().T
+                assert np.abs(theta - exact[1] @ exact[0].conj().T).max() <= 1e-12
+                assert np.abs(theta @ x - y).max() <= 1e-15
+                if x0 == 1e-8:
+                    lx, ly = unitaries_with_first_columns_qr(np.stack((x, y)))
+                    assert np.abs(theta - ly @ lx.conj().T).max() <= 1e-6
+
+    def test_real_x_keeps_lapack_last_column_sign(self):
+        """The one known difference from LAPACK, which needs no fix: for an exactly
+        real x and a non-real y, zlarfg's tau = 0 branch keeps the sign of Q_x's
+        last column, so LAPACK's Theta is the closed form's minus twice that
+        column's term. Both map x to y and are unitary; Rayleigh and Rician draws
+        are never exactly real."""
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 8, 32):
+            x = rng.standard_normal(n) + 0j
+            x /= np.linalg.norm(x)
+            y = _unit_rows(rng, 1, n)[0]
+            qx, qy = optimize._unitaries_with_first_columns(np.stack((x, y)))
+            lx, ly = unitaries_with_first_columns_qr(np.stack((x, y)))
+            theta = qy @ qx.conj().T
+            flipped = theta - 2.0 * np.outer(qy[:, -1], qx[:, -1].conj())
+            assert np.abs(ly @ lx.conj().T - flipped).max() <= 1e-12
+            for t in (theta, flipped):
+                assert np.abs(t @ x - y).max() <= 1e-12
+                assert np.abs(t.conj().T @ t - np.eye(n)).max() <= 1e-12
 
     def test_unitary_dominates_diagonal(self):
         rng = np.random.default_rng(23)

@@ -15,7 +15,7 @@ from multiris.optimize import (
 from multiris.rng import RandomStream
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 
 seeds = st.integers(0, 2 ** 32 - 1)
 cascades = st.builds(
@@ -41,6 +41,14 @@ def test_gain_within_bound(ch, cfg, seed):
 def test_gain_trace_never_falls(ch, cfg, seed):
     res = _run(ch, cfg, seed)
     assert np.all(np.diff(res.gain_trace) >= -1e-9 * res.gain)
+
+
+@given(cascades, seeds)
+def test_unitary_reaches_norm_product_bound(ch, seed):
+    # a run stopped by the sweep cap may still be short of the bound
+    res = _run(ch, OptimizerConfig(model="widely_used", architecture="unitary"), seed)
+    assume(res.converged)
+    assert res.gain >= (1 - 1e-4) * upper_bound_widely(ch)
 
 
 @given(cascades, st.sampled_from(("physics", "widely_used")), seeds)
