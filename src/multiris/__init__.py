@@ -65,13 +65,11 @@ from .optimize import (
 )
 from .rng import RandomStream
 from .scaling import (
-    GainMetrics,
     ScalingInputs,
     estimate_mean_sq_singular_values,
     expected_gain_physics_los,
     expected_gain_suboptimal_los,
     expected_gain_widely_los,
-    gain_widely_los,
     mc_normalized_gain,
     mc_relative_difference,
     normalized_gain_los,

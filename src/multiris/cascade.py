@@ -10,7 +10,6 @@ draws.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,11 @@ DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
+def _as_finite(a, name: str, ndims=(2,)) -> np.ndarray:
+    """a as a finite complex array with one of the allowed ndims."""
     arr = np.asarray(a, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim {arr.ndim}")
+    if arr.ndim not in ndims:
+        raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} has NaN or infinite entries")
     return arr
@@ -50,10 +50,10 @@ class SideLinks:
     h_it: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h_rt", _as_matrix(self.h_rt, "h_rt"))
-        object.__setattr__(self, "h_ri", tuple(_as_matrix(m, f"side h_ri[{k}]")
+        object.__setattr__(self, "h_rt", _as_finite(self.h_rt, "h_rt"))
+        object.__setattr__(self, "h_ri", tuple(_as_finite(m, f"side h_ri[{k}]")
                                                for k, m in enumerate(self.h_ri)))
-        object.__setattr__(self, "h_it", tuple(_as_matrix(m, f"side h_it[{k}]")
+        object.__setattr__(self, "h_it", tuple(_as_finite(m, f"side h_it[{k}]")
                                                for k, m in enumerate(self.h_it)))
 
 
@@ -72,10 +72,10 @@ class CascadeChannels:
     sides: SideLinks | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "h_it_1", _as_matrix(self.h_it_1, "h_it_1"))
-        object.__setattr__(self, "inter", tuple(_as_matrix(m, f"inter[{k}]")
+        object.__setattr__(self, "h_it_1", _as_finite(self.h_it_1, "h_it_1"))
+        object.__setattr__(self, "inter", tuple(_as_finite(m, f"inter[{k}]")
                                                 for k, m in enumerate(self.inter)))
-        object.__setattr__(self, "h_ri_l", _as_matrix(self.h_ri_l, "h_ri_l"))
+        object.__setattr__(self, "h_ri_l", _as_finite(self.h_ri_l, "h_ri_l"))
         width = self.h_it_1.shape[0]
         for k, m in enumerate(self.inter):
             if m.shape[1] != width:
@@ -127,49 +127,15 @@ class CascadeChannels:
         """The link matrices in product order: h_ri_l, inter[l-2], ..., inter[0], h_it_1."""
         return [self.h_ri_l, *reversed(self.inter), self.h_it_1]
 
-    def to_json(self) -> str:
-        """Row-major [re, im] pair serialization of every block."""
-
-        def pairs(a):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-        payload = {
-            "h_it_1": pairs(self.h_it_1),
-            "inter": [pairs(m) for m in self.inter],
-            "h_ri_l": pairs(self.h_ri_l),
-        }
-        if self.sides is not None:
-            payload["sides"] = {
-                "h_rt": pairs(self.sides.h_rt),
-                "h_ri": [pairs(m) for m in self.sides.h_ri],
-                "h_it": [pairs(m) for m in self.sides.h_it],
-            }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CascadeChannels":
-        def un(a):
-            return np.array([[complex(re, im) for re, im in row] for row in a], dtype=complex)
-
-        payload = json.loads(text)
-        sides = None
-        if "sides" in payload:
-            s = payload["sides"]
-            sides = SideLinks(un(s["h_rt"]),
-                              tuple(un(m) for m in s["h_ri"]),
-                              tuple(un(m) for m in s["h_it"]))
-        return CascadeChannels(un(payload["h_it_1"]),
-                               tuple(un(m) for m in payload["inter"]),
-                               un(payload["h_ri_l"]),
-                               sides)
-
 
 @dataclass(frozen=True)
 class ScatteringStack:
-    """One scattering matrix per surface, tagged with the architecture it obeys.
+    """One surface configuration per surface, tagged with the architecture it obeys.
 
-    diagonal: every matrix is diagonal with unit-modulus entries.
-    unitary: every matrix satisfies Theta^H Theta = I.
+    diagonal: every surface is stored as its (n,) unit-modulus phase vector,
+    the diagonal of Theta; np.diag(theta) gives the n x n matrix. The
+    constructor also takes the diagonal n x n matrix and keeps its diagonal.
+    unitary: every surface is an n x n matrix with Theta^H Theta = I.
     """
 
     architecture: str
@@ -181,22 +147,22 @@ class ScatteringStack:
                 f"architecture must be 'diagonal' or 'unitary', got {self.architecture!r}")
         if len(self.thetas) == 0:
             raise DimensionMismatch("a scattering stack needs at least one surface")
+        diagonal = self.architecture == "diagonal"
         fixed = []
         for k, th in enumerate(self.thetas):
-            arr = _as_matrix(th, f"theta[{k}]")
-            if arr.shape[0] != arr.shape[1]:
+            arr = _as_finite(th, f"theta[{k}]", (1, 2) if diagonal else (2,))
+            if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatch(f"theta[{k}] must be square, got shape {arr.shape}")
-            n = arr.shape[0]
-            if self.architecture == "diagonal":
-                off = arr - np.diag(np.diag(arr))
-                if off.size and np.abs(off).max() > DIAGONAL_UNIT_TOL:
-                    raise DimensionMismatch(f"theta[{k}] is not diagonal")
-                if np.abs(np.abs(np.diag(arr)) - 1.0).max() > DIAGONAL_UNIT_TOL:
-                    raise DimensionMismatch(f"theta[{k}] diagonal entries are not unit modulus")
-            else:
-                gram = arr.conj().T @ arr
-                if np.abs(gram - np.eye(n)).max() > UNITARY_TOL:
-                    raise DimensionMismatch(f"theta[{k}] is not unitary")
+            if diagonal:
+                if arr.ndim == 2:
+                    phases = np.diag(arr).copy()
+                    if (np.abs(arr - np.diag(phases)) > DIAGONAL_UNIT_TOL).any():
+                        raise DimensionMismatch(f"theta[{k}] is not diagonal")
+                    arr = phases
+                if (np.abs(np.abs(arr) - 1.0) > DIAGONAL_UNIT_TOL).any():
+                    raise DimensionMismatch(f"theta[{k}] entries are not unit modulus")
+            elif (np.abs(arr.conj().T @ arr - np.eye(len(arr))) > UNITARY_TOL).any():
+                raise DimensionMismatch(f"theta[{k}] is not unitary")
             fixed.append(arr)
         object.__setattr__(self, "thetas", tuple(fixed))
 
@@ -206,16 +172,18 @@ class ScatteringStack:
 
 
 def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
+    """The surfaces of a ScatteringStack or of a sequence of finite (w,) phase
+    vectors and (w, w) matrices, checked against the widths of ch."""
     thetas = list(stack.thetas) if isinstance(stack, ScatteringStack) else \
-        [_as_matrix(t, f"theta[{k}]") for k, t in enumerate(stack)]
+        [_as_finite(t, f"theta[{k}]", (1, 2)) for k, t in enumerate(stack)]
     if len(thetas) != ch.n_l:
         raise DimensionMismatch(
             f"{ch.n_l} surfaces need {ch.n_l} scattering matrices, got {len(thetas)}")
     for k, th in enumerate(thetas):
         w = ch.width(k)
-        if th.shape != (w, w):
+        if th.shape not in ((w,), (w, w)):
             raise DimensionMismatch(
-                f"theta[{k}] must be {w} x {w} for this cascade, got {th.shape}")
+                f"theta[{k}] must be ({w},) or {w} x {w} for this cascade, got {th.shape}")
     return thetas
 
 

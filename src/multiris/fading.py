@@ -12,6 +12,11 @@ from .multiport import Dimensions
 from .rng import RandomStream
 
 
+def _is_real(value) -> bool:
+    """An int or float that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LosLink:
     """Rank-1 steering link: path_gain * outer(a, b) with unit-modulus a, b."""
@@ -44,10 +49,10 @@ class FadingSpec:
         if self.kind not in ("los", "rayleigh", "rician"):
             raise DimensionMismatch(
                 f"fading kind must be 'los', 'rayleigh' or 'rician', got {self.kind!r}")
-        if not (np.isfinite(self.path_gain) and self.path_gain >= 0):
-            raise DimensionMismatch(f"path_gain must be finite and >= 0, got {self.path_gain!r}")
-        if not (np.isfinite(self.rician_k) and self.rician_k >= 0):
-            raise DimensionMismatch(f"rician_k must be finite and >= 0, got {self.rician_k!r}")
+        for name in ("path_gain", "rician_k"):
+            value = getattr(self, name)
+            if not (_is_real(value) and np.isfinite(value) and value >= 0):
+                raise DimensionMismatch(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:

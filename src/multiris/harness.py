@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import assemble_physics_channel, assemble_widely_used
-from .errors import DimensionMismatch, SpecError, UnknownPreset
-from .fading import FadingSpec, gen_cascade
+from .errors import DegenerateDenominator, DimensionMismatch, SpecError, UnknownPreset
+from .fading import FadingSpec, _is_real, gen_cascade
 from .multiport import Dimensions
 from .optimize import (  # noqa: F401  alg1_optimize: the benchmark tracer binds it here by name
     OptimizerConfig,
@@ -33,6 +33,7 @@ from .optimize import (  # noqa: F401  alg1_optimize: the benchmark tracer binds
     upper_bound_widely,
 )
 from .rng import RandomStream
+from .scaling import mc_normalized_gain, mc_relative_difference
 
 SCENARIOS = ("los", "rayleigh", "rician")
 MODELS = ("physics", "widely_used", "suboptimal_cross")
@@ -47,10 +48,6 @@ BLOCK_TRIALS = 32
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON true/false arrive as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # the optimizer settings a spec may override, with the type check of each value
@@ -205,13 +202,8 @@ class ExperimentSpec:
         elif not isinstance(scenario, str):
             raise SpecError(f"scenario must be a string or a rician object, got {scenario!r}")
 
-        def int_list(value, name):
-            if isinstance(value, int) and not isinstance(value, bool):
-                return (value,)
-            if isinstance(value, list) and value and \
-                    all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-                return tuple(value)
-            raise SpecError(f"{name} must be an integer or a non-empty list of integers")
+        def scalar_or_list(value):
+            return tuple(value) if isinstance(value, list) else (value,)
 
         trials_raw = obj["trials"]
         overrides: dict[int, int] = {}
@@ -221,10 +213,8 @@ class ExperimentSpec:
                 raise SpecError("object-valued trials needs 'default' plus digit-keyed overrides")
             trials = trials_raw["default"]
             overrides = {int(k): v for k, v in trials_raw.items() if k != "default"}
-        elif isinstance(trials_raw, int) and not isinstance(trials_raw, bool):
-            trials = trials_raw
         else:
-            raise SpecError(f"trials must be an int or an object, got {trials_raw!r}")
+            trials = trials_raw
 
         output = obj.get("output")
         output_path = None
@@ -241,29 +231,25 @@ class ExperimentSpec:
         if optimizer is not None and not isinstance(optimizer, dict):
             raise SpecError("optimizer must be an object of config overrides")
 
-        def str_tuple(value, name, default):
+        def listed(value, name, default):
             if value is None:
                 return default
-            if isinstance(value, list) and all(isinstance(v, str) for v in value):
-                return tuple(value)
-            raise SpecError(f"{name} must be a list of strings")
-
-        seed = obj["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise SpecError(f"seed must be an integer, got {seed!r}")
+            if not isinstance(value, list):
+                raise SpecError(f"{name} must be a list of strings")
+            return tuple(value)
 
         return ExperimentSpec(
             scenario=scenario,
-            l=int_list(obj["l"], "l"),
-            n_i_grid=int_list(obj["n_i_grid"], "n_i_grid"),
-            seed=seed,
+            l=scalar_or_list(obj["l"]),
+            n_i_grid=scalar_or_list(obj["n_i_grid"]),
+            seed=obj["seed"],
             trials=trials,
             n_t=obj.get("n_t", 2),
             n_r=obj.get("n_r", 2),
             rician_k=rician_k,
             trial_overrides=overrides,
-            models=str_tuple(obj.get("models"), "models", ("physics", "widely_used")),
-            architectures=str_tuple(obj.get("architectures"), "architectures", ("diagonal",)),
+            models=listed(obj.get("models"), "models", ("physics", "widely_used")),
+            architectures=listed(obj.get("architectures"), "architectures", ("diagonal",)),
             path_gain=number(obj.get("path_gain", 1.0), "path_gain"),
             optimizer=optimizer,
             output_path=output_path,
@@ -357,7 +343,7 @@ def _optimize_block(spec: ExperimentSpec, chs, roots, results: list[dict]):
         if "suboptimal_cross" in spec.models:
             for t, (ch, res) in enumerate(zip(chs, results)):
                 res["gains"][("suboptimal_cross", arch)] = channel_gain(
-                    assemble_physics_channel(ch, stacks_w[t].thetas))
+                    assemble_physics_channel(ch, stacks_w[t]))
                 res["converged"][("suboptimal_cross", arch)] = \
                     res["converged"][("widely_used", arch)]
 
@@ -438,30 +424,35 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     return GainTable(spec, tuple(rows))
 
 
+def _metric(fn, x, y) -> float | None:
+    """fn(x, y), or None (an empty cell) when its denominator mean is not positive."""
+    try:
+        return fn(x, y)
+    except DegenerateDenominator:
+        return None
+
+
 def _aggregate(spec: ExperimentSpec, point: _GridPoint, results: list[dict]) -> list[GainStats]:
     n = len(results)
     rows = []
     for arch in spec.architectures:
-        means: dict[str, float] = {}
+        gains = {model: np.array([r["gains"][(model, arch)] for r in results])
+                 for model in spec.models}
         for model in spec.models:
-            gains = np.array([r["gains"][(model, arch)] for r in results])
-            means[model] = float(gains.mean())
-        for model in spec.models:
-            gains = np.array([r["gains"][(model, arch)] for r in results])
             conv = np.array([r["converged"][(model, arch)] for r in results])
             bound_model = "physics" if model == "suboptimal_cross" else model
             bound_vals = [r["bounds"][bound_model] for r in results]
             bound_mean = None if bound_vals[0] is None else float(np.mean(bound_vals))
             eta = rho = None
-            if model == "physics" and "widely_used" in spec.models and means["widely_used"] > 0:
-                eta = (means["physics"] - means["widely_used"]) / means["widely_used"]
-            if model == "suboptimal_cross" and means["physics"] > 0:
-                rho = means[model] / means["physics"]
-            std_err = float(gains.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            if model == "physics" and "widely_used" in spec.models:
+                eta = _metric(mc_relative_difference, gains["physics"], gains["widely_used"])
+            if model == "suboptimal_cross":
+                rho = _metric(mc_normalized_gain, gains[model], gains["physics"])
+            std_err = float(gains[model].std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
             rows.append(GainStats(
                 scenario=spec.scenario, model=model, architecture=arch,
                 l=point.l, n_i=point.n_i, rician_k=point.rician_k,
-                trials=n, mean_gain=float(gains.mean()), std_err=std_err,
+                trials=n, mean_gain=float(gains[model].mean()), std_err=std_err,
                 bound_mean=bound_mean, eta=eta, rho=rho,
                 converged_frac=float(conv.mean()),
             ))

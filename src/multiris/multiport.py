@@ -22,7 +22,6 @@ AssumptionViolated instead of silently zeroing blocks it was not given.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,25 +192,6 @@ class MultiportNetwork:
             raise AssumptionViolated(
                 f"this channel model needs assumption(s) {missing} asserted on the network"
             )
-
-    # -- serialization ----------------------------------------------------------
-
-    def debug_json(self) -> str:
-        """Serialize every block as row-major [re, im] pairs, for dumps and diffing."""
-
-        def pairs(a: np.ndarray):
-            return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-        payload = {
-            "dims": {"n_t": self.dims.n_t, "n_r": self.dims.n_r,
-                     "n_i": self.dims.n_i, "l": self.dims.l},
-            "z0": self.z0,
-            "assumptions": sorted(self.assumptions),
-            "blocks": {name: pairs(getattr(self, name))
-                       for name in ("z_tt", "z_ti", "z_tr", "z_it", "z_ii",
-                                    "z_ir", "z_rt", "z_ri", "z_rr")},
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 @dataclass(frozen=True)

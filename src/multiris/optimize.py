@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cascade import CascadeBatch, CascadeChannels, ScatteringStack, sweep_folds, times_factor
-from .errors import DimensionMismatch, NotRankOne, ZeroVector
+from .errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
 from .rng import RandomStream
 
 _TINY = 1e-300
@@ -128,7 +128,7 @@ def _los_cascade_factors(ch: CascadeChannels):
 
 
 def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
-    """Gain-optimal diagonal phases for a rank-1 cascade under the physical model.
+    """Gain-optimal phase vectors for a rank-1 cascade under the physical model.
 
     At each surface the arrival phases a and departure phases b align every
     element to pi + arg(b^T a), which drives b^T (Theta - I) a to
@@ -142,12 +142,12 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
         _, _, b = factors[k + 1]
         c = b @ a
         phases = np.pi + np.angle(c) - np.angle(b) - np.angle(a)
-        thetas.append(np.diag(np.exp(1j * phases)))
+        thetas.append(np.exp(1j * phases))
     return ScatteringStack("diagonal", tuple(thetas))
 
 
 def los_optimal_phases_widely(ch: CascadeChannels) -> ScatteringStack:
-    """Gain-optimal diagonal phases for a rank-1 cascade under the widely used model.
+    """Gain-optimal phase vectors for a rank-1 cascade under the widely used model.
 
     Without the structural term the optimum simply cancels the steering
     phases, making b^T Theta a = n exactly, every realization.
@@ -158,7 +158,7 @@ def los_optimal_phases_widely(ch: CascadeChannels) -> ScatteringStack:
         _, a, _ = factors[k]
         _, _, b = factors[k + 1]
         phases = -np.angle(b) - np.angle(a)
-        thetas.append(np.diag(np.exp(1j * phases)))
+        thetas.append(np.exp(1j * phases))
     return ScatteringStack("diagonal", tuple(thetas))
 
 
@@ -170,7 +170,7 @@ class InnerProblemData:
     """Coefficients of one surface's subproblem: maximize |g_rt + g_ri Theta g_it|^2.
 
     u and v are the unit-norm receive/transmit directions the coefficients
-    were folded against.
+    were folded against. Raises NonFiniteInput on any NaN or infinite entry.
     """
 
     g_rt: complex
@@ -180,14 +180,17 @@ class InnerProblemData:
     v: np.ndarray
 
     def __post_init__(self):
+        g_rt = complex(self.g_rt)
         g_ri = np.asarray(self.g_ri, dtype=complex)
         g_it = np.asarray(self.g_it, dtype=complex)
         u = np.asarray(self.u, dtype=complex)
         v = np.asarray(self.v, dtype=complex)
+        if not all(np.isfinite(a).all() for a in (g_rt, g_ri, g_it, u, v)):
+            raise NonFiniteInput("inner problem data has NaN or infinite entries")
         if g_ri.ndim != 1 or g_it.ndim != 1 or g_ri.shape != g_it.shape:
             raise DimensionMismatch("g_ri and g_it must be 1-D and equally long")
         _check_unit_pairs(u, v)
-        object.__setattr__(self, "g_rt", complex(self.g_rt))
+        object.__setattr__(self, "g_rt", g_rt)
         object.__setattr__(self, "g_ri", g_ri)
         object.__setattr__(self, "g_it", g_it)
         object.__setattr__(self, "u", u)
@@ -195,7 +198,9 @@ class InnerProblemData:
 
 
 def inner_objective(data: InnerProblemData, theta) -> float:
-    return float(np.abs(data.g_rt + data.g_ri @ theta @ data.g_it) ** 2)
+    """|g_rt + g_ri Theta g_it|^2 for a phase vector or an n x n matrix theta."""
+    g_ri_theta = times_factor(data.g_ri[None], np.asarray(theta), 0.0)[0]
+    return float(np.abs(data.g_rt + g_ri_theta @ data.g_it) ** 2)
 
 
 def _check_unit_pairs(u: np.ndarray, v: np.ndarray):
@@ -222,13 +227,13 @@ def _diagonal_phases(g_rt, terms: np.ndarray) -> np.ndarray:
 
 
 def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
-    """Optimal diagonal phases: align every product term with g_rt.
+    """Optimal diagonal surface as its phase vector: align every product term with g_rt.
 
     theta_n = arg(g_rt) - arg(g_ri[n] g_it[n]) attains
     (|g_rt| + sum_n |g_ri[n] g_it[n]|)^2. A zero g_rt, of either sign,
     contributes phase 0.
     """
-    return np.diag(_diagonal_phases(data.g_rt, data.g_ri * data.g_it))
+    return _diagonal_phases(data.g_rt, data.g_ri * data.g_it)
 
 
 def _unitaries_with_first_columns(x: np.ndarray) -> np.ndarray:
@@ -460,13 +465,9 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
             links = links.compact(keep)
             thetas = [t[keep] for t in thetas]
         previous = gain
-    # the n x n stacks are built only once the stacked links are gone
-    del links, thetas
-    return [OptimizationResult(
-        ScatteringStack(cfg.architecture,
-                        tuple(np.diag(t) if t.ndim == 1 else t for t in surfaces)),
-        tuple(trace), converged, sweeps)
-        for (surfaces, converged, sweeps), trace in zip(finals, traces)]
+    return [OptimizationResult(ScatteringStack(cfg.architecture, tuple(surfaces)),
+                               tuple(trace), converged, sweeps)
+            for (surfaces, converged, sweeps), trace in zip(finals, traces)]
 
 
 def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
@@ -480,9 +481,9 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
     each full sweep; every step solves its subproblem exactly, so the trace
     never decreases (up to iteration noise). A batch of one of alg1_batch.
 
-    Diagonal surfaces are carried as phase vectors and become n x n matrices
-    only in the returned stack. The inner solutions do not depend on the
-    common phase of (u, v), so the pair needs no phase convention.
+    Diagonal surfaces are carried, and returned, as phase vectors. The inner
+    solutions do not depend on the common phase of (u, v), so the pair needs no
+    phase convention.
     """
     return alg1_batch([ch], [cfg or OptimizerConfig()], [stream])[0]
 

@@ -22,7 +22,7 @@ from .errors import (
     EmptySequence,
     RangeExceeded,
 )
-from .fading import FadingSpec, gen_link
+from .fading import FadingSpec, _is_real, gen_link
 from .rng import RandomStream
 
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -43,25 +43,10 @@ class ScalingInputs:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise DimensionMismatch(f"{name} must be a positive integer, got {v!r}")
-        if not (np.isfinite(self.path_gain) and self.path_gain >= 0):
-            raise DimensionMismatch(f"path_gain must be finite and >= 0, got {self.path_gain!r}")
-
-
-@dataclass(frozen=True)
-class GainMetrics:
-    """The three scalar discrepancy metrics for one operating point."""
-
-    eta: float
-    rho: float
-    s: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.eta) or self.eta < -1.0:
-            raise DimensionMismatch(f"eta must be finite and >= -1, got {self.eta!r}")
-        if not (0.0 < self.rho <= 1.0):
-            raise DimensionMismatch(f"rho must lie in (0, 1], got {self.rho!r}")
-        if not (0.0 < self.s <= 1.0):
-            raise DimensionMismatch(f"s must lie in (0, 1], got {self.s!r}")
+        if not (_is_real(self.path_gain) and np.isfinite(self.path_gain)
+                and self.path_gain >= 0):
+            raise DimensionMismatch(
+                f"path_gain must be a finite number >= 0, got {self.path_gain!r}")
 
 
 def _guarded_power(base: float, exponent: int, context: str) -> float:
@@ -85,10 +70,6 @@ def expected_gain_widely_los(inputs: ScalingInputs) -> float:
     average is the every-realization value: path_gain^2 n_i^(2l) n_r n_t."""
     core = _guarded_power(float(inputs.n_i), 2 * inputs.l, "expected_gain_widely_los")
     return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
-
-
-# The widely used optimum has zero variance; both names fit common usage.
-gain_widely_los = expected_gain_widely_los
 
 
 def expected_gain_suboptimal_los(inputs: ScalingInputs) -> float:
@@ -135,7 +116,7 @@ def mc_relative_difference(physics_gains, widely_gains) -> float:
     """Sample eta: (mean physics gain - mean widely gain) / mean widely gain."""
     mean_p, mean_w = _paired_means(physics_gains, widely_gains,
                                    "physics_gains", "widely_gains")
-    if mean_w <= 0.0:
+    if not mean_w > 0.0:
         raise DegenerateDenominator("mean widely used gain must be positive")
     return (mean_p - mean_w) / mean_w
 
@@ -144,7 +125,7 @@ def mc_normalized_gain(suboptimal_gains, physics_gains) -> float:
     """Sample rho: mean suboptimal physical gain / mean optimal physical gain."""
     mean_s, mean_p = _paired_means(suboptimal_gains, physics_gains,
                                    "suboptimal_gains", "physics_gains")
-    if mean_p <= 0.0:
+    if not mean_p > 0.0:
         raise DegenerateDenominator("mean optimal physics gain must be positive")
     return mean_s / mean_p
 

@@ -170,7 +170,8 @@ def network_from_cascade(ch: CascadeChannels, z0: float = multiport.DEFAULT_Z0) 
 
 
 def random_phase_stack(widths, rng: np.random.Generator) -> ScatteringStack:
-    thetas = tuple(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w))) for w in widths)
+    """Diagonal surfaces of the given widths with uniform random phases."""
+    thetas = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w)) for w in widths)
     return ScatteringStack("diagonal", thetas)
 
 

@@ -221,7 +221,7 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
                 g_rt = complex(u.conj() @ direct @ v)
                 data = InnerProblemData(g_rt, g_ri, g_it, u, v)
                 if cfg.architecture == "diagonal":
-                    thetas[pos] = inner_solve_diagonal(data)
+                    thetas[pos] = np.diag(inner_solve_diagonal(data))
                 else:
                     try:
                         thetas[pos] = inner_solve_unitary_qr(data)

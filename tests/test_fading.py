@@ -127,6 +127,12 @@ class TestFadingSpec:
         with pytest.raises(DimensionMismatch):
             FadingSpec("rician", rician_k=-1.0)
 
+    @pytest.mark.parametrize("field", ["path_gain", "rician_k"])
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(DimensionMismatch):
+            FadingSpec("rician", **{field: value})
+
 
 class TestGenCascade:
     def test_shapes_and_determinism(self):

@@ -1,7 +1,5 @@
 """Impedance-domain core: structured inverse, channel models, conversions."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -247,14 +245,3 @@ class TestLoadStack:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(DimensionMismatch):
             RisLoadStack((np.eye(2), np.eye(3)))
-
-
-class TestDebugDump:
-    def test_blocks_serialized_as_pairs(self):
-        net = build_trivial_network()
-        payload = json.loads(net.debug_json())
-        assert payload["dims"] == {"n_t": 2, "n_r": 2, "n_i": 2, "l": 1}
-        assert payload["assumptions"] == [1, 2, 3, 4, 5]
-        z_rt = payload["blocks"]["z_rt"]
-        assert z_rt[0][0] == [100.0, 0.0]
-        assert len(z_rt) == 2 and len(z_rt[0]) == 2

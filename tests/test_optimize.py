@@ -19,7 +19,7 @@ from multiris.cascade import (
     fold,
     sweep_folds,
 )
-from multiris.errors import DimensionMismatch, NotRankOne, ZeroVector
+from multiris.errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
 from multiris.fading import FadingSpec, draw_los_link, gen_cascade
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -134,8 +134,9 @@ class TestInnerSolvers:
         data = InnerProblemData(-1.0 + 0j, np.ones(2, dtype=complex),
                                 np.ones(2, dtype=complex), u, u)
         theta = inner_solve_diagonal(data)
-        assert np.allclose(np.diag(theta), -1.0)
+        assert theta.shape == (2,) and np.allclose(theta, -1.0)
         assert inner_objective(data, theta) == pytest.approx(9.0, rel=1e-12)
+        assert inner_objective(data, np.diag(theta)) == pytest.approx(9.0, rel=1e-12)
 
     def test_diagonal_attains_analytic_value(self):
         rng = np.random.default_rng(13)
@@ -170,7 +171,7 @@ class TestInnerSolvers:
         for g_rt in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
             data = InnerProblemData(g_rt, ones, ones, u, u)
             theta = inner_solve_diagonal(data)
-            assert np.array_equal(np.diag(theta), ones)
+            assert np.array_equal(theta, ones)
             assert inner_objective(data, theta) == pytest.approx(9.0, rel=1e-12)
             assert np.allclose(inner_solve_unitary(data) @ ones, ones, atol=1e-12)
 
@@ -282,6 +283,22 @@ class TestInnerSolvers:
             InnerProblemData(0j, np.ones(2, dtype=complex), np.ones(2, dtype=complex),
                              np.array([2.0 + 0j]), np.array([1.0 + 0j]))
 
+    @pytest.mark.parametrize("field", ["g_rt", "g_ri", "g_it", "u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [inner_solve_diagonal, inner_solve_unitary])
+    def test_non_finite_data_rejected(self, solve, bad, field):
+        """A NaN or infinite coefficient raises NonFiniteInput before either solver
+        runs, instead of NaN phases or a leaked RuntimeWarning."""
+        u = np.array([1.0 + 0j, 0.0])
+        values = {"g_rt": 1.0 + 0j, "g_ri": np.ones(3, dtype=complex),
+                  "g_it": np.ones(3, dtype=complex), "u": u, "v": u.copy()}
+        if field == "g_rt":
+            values[field] = complex(bad)
+        else:
+            values[field][-1] = bad
+        with pytest.raises(NonFiniteInput):
+            solve(InnerProblemData(**values))
+
 
 class TestLosClosedForms:
     def test_all_ones_physics_phases(self):
@@ -289,7 +306,7 @@ class TestLosClosedForms:
         ch = ones_cascade(l=2, n_i=3)
         stack = los_optimal_phases_physics(ch)
         for theta in stack.thetas:
-            assert np.allclose(np.diag(theta), -1.0)
+            assert theta.shape == (3,) and np.allclose(theta, -1.0)
         gain = channel_gain(assemble_physics_channel(ch, stack))
         assert gain == pytest.approx((6.0 ** 2) ** 2, rel=1e-12)
 
@@ -471,6 +488,32 @@ class TestAlg1:
         p = channel_gain(assemble_physics_channel(ch, thetas))
         p_rot = channel_gain(assemble_physics_channel(ch, rotated))
         assert abs(p_rot - p) > 1e-6 * p
+
+
+class TestPhaseVectorStacks:
+    def test_assemblies_match_diagonal_matrices(self):
+        """Every diagonal stack alg1 or a line-of-sight closed form returns holds
+        phase vectors, and both assemblies of it match the same stack passed as
+        np.diag matrices."""
+        stream = RandomStream(97, ("phase-vectors",))
+        stacks = []
+        for l, n_i in ((1, 4), (2, 8), (4, 16)):
+            dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
+            ray = gen_cascade(dims, FadingSpec("rayleigh"), stream.child("ray", l))
+            for model in ("physics", "widely_used"):
+                run = alg1_optimize(ray, OptimizerConfig(model=model),
+                                    stream.child("opt", l, model))
+                stacks.append((ray, run.stack))
+            los = gen_cascade(dims, FadingSpec("los"), stream.child("los", l))
+            stacks += [(los, los_optimal_phases_physics(los)),
+                       (los, los_optimal_phases_widely(los))]
+        for ch, stack in stacks:
+            assert stack.architecture == "diagonal"
+            assert [theta.shape for theta in stack.thetas] == [(w,) for w in ch.widths()]
+            matrices = [np.diag(theta) for theta in stack.thetas]
+            for assemble in (assemble_physics_channel, assemble_widely_used):
+                h, want = assemble(ch, stack), assemble(ch, matrices)
+                assert np.linalg.norm(h - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestAlg1MatchesDenseReference:

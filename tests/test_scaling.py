@@ -15,13 +15,11 @@ from multiris.errors import (
 from multiris.fading import FadingSpec, draw_los_link
 from multiris.rng import RandomStream
 from multiris.scaling import (
-    GainMetrics,
     ScalingInputs,
     estimate_mean_sq_singular_values,
     expected_gain_physics_los,
     expected_gain_suboptimal_los,
     expected_gain_widely_los,
-    gain_widely_los,
     mc_normalized_gain,
     mc_relative_difference,
     normalized_gain_los,
@@ -38,7 +36,6 @@ class TestClosedForms:
     def test_widely_used_value(self):
         val = expected_gain_widely_los(ScalingInputs(n_i=4, l=4, n_t=2, n_r=2))
         assert val == pytest.approx(262144.0, rel=1e-12)
-        assert gain_widely_los is expected_gain_widely_los
 
     def test_suboptimal_value(self):
         val = expected_gain_suboptimal_los(ScalingInputs(n_i=4, l=2, n_t=2, n_r=2))
@@ -122,16 +119,10 @@ class TestInputValidation:
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=float("nan"))
 
-    def test_gain_metrics_ranges(self):
-        GainMetrics(eta=0.5, rho=0.9, s=0.1)
+    @pytest.mark.parametrize("path_gain", ["x", None, True, [1.0]])
+    def test_rejects_non_number_path_gain(self, path_gain):
         with pytest.raises(DimensionMismatch):
-            GainMetrics(eta=float("inf"), rho=0.9, s=0.1)
-        with pytest.raises(DimensionMismatch):
-            GainMetrics(eta=0.5, rho=0.0, s=0.1)
-        with pytest.raises(DimensionMismatch):
-            GainMetrics(eta=0.5, rho=1.5, s=0.1)
-        with pytest.raises(DimensionMismatch):
-            GainMetrics(eta=0.5, rho=0.9, s=0.0)
+            ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=path_gain)
 
 
 class TestMonteCarloMetrics:
@@ -172,6 +163,8 @@ class TestMonteCarloMetrics:
             mc_relative_difference([1.0], [0.0])
         with pytest.raises(DegenerateDenominator):
             mc_normalized_gain([1.0], [0.0])
+        with pytest.raises(DegenerateDenominator):
+            mc_relative_difference([1.0], [float("nan")])
 
 
 class TestScatteringStrength:
