@@ -187,52 +187,6 @@ def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
     return thetas
 
 
-@dataclass(frozen=True)
-class CascadeBatch:
-    """The links of B same-shaped cascades, each stacked on a leading axis.
-
-    Exposes the link attributes fold and sweep_folds read from a
-    CascadeChannels, so both fold every member of a batch in one pass.
-    """
-
-    h_it_1: np.ndarray
-    inter: tuple[np.ndarray, ...]
-    h_ri_l: np.ndarray
-
-    @staticmethod
-    def stack(chs) -> "CascadeBatch":
-        """Stack validated cascades; raises DimensionMismatch unless all shapes agree."""
-        first = chs[0]
-        for ch in chs[1:]:
-            if (ch.n_l, ch.n_t, ch.n_r, ch.widths()) != \
-                    (first.n_l, first.n_t, first.n_r, first.widths()):
-                raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
-        return CascadeBatch(np.stack([ch.h_it_1 for ch in chs]),
-                            tuple(np.stack(links) for links in zip(*(ch.inter for ch in chs))),
-                            np.stack([ch.h_ri_l for ch in chs]))
-
-    @property
-    def n_l(self) -> int:
-        return len(self.inter) + 1
-
-    def compact(self, keep: np.ndarray) -> "CascadeBatch":
-        """The members where keep is True, moved to the front of these buffers.
-
-        Overwrites this batch's arrays and returns views of them: a dropped
-        member's links are not copied again, and no second stack is allocated.
-        """
-        rows = np.flatnonzero(keep)
-
-        def squeeze(links):
-            for j, i in enumerate(rows):
-                if i != j:
-                    links[j] = links[i]
-            return links[:len(rows)]
-
-        return CascadeBatch(squeeze(self.h_it_1), tuple(squeeze(m) for m in self.inter),
-                            squeeze(self.h_ri_l))
-
-
 def times_factor(m: np.ndarray, theta: np.ndarray, offset) -> np.ndarray:
     """m (Theta - d I), over any leading batch axes.
 
@@ -253,73 +207,51 @@ def factor_times(theta: np.ndarray, offset, m: np.ndarray) -> np.ndarray:
     return theta @ m - d[..., None] * m
 
 
-def _grow_left(ch: CascadeChannels, left, thetas, offsets, k: int) -> np.ndarray:
-    """Extend a left fold inward past surface k: left (Th_k - d I) inter[k-1]."""
-    return times_factor(left, thetas[k], offsets[k]) @ ch.inter[k - 1]
+def sweep_folds(hops: list, thetas: list, offsets):
+    """Yield the end links (left, right) of surface pos for pos = 0, 1, ..., l-1.
 
+    hops is a link list in CascadeChannels.hops() order, so surface k sits
+    between hops[l-1-k] and hops[l-k], and the pure-cascade channel is
+    left (Th_pos - d I) right, with left = h_ri_l (Th_{l-1} - d I) ... hops[l-1-pos]
+    and right = hops[l-pos] ... (Th_0 - d I) h_it_1 (0-based). offsets[k] is
+    the d of surface k: 1 for the physical model, 0 for the widely used one.
+    thetas[k] is an n x n matrix or the 1-D phase vector of a diagonal surface.
+    Stacked links carry a leading member axis; then thetas do too, and
+    offsets[k] may hold one d per member.
 
-def _grow_right(ch: CascadeChannels, right, thetas, offsets, k: int) -> np.ndarray:
-    """Extend a right fold inward past surface k: inter[k] (Th_k - d I) right."""
-    return ch.inter[k] @ factor_times(thetas[k], offsets[k], right)
-
-
-def fold(ch: CascadeChannels, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """End links (left, right) of surface pos with every other surface folded in.
-
-    The pure-cascade channel is left (Th_pos - d I) right, with left =
-    h_ri_l (Th_{L-1} - d I) inter[L-2] ... inter[pos] and right = inter[pos-1] ...
-    (Th_0 - d I) h_it_1 (0-based). offsets[k] is the d of surface k: 1 for the
-    physical model, 0 for the widely used one. thetas[k] is an n x n matrix or
-    the 1-D phase vector of a diagonal surface; for a CascadeBatch ch, both
-    carry a leading member axis and offsets[k] may hold one d per member. Both
-    products grow inward from the thin end links, so no step multiplies two
-    n x n matrices.
+    Both folds grow inward from the thin end links, so no step multiplies two
+    n x n matrices. The left folds of every position are built up front and the
+    right fold grows through surface pos only after the caller resumes the
+    generator, so the caller may replace thetas[pos] (in the list it passed)
+    before asking for pos + 1: O(l) link products per sweep instead of O(l^2).
     """
-    left = ch.h_ri_l
-    for k in range(ch.n_l - 1, pos, -1):
-        left = _grow_left(ch, left, thetas, offsets, k)
-    right = ch.h_it_1
-    for k in range(pos):
-        right = _grow_right(ch, right, thetas, offsets, k)
-    return left, right
-
-
-def sweep_folds(ch: CascadeChannels | CascadeBatch, thetas: list, offsets):
-    """Yield fold(ch, thetas, offsets, pos) for pos = 0, 1, ..., l-1 in one pass.
-
-    The left folds of every position are built up front and the right fold
-    grows through surface pos only after the caller resumes the generator, so
-    the caller may replace thetas[pos] (in the list it passed) before asking for
-    pos + 1: O(l) link products per sweep instead of O(l^2). ch may be a
-    CascadeBatch, as in fold.
-    """
-    l = ch.n_l
-    lefts = [ch.h_ri_l] * l
+    l = len(hops) - 1
+    lefts = [hops[0]] * l
     for k in range(l - 1, 0, -1):
-        lefts[k - 1] = _grow_left(ch, lefts[k], thetas, offsets, k)
-    right = ch.h_it_1
+        lefts[k - 1] = times_factor(lefts[k], thetas[k], offsets[k]) @ hops[l - k]
+    right = hops[l]
     for pos in range(l):
         yield lefts[pos], right
         if pos + 1 < l:
-            right = _grow_right(ch, right, thetas, offsets, pos)
+            right = hops[l - 1 - pos] @ factor_times(thetas[pos], offsets[pos], right)
 
 
-def _chain(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
+def _chain(hops: list, thetas, offsets) -> np.ndarray:
     """The whole pure-cascade product h_ri_l (Th_{L-1} - d I) ... (Th_0 - d I) h_it_1."""
-    left, right = fold(ch, thetas, offsets, 0)
+    left, right = next(sweep_folds(hops, thetas, offsets))
     return times_factor(left, thetas[0], offsets[0]) @ right
 
 
 def assemble_physics_channel(ch: CascadeChannels, stack) -> np.ndarray:
     """Pure-cascade channel with structural scattering kept: factors (Theta - I)."""
     thetas = _theta_list(stack, ch)
-    return _chain(ch, thetas, [1.0] * ch.n_l)
+    return _chain(ch.hops(), thetas, [1.0] * ch.n_l)
 
 
 def assemble_widely_used(ch: CascadeChannels, stack) -> np.ndarray:
     """Pure-cascade channel in the widely used convention: bare Theta factors."""
     thetas = _theta_list(stack, ch)
-    return _chain(ch, thetas, [0.0] * ch.n_l)
+    return _chain(ch.hops(), thetas, [0.0] * ch.n_l)
 
 
 def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
@@ -411,7 +343,7 @@ def assemble_multisector(ch: CascadeChannels, stack, spec: MultiSectorSpec) -> n
                 f"{spec.reduced_width(k)}")
     thetas = _theta_list(stack, ch)
     offsets = [1.0 if s.reflective else 0.0 for s in spec.surfaces]
-    return _chain(ch, thetas, offsets)
+    return _chain(ch.hops(), thetas, offsets)
 
 
 # -- impedance-domain bridge -------------------------------------------------------

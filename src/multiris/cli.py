@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
         try:
             with open(args.spec, "r") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read spec file: {exc}", file=sys.stderr)
             return 2
         spec = ExperimentSpec.from_json(text)

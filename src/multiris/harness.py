@@ -183,7 +183,10 @@ class ExperimentSpec:
         def number(value, name):
             if not _is_real(value):
                 raise SpecError(f"{name} must be a number, got {value!r}")
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise SpecError(f"{name} is too large for a float") from None
 
         scenario = obj["scenario"]
         rician_k: tuple[float, ...] = ()
@@ -208,9 +211,10 @@ class ExperimentSpec:
         trials_raw = obj["trials"]
         overrides: dict[int, int] = {}
         if isinstance(trials_raw, dict):
-            extra_keys = [k for k in trials_raw if k != "default" and not k.isdigit()]
+            extra_keys = [k for k in trials_raw
+                          if k != "default" and not (isinstance(k, str) and k.isdecimal())]
             if extra_keys or "default" not in trials_raw:
-                raise SpecError("object-valued trials needs 'default' plus digit-keyed overrides")
+                raise SpecError("object-valued trials needs 'default' plus decimal-keyed overrides")
             trials = trials_raw["default"]
             overrides = {int(k): v for k, v in trials_raw.items() if k != "default"}
         else:
@@ -260,7 +264,7 @@ class ExperimentSpec:
     def from_json(text: str) -> "ExperimentSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal beyond int()'s digit limit
             raise SpecError(f"spec is not valid JSON: {exc}") from exc
         return ExperimentSpec.from_json_dict(obj)
 
@@ -322,56 +326,49 @@ def _point_label(point: _GridPoint) -> tuple:
     return ("point", point.l, point.n_i)
 
 
-def _optimize_block(spec: ExperimentSpec, chs, roots, results: list[dict]):
+def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
     """Bounds per trial, then one alg1 batch per architecture over every (trial, model)."""
-    for ch, res in zip(chs, results):
-        res["bounds"]["physics"] = upper_bound_physics(ch) if "physics" in spec.models else None
-        res["bounds"]["widely_used"] = \
-            upper_bound_widely(ch) if "widely_used" in spec.models else None
+    columns = {}
+    if "physics" in spec.models:
+        columns[("bound", "physics")] = [upper_bound_physics(ch) for ch in chs]
+    if "widely_used" in spec.models:
+        columns[("bound", "widely_used")] = [upper_bound_widely(ch) for ch in chs]
     models = [m for m in ("widely_used", "physics") if m in spec.models]
     members = [(t, m) for t in range(len(chs)) for m in models]
     for arch in spec.architectures:
         runs = alg1_batch([chs[t] for t, _ in members],
                           [spec.optimizer_config(m, arch) for _, m in members],
                           [roots[t].child("opt", m, arch) for t, m in members])
-        stacks_w = {}
-        for (t, m), run in zip(members, runs):
-            results[t]["gains"][(m, arch)] = run.gain
-            results[t]["converged"][(m, arch)] = run.converged
-            if m == "widely_used":
-                stacks_w[t] = run.stack
+        # members are trial-major, so model j's runs sit at stride len(models)
+        for j, m in enumerate(models):
+            columns[(m, arch)] = [(run.gain, run.converged) for run in runs[j::len(models)]]
         if "suboptimal_cross" in spec.models:
-            for t, (ch, res) in enumerate(zip(chs, results)):
-                res["gains"][("suboptimal_cross", arch)] = channel_gain(
-                    assemble_physics_channel(ch, stacks_w[t]))
-                res["converged"][("suboptimal_cross", arch)] = \
-                    res["converged"][("widely_used", arch)]
+            columns[("suboptimal_cross", arch)] = [
+                (channel_gain(assemble_physics_channel(ch, run.stack)), run.converged)
+                for ch, run in zip(chs, runs[models.index("widely_used")::len(models)])]
+    return columns
 
 
-def _closed_forms(spec: ExperimentSpec, ch, res: dict):
-    """The line-of-sight closed forms of one trial; they are diagonal and optimal for
-    both architectures."""
-    for arch in spec.architectures:
-        if "physics" in spec.models:
-            stack_p = los_optimal_phases_physics(ch)
-            res["gains"][("physics", arch)] = channel_gain(assemble_physics_channel(ch, stack_p))
-            res["converged"][("physics", arch)] = True
-        if "widely_used" in spec.models:
-            stack_w = los_optimal_phases_widely(ch)
-            res["gains"][("widely_used", arch)] = channel_gain(assemble_widely_used(ch, stack_w))
-            res["converged"][("widely_used", arch)] = True
-            if "suboptimal_cross" in spec.models:
-                res["gains"][("suboptimal_cross", arch)] = channel_gain(
-                    assemble_physics_channel(ch, stack_w))
-                res["converged"][("suboptimal_cross", arch)] = True
-    res["bounds"]["physics"] = None
-    res["bounds"]["widely_used"] = None
+def _closed_forms(spec: ExperimentSpec, ch) -> dict:
+    """The line-of-sight closed-form gains of one trial, by model; they are diagonal
+    and optimal for both architectures."""
+    gains = {}
+    if "physics" in spec.models:
+        gains["physics"] = channel_gain(
+            assemble_physics_channel(ch, los_optimal_phases_physics(ch)))
+    if "widely_used" in spec.models:
+        stack_w = los_optimal_phases_widely(ch)
+        gains["widely_used"] = channel_gain(assemble_widely_used(ch, stack_w))
+        if "suboptimal_cross" in spec.models:
+            gains["suboptimal_cross"] = channel_gain(assemble_physics_channel(ch, stack_w))
+    return gains
 
 
-def _run_block(spec: ExperimentSpec, point: _GridPoint, first: int, count: int) -> list[dict]:
+def _run_block(spec: ExperimentSpec, point: _GridPoint, first: int, count: int) -> dict:
     """Trials first .. first+count-1 of one grid point, paired: every model and
     architecture of a trial sees the same channel draw, drawn from the trial's
-    own stream."""
+    own stream. Returns columns in trial order: (model, architecture) maps to one
+    (gain, converged) per trial, ("bound", model) to one upper bound per trial."""
     dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=point.n_i, l=point.l)
     point_root = RandomStream(spec.seed, _point_label(point))
     roots = [point_root.child("trial", t) for t in range(first, first + count)]
@@ -379,14 +376,15 @@ def _run_block(spec: ExperimentSpec, point: _GridPoint, first: int, count: int) 
     def draw(root):
         return gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
 
-    results = [{"gains": {}, "converged": {}, "bounds": {}} for _ in roots]
-    if spec.scenario == "los":
-        # closed forms need no batch: hold one channel at a time
-        for root, res in zip(roots, results):
-            _closed_forms(spec, draw(root), res)
-    else:
-        _optimize_block(spec, [draw(root) for root in roots], roots, results)
-    return results
+    if spec.scenario != "los":
+        return _optimize_block(spec, [draw(root) for root in roots], roots)
+    # closed forms need no batch: hold one channel at a time
+    columns = {(m, arch): [] for m in spec.models for arch in spec.architectures}
+    for root in roots:
+        gains = _closed_forms(spec, draw(root))
+        for (m, _), column in columns.items():
+            column.append((gains[m], True))
+    return columns
 
 
 def _block_task(args):
@@ -419,8 +417,11 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
             done = iter(list(pool.map(_block_task, tasks)))
     rows: list[GainStats] = []
     for blocks in per_point:
-        results = [r for _ in blocks for r in next(done)]
-        rows.extend(_aggregate(spec, blocks[0][1], results))
+        columns: dict = {}
+        for _ in blocks:
+            for key, column in next(done).items():
+                columns.setdefault(key, []).extend(column)
+        rows.extend(_aggregate(spec, blocks[0][1], columns))
     return GainTable(spec, tuple(rows))
 
 
@@ -432,17 +433,16 @@ def _metric(fn, x, y) -> float | None:
         return None
 
 
-def _aggregate(spec: ExperimentSpec, point: _GridPoint, results: list[dict]) -> list[GainStats]:
-    n = len(results)
+def _aggregate(spec: ExperimentSpec, point: _GridPoint, columns: dict) -> list[GainStats]:
     rows = []
     for arch in spec.architectures:
-        gains = {model: np.array([r["gains"][(model, arch)] for r in results])
+        gains = {model: np.array([g for g, _ in columns[(model, arch)]])
                  for model in spec.models}
         for model in spec.models:
-            conv = np.array([r["converged"][(model, arch)] for r in results])
-            bound_model = "physics" if model == "suboptimal_cross" else model
-            bound_vals = [r["bounds"][bound_model] for r in results]
-            bound_mean = None if bound_vals[0] is None else float(np.mean(bound_vals))
+            n = len(gains[model])
+            conv = np.array([c for _, c in columns[(model, arch)]])
+            bounds = columns.get(("bound", "physics" if model == "suboptimal_cross" else model))
+            bound_mean = None if bounds is None else float(np.mean(bounds))
             eta = rho = None
             if model == "physics" and "widely_used" in spec.models:
                 eta = _metric(mc_relative_difference, gains["physics"], gains["widely_used"])

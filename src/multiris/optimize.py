@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import CascadeBatch, CascadeChannels, ScatteringStack, sweep_folds, times_factor
+from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
 from .rng import RandomStream
 
@@ -420,6 +420,20 @@ def _shared_config(cfgs) -> OptimizerConfig:
     return first
 
 
+def _compact(links: list, keep: np.ndarray) -> list:
+    """The members where keep is True, moved to the front of each stacked link.
+
+    Overwrites the stacks and returns views of them: a dropped member's links are
+    not copied again, and no second stack is allocated.
+    """
+    rows = np.flatnonzero(keep)
+    for m in links:
+        for j, i in enumerate(rows):
+            if i != j:
+                m[j] = m[i]
+    return [m[:len(rows)] for m in links]
+
+
 def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
                streams: Sequence[RandomStream | None] | None = None) -> list[OptimizationResult]:
     """alg1_optimize for B independent members at once: chs[b], cfgs[b], streams[b].
@@ -437,7 +451,10 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     if count == 0 or len(cfgs) != count or len(streams) != count:
         raise DimensionMismatch("a batch needs one config and one stream per cascade")
     cfg = _shared_config(cfgs)
-    links = CascadeBatch.stack(chs)
+    hops = [ch.hops() for ch in chs]
+    if len({tuple(m.shape for m in h) for h in hops}) > 1:
+        raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
+    links = [np.stack(h) for h in zip(*hops)]
     starts = [_init_thetas(ch, c, s) for ch, c, s in zip(chs, cfgs, streams)]
     thetas = [np.stack(surface) for surface in zip(*starts)]
     offsets = np.array([1.0 if c.model == "physics" else 0.0 for c in cfgs])
@@ -448,7 +465,7 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     finals: list[tuple | None] = [None] * count
     previous = None
     for sweeps in range(1, cfg.max_outer_iters + 1):
-        for pos, (left, right) in enumerate(sweep_folds(links, thetas, [offsets] * links.n_l)):
+        for pos, (left, right) in enumerate(sweep_folds(links, thetas, [offsets] * len(thetas))):
             thetas[pos], gain = _tune_surface(left, right, thetas[pos], offsets, cfg)
         for m, g in zip(members, gain.tolist()):
             traces[m].append(g)
@@ -462,7 +479,7 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
         if stop.any():
             keep = ~stop
             members, offsets, gain = members[keep], offsets[keep], gain[keep]
-            links = links.compact(keep)
+            links = _compact(links, keep)
             thetas = [t[keep] for t in thetas]
         previous = gain
     return [OptimizationResult(ScatteringStack(cfg.architecture, tuple(surfaces)),

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from multiris.cascade import CascadeChannels, ScatteringStack, fold
+from multiris.cascade import CascadeChannels, ScatteringStack, factor_times, times_factor
 from multiris.errors import ZeroVector
 from multiris.optimize import (
     InnerProblemData,
@@ -37,6 +37,26 @@ def ones_cascade(l: int, n_i: int = 1, n_t: int = 1, n_r: int = 1) -> CascadeCha
         tuple(np.ones((n_i, n_i)) for _ in range(l - 1)),
         np.ones((n_r, n_i)),
     )
+
+
+def fold(hops, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """End links (left, right) of surface pos with every other surface folded in,
+    rebuilt from scratch: the oracle for cascade.sweep_folds.
+
+    hops is a link list in CascadeChannels.hops() order, so surface k sits between
+    hops[l-1-k] and hops[l-k] and the pure-cascade channel is
+    left (Th_pos - d I) right, with offsets[k] the d of surface k. Stacked hops,
+    thetas and offsets carry a leading member axis. Uses the products of
+    sweep_folds in the same order, so the two agree exactly.
+    """
+    l = len(hops) - 1
+    left = hops[0]
+    for k in range(l - 1, pos, -1):
+        left = times_factor(left, thetas[k], offsets[k]) @ hops[l - k]
+    right = hops[l]
+    for k in range(pos):
+        right = hops[l - 1 - k] @ factor_times(thetas[k], offsets[k], right)
+    return left, right
 
 
 def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:
@@ -211,7 +231,7 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
     best = 0.0
     for sweeps in range(1, cfg.max_outer_iters + 1):
         for pos in range(l):
-            left, right = fold(ch, thetas, offsets, pos)
+            left, right = fold(ch.hops(), thetas, offsets, pos)
             direct = -offsets[pos] * (left @ right)
             sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
             best = sigma ** 2

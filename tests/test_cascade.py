@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import ones_cascade
+from conftest import fold, ones_cascade
 from multiris.cascade import (
     CascadeChannels,
     MultiSectorSpec,
@@ -15,7 +15,7 @@ from multiris.cascade import (
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
-    fold,
+    sweep_folds,
 )
 from multiris.errors import (
     DimensionMismatch,
@@ -172,9 +172,34 @@ class TestPureCascadeAssembly:
                                          (0.0, assemble_widely_used)):
                     whole = assemble(ch, thetas)
                     for pos in range(l):
-                        left, right = fold(ch, thetas, [offset] * l, pos)
+                        left, right = fold(ch.hops(), thetas, [offset] * l, pos)
                         h = left @ (matrices[pos] - offset * np.eye(4)) @ right
                         assert rel_err(h, whole) < 1e-12
+
+    def test_sweep_folds_on_stacked_hops(self):
+        """On a stacked hop list with one d per member, every (left, right) that
+        sweep_folds yields is, exactly, the fold oracle on that member's own hops."""
+        rng = np.random.default_rng(23)
+        for l in (1, 2, 3, 4):
+            for count in (2, 3):
+                chs = [random_cascade_channels(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
+                       for _ in range(count)]
+                hops = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
+                offsets = np.array([1.0, 0.0, 1.0][:count])
+                diag = [np.stack(t) for t in zip(*(random_phase_stack((4,) * l, rng).thetas
+                                                   for _ in range(count)))]
+                unit = [np.linalg.qr(rng.standard_normal((count, 4, 4)) +
+                                     1j * rng.standard_normal((count, 4, 4)))[0]
+                        for _ in range(l)]
+                for thetas in (diag, unit):
+                    folds = list(sweep_folds(hops, thetas, [offsets] * l))
+                    assert len(folds) == l
+                    for pos, (left, right) in enumerate(folds):
+                        for b, ch in enumerate(chs):
+                            want_left, want_right = fold(ch.hops(), [t[b] for t in thetas],
+                                                         [offsets[b]] * l, pos)
+                            assert np.array_equal(left[b], want_left)
+                            assert np.array_equal(right[b], want_right)
 
     def test_theta_count_checked(self):
         ch = ones_cascade(l=2)

@@ -14,10 +14,12 @@ from multiris.harness import (
     GainTable,
     emit,
     figure_preset,
+    format_table,
     preset_names,
     run_experiment,
 )
 from multiris.harness import _GridPoint, _point_label
+from multiris.optimize import los_optimal_phases_physics
 from multiris.scaling import ScalingInputs, expected_gain_physics_los, expected_gain_widely_los
 
 
@@ -108,6 +110,10 @@ class TestSpecValidation:
         {"optimizer": {"max_outer_iters": 0}},
         {"optimizer": {"rel_tol": -1.0}},
         {"optimizer": {"init": "zeros"}},
+        {"path_gain": 10 ** 400},
+        {"scenario": {"kind": "rician", "k": [10 ** 400]}},
+        {"trials": {"default": 5, "\u00b2": 3}},
+        {"trials": {"default": 5, 4: 3}},
     ])
     def test_mistyped_values_rejected(self, change):
         obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
@@ -217,6 +223,28 @@ class TestRunExperiment:
             blobs = [emit(run_experiment(spec, parallel=workers), fmt,
                           tmp_path / f"{workers}.{fmt}").read_bytes() for workers in (1, 2)]
             assert blobs[0] == blobs[1]
+
+    def test_los_closed_forms_serve_both_architectures(self, monkeypatch):
+        import multiris.harness as harness
+
+        calls = []
+
+        def counted(ch):
+            calls.append(ch)
+            return los_optimal_phases_physics(ch)
+
+        monkeypatch.setattr(harness, "los_optimal_phases_physics", counted)
+        spec = tiny_los_spec(architectures=("diagonal", "unitary"))
+        header, *lines = format_table(run_experiment(spec), "csv").splitlines()[1:]
+        # one closed form per trial of each of the 4 grid points
+        assert len(calls) == 4 * spec.trials
+        column = header.split(",").index("architecture")
+        by_arch = {}
+        for line in lines:
+            cells = line.split(",")
+            by_arch.setdefault(cells.pop(column), []).append(cells)
+        assert set(by_arch) == {"diagonal", "unitary"}
+        assert by_arch["diagonal"] == by_arch["unitary"]
 
     def test_parallel_must_be_positive(self):
         with pytest.raises(DimensionMismatch):
@@ -354,6 +382,10 @@ class TestCli:
         schema.write_text(json.dumps({"scenario": "los", "l": 2, "n_i_grid": [4],
                                       "trials": 5, "seed": 1, "extra": 1}))
         assert main(["run", "--spec", str(schema)]) == 2
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"scenario": "\xff"}')
+        assert main(["run", "--spec", str(binary)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
     def test_mistyped_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "typo.json"
@@ -362,6 +394,15 @@ class TestCli:
                                          "optimizer": {"rel_tol": "1e-3"}}))
         assert main(["run", "--spec", str(spec_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_number_spec_exit_2(self, tmp_path, capsys):
+        # beyond a double, and beyond int()'s default digit limit
+        for digits in (400, 5000):
+            spec_path = tmp_path / f"huge{digits}.json"
+            spec_path.write_text('{"scenario": "los", "l": 2, "n_i_grid": [2], "trials": 1, '
+                                 '"seed": 1, "path_gain": 1' + "0" * digits + "}")
+            assert main(["run", "--spec", str(spec_path)]) == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_runtime_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         import multiris.harness as harness

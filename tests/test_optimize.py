@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     alg1_dense_reference,
+    fold,
     grid_search_gain_l2,
     ones_cascade,
     unitaries_with_first_columns_qr,
@@ -16,7 +17,6 @@ from multiris.cascade import (
     CascadeChannels,
     assemble_physics_channel,
     assemble_widely_used,
-    fold,
     sweep_folds,
 )
 from multiris.errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
@@ -530,9 +530,9 @@ class TestAlg1MatchesDenseReference:
         """
         positions = []
 
-        def checked_sweep(ch, thetas, offsets):
-            for pos, (left, right) in enumerate(sweep_folds(ch, thetas, offsets)):
-                want_left, want_right = fold(ch, thetas, offsets, pos)
+        def checked_sweep(hops, thetas, offsets):
+            for pos, (left, right) in enumerate(sweep_folds(hops, thetas, offsets)):
+                want_left, want_right = fold(hops, thetas, offsets, pos)
                 assert np.array_equal(left, want_left)
                 assert np.array_equal(right, want_right)
                 positions.append(pos)

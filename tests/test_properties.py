@@ -65,4 +65,4 @@ def test_identity_surfaces_null_physical_channel(ch):
     assert not assemble_physics_channel(ch, eyes).any()
     # the phase-vector form of the same surfaces
     ones = [np.ones(w, dtype=complex) for w in ch.widths()]
-    assert not _chain(ch, ones, [1.0] * ch.n_l).any()
+    assert not _chain(ch.hops(), ones, [1.0] * ch.n_l).any()
