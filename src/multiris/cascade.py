@@ -15,25 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiport
-from .errors import (
-    DimensionMismatch,
-    MissingSideLinks,
-    NonFiniteInput,
-    SectorIndexOutOfRange,
-)
+from .errors import DimensionMismatch, MissingSideLinks, SectorIndexOutOfRange, is_int, shown
+from .multiport import _as_finite
 
 DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
-
-
-def _as_finite(a, name: str, ndims=(2,)) -> np.ndarray:
-    """a as a finite complex array with one of the allowed ndims."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim not in ndims:
-        raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} has NaN or infinite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -288,13 +274,12 @@ class SurfaceSectors:
     departure: int
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise DimensionMismatch(f"sector count must be a positive int, got {self.count!r}")
+        if not is_int(self.count) or self.count < 1:
+            raise DimensionMismatch(f"sector count must be a positive int, got {shown(self.count)}")
         for name in ("arrival", "departure"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not (1 <= v <= self.count):
-                raise SectorIndexOutOfRange(
-                    f"{name} sector {v!r} is outside 1..{self.count}")
+            if not is_int(v) or not (1 <= v <= self.count):
+                raise SectorIndexOutOfRange(f"{name} sector {shown(v)} is outside 1..{self.count}")
 
     @property
     def reflective(self) -> bool:
@@ -309,8 +294,8 @@ class MultiSectorSpec:
     surfaces: tuple[SurfaceSectors, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n_i, int) or self.n_i < 1:
-            raise DimensionMismatch(f"n_i must be a positive int, got {self.n_i!r}")
+        if not is_int(self.n_i) or self.n_i < 1:
+            raise DimensionMismatch(f"n_i must be a positive int, got {shown(self.n_i)}")
         if len(self.surfaces) == 0:
             raise DimensionMismatch("a multi-sector spec needs at least one surface")
         for k, s in enumerate(self.surfaces):

@@ -1,6 +1,26 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the scalar checks every module uses."""
 
 from __future__ import annotations
+
+import sys
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """An int or float, not a bool, inside the double range: not NaN, +-inf or a huge int."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def shown(value) -> str:
+    """repr(value) for a message; Python refuses to repr an int of over 4300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 class MultirisError(Exception):

@@ -7,14 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeChannels, SideLinks
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, is_finite_real, shown
 from .multiport import Dimensions
 from .rng import RandomStream
-
-
-def _is_real(value) -> bool:
-    """An int or float that is not a bool (JSON true/false arrive as bools)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,8 @@ class FadingSpec:
                 f"fading kind must be 'los', 'rayleigh' or 'rician', got {self.kind!r}")
         for name in ("path_gain", "rician_k"):
             value = getattr(self, name)
-            if not (_is_real(value) and np.isfinite(value) and value >= 0):
-                raise DimensionMismatch(f"{name} must be a finite number >= 0, got {value!r}")
+            if not (is_finite_real(value) and value >= 0):
+                raise DimensionMismatch(f"{name} must be a finite number >= 0, got {shown(value)}")
 
 
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:

@@ -13,21 +13,30 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .cascade import assemble_physics_channel, assemble_widely_used
-from .errors import DegenerateDenominator, DimensionMismatch, SpecError, UnknownPreset
-from .fading import FadingSpec, _is_real, gen_cascade
+from .errors import (
+    DegenerateDenominator,
+    DimensionMismatch,
+    SpecError,
+    UnknownPreset,
+    is_finite_real,
+    is_int,
+    shown,
+)
+from .fading import FadingSpec, gen_cascade
 from .multiport import Dimensions
-from .optimize import (  # noqa: F401  alg1_optimize: the benchmark tracer binds it here by name
+from .optimize import (  # noqa: F401  the benchmark tracer binds two names here
     OptimizerConfig,
+    _physics_from_widely,
     alg1_batch,
-    alg1_optimize,
+    alg1_optimize,  # for the tracer only
     channel_gain,
-    los_optimal_phases_physics,
+    los_optimal_phases_physics,  # for the tracer only
     los_optimal_phases_widely,
     upper_bound_physics,
     upper_bound_widely,
@@ -45,14 +54,8 @@ ARCHITECTURES = ("diagonal", "unitary")
 BLOCK_TRIALS = 32
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON true/false arrive as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# the optimizer settings a spec may override, with the type check of each value
-_OPTIMIZER_KEYS = {"max_outer_iters": _is_int, "max_inner_iters": _is_int,
-                   "rel_tol": _is_real, "init": lambda value: isinstance(value, str)}
+# the optimizer settings a spec may override; OptimizerConfig checks their values
+_OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol", "init")
 
 
 @dataclass(frozen=True)
@@ -77,39 +80,40 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise SpecError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
+            raise SpecError(f"unknown scenario {shown(self.scenario)}; expected one of {SCENARIOS}")
         object.__setattr__(self, "l", tuple(self.l))
         object.__setattr__(self, "n_i_grid", tuple(self.n_i_grid))
         object.__setattr__(self, "rician_k", tuple(self.rician_k))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "architectures", tuple(self.architectures))
-        if not self.l or any(not _is_int(v) or v < 1 for v in self.l):
-            raise SpecError(f"l must be one or more positive integers, got {self.l!r}")
-        if not self.n_i_grid or any(not _is_int(v) or v < 1 for v in self.n_i_grid):
-            raise SpecError(f"n_i_grid must be positive integers, got {self.n_i_grid!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise SpecError(f"trials must be a positive integer, got {self.trials!r}")
+        if not self.l or any(not is_int(v) or v < 1 for v in self.l):
+            raise SpecError(f"l must be one or more positive integers, got {shown(self.l)}")
+        if not self.n_i_grid or any(not is_int(v) or v < 1 for v in self.n_i_grid):
+            raise SpecError(f"n_i_grid must be positive integers, got {shown(self.n_i_grid)}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise SpecError(f"seed must be a non-negative integer, got {shown(self.seed)}")
+        if not is_int(self.trials) or self.trials < 1:
+            raise SpecError(f"trials must be a positive integer, got {shown(self.trials)}")
         overrides = dict(self.trial_overrides or {})
         for k, v in overrides.items():
-            if not _is_int(k) or not _is_int(v) or v < 1:
-                raise SpecError(f"trial override {k!r}: {v!r} must map int n_i to positive int")
+            if not is_int(k) or not is_int(v) or v < 1:
+                raise SpecError(
+                    f"trial override {shown(k)}: {shown(v)} must map int n_i to positive int")
         object.__setattr__(self, "trial_overrides", overrides)
-        if not _is_int(self.n_t) or self.n_t < 1 or not _is_int(self.n_r) or self.n_r < 1:
-            raise SpecError(f"n_t and n_r must be positive integers, got {self.n_t!r}, {self.n_r!r}")
+        if not is_int(self.n_t) or self.n_t < 1 or not is_int(self.n_r) or self.n_r < 1:
+            raise SpecError(f"n_t, n_r must be positive ints, got {shown((self.n_t, self.n_r))}")
         if self.scenario == "rician":
             if not self.rician_k:
                 raise SpecError("a rician scenario needs a non-empty rician_k grid")
-            if any(not _is_real(k) or not np.isfinite(k) or k < 0 for k in self.rician_k):
-                raise SpecError(f"rician_k values must be finite and >= 0, got {self.rician_k!r}")
+            if any(not is_finite_real(k) or k < 0 for k in self.rician_k):
+                raise SpecError(f"rician_k must be finite and >= 0, got {shown(self.rician_k)}")
         elif self.rician_k:
-            raise SpecError(f"rician_k only applies to the rician scenario, got {self.rician_k!r}")
+            raise SpecError(f"rician_k only applies to scenario rician, got {shown(self.rician_k)}")
         if not self.models:
             raise SpecError("models must not be empty")
         for m in self.models:
             if m not in MODELS:
-                raise SpecError(f"unknown model {m!r}; expected a subset of {MODELS}")
+                raise SpecError(f"unknown model {shown(m)}; expected a subset of {MODELS}")
         if "suboptimal_cross" in self.models and not (
                 "physics" in self.models and "widely_used" in self.models):
             raise SpecError("suboptimal_cross requires both physics and widely_used")
@@ -117,22 +121,20 @@ class ExperimentSpec:
             raise SpecError("architectures must not be empty")
         for a in self.architectures:
             if a not in ARCHITECTURES:
-                raise SpecError(f"unknown architecture {a!r}; expected a subset of {ARCHITECTURES}")
-        if not (_is_real(self.path_gain) and np.isfinite(self.path_gain) and self.path_gain > 0):
-            raise SpecError(f"path_gain must be finite and positive, got {self.path_gain!r}")
+                raise SpecError(f"unknown architecture {shown(a)}; expected one of {ARCHITECTURES}")
+        if not (is_finite_real(self.path_gain) and self.path_gain > 0):
+            raise SpecError(f"path_gain must be finite and positive, got {shown(self.path_gain)}")
         opt = dict(self.optimizer or {})
-        for key, value in opt.items():
+        for key in opt:
             if key not in _OPTIMIZER_KEYS:
-                raise SpecError(f"unknown optimizer key {key!r}; allowed: {tuple(_OPTIMIZER_KEYS)}")
-            if not _OPTIMIZER_KEYS[key](value):
-                raise SpecError(f"optimizer {key} has the wrong type: {value!r}")
+                raise SpecError(f"unknown optimizer key {shown(key)}; allowed: {_OPTIMIZER_KEYS}")
         try:
             OptimizerConfig(**opt)
         except DimensionMismatch as exc:
             raise SpecError(f"optimizer: {exc}") from exc
         object.__setattr__(self, "optimizer", opt)
         if self.output_format not in ("csv", "json"):
-            raise SpecError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
+            raise SpecError(f"output_format must be csv or json, got {shown(self.output_format)}")
 
     def trials_for(self, n_i: int) -> int:
         return self.trial_overrides.get(n_i, self.trials)
@@ -181,12 +183,9 @@ class ExperimentSpec:
                 raise SpecError(f"spec is missing required key {required!r}")
 
         def number(value, name):
-            if not _is_real(value):
-                raise SpecError(f"{name} must be a number, got {value!r}")
-            try:
-                return float(value)
-            except OverflowError:
-                raise SpecError(f"{name} is too large for a float") from None
+            if not is_finite_real(value):
+                raise SpecError(f"{name} must be a finite number, got {shown(value)}")
+            return float(value)
 
         scenario = obj["scenario"]
         rician_k: tuple[float, ...] = ()
@@ -196,14 +195,14 @@ class ExperimentSpec:
                 raise SpecError(f"unknown scenario keys {sorted(extra)}")
             kind = scenario.get("kind")
             if kind != "rician":
-                raise SpecError(f"object-valued scenario must have kind 'rician', got {kind!r}")
+                raise SpecError(f"an object scenario must have kind 'rician', got {shown(kind)}")
             ks = scenario.get("k")
             if not isinstance(ks, list) or not ks:
                 raise SpecError("rician scenario needs a non-empty list under 'k'")
             rician_k = tuple(number(k, "rician k") for k in ks)
             scenario = "rician"
         elif not isinstance(scenario, str):
-            raise SpecError(f"scenario must be a string or a rician object, got {scenario!r}")
+            raise SpecError(f"scenario must be a string or a rician object, got {shown(scenario)}")
 
         def scalar_or_list(value):
             return tuple(value) if isinstance(value, list) else (value,)
@@ -350,14 +349,14 @@ def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
 
 
 def _closed_forms(spec: ExperimentSpec, ch) -> dict:
-    """The line-of-sight closed-form gains of one trial, by model; they are diagonal
-    and optimal for both architectures."""
+    """The line-of-sight closed-form gains of one trial, by model, from one factoring
+    of each link; they are diagonal and optimal for both architectures."""
+    stack_w = los_optimal_phases_widely(ch)
     gains = {}
     if "physics" in spec.models:
         gains["physics"] = channel_gain(
-            assemble_physics_channel(ch, los_optimal_phases_physics(ch)))
+            assemble_physics_channel(ch, _physics_from_widely(stack_w)))
     if "widely_used" in spec.models:
-        stack_w = los_optimal_phases_widely(ch)
         gains["widely_used"] = channel_gain(assemble_widely_used(ch, stack_w))
         if "suboptimal_cross" in spec.models:
             gains["suboptimal_cross"] = channel_gain(assemble_physics_channel(ch, stack_w))
@@ -516,8 +515,7 @@ def figure_preset(name: str) -> ExperimentSpec:
 # -- emission --------------------------------------------------------------------------
 
 
-_CSV_COLUMNS = ("scenario", "model", "architecture", "l", "n_i", "rician_k", "trials",
-                "mean_gain", "std_err", "bound_mean", "eta", "rho", "converged_frac")
+_CSV_COLUMNS = tuple(f.name for f in fields(GainStats))
 
 
 def _cell(value) -> str:
@@ -526,10 +524,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _row_dict(row: GainStats) -> dict:
-    return {name: getattr(row, name) for name in _CSV_COLUMNS}
 
 
 def format_table(table: GainTable, fmt: str | None = None) -> str:
@@ -545,7 +539,7 @@ def format_table(table: GainTable, fmt: str | None = None) -> str:
             lines.append(",".join(_cell(getattr(row, name)) for name in _CSV_COLUMNS))
         return "\n".join(lines) + "\n"
     doc = {"spec": table.spec.to_json_dict(),
-           "rows": [_row_dict(r) for r in table.rows]}
+           "rows": [asdict(r) for r in table.rows]}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

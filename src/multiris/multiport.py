@@ -29,9 +29,13 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
+    NonFiniteInput,
     OpenCircuitSingularity,
     SingularDiagonalBlock,
     SingularMatrix,
+    is_finite_real,
+    is_int,
+    shown,
 )
 
 DEFAULT_Z0 = 50.0
@@ -56,18 +60,21 @@ class Dimensions:
     def __post_init__(self):
         for name in ("n_t", "n_r", "n_i", "l"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise DimensionMismatch(f"{name} must be a positive integer, got {value!r}")
+            if not is_int(value) or value < 1:
+                raise DimensionMismatch(f"{name} must be a positive integer, got {shown(value)}")
 
     @property
     def n_ports(self) -> int:
         return self.n_t + self.l * self.n_i + self.n_r
 
 
-def _as_complex(a, name: str, shape: tuple[int, int]) -> np.ndarray:
+def _as_finite(a, name: str, ndims=(2,)) -> np.ndarray:
+    """a as a finite complex array with one of the allowed ndims."""
     arr = np.asarray(a, dtype=complex)
-    if arr.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
+    if arr.ndim not in ndims:
+        raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} has NaN or infinite entries")
     return arr
 
 
@@ -99,8 +106,8 @@ class MultiportNetwork:
 
     def __post_init__(self):
         d = self.dims
-        if not (isinstance(self.z0, (int, float)) and np.isfinite(self.z0) and self.z0 > 0):
-            raise DimensionMismatch(f"z0 must be a positive real number, got {self.z0!r}")
+        if not (is_finite_real(self.z0) and self.z0 > 0):
+            raise DimensionMismatch(f"z0 must be a finite real number > 0, got {shown(self.z0)}")
         object.__setattr__(self, "z0", float(self.z0))
         ni_all = d.l * d.n_i
         spec = {
@@ -115,7 +122,10 @@ class MultiportNetwork:
             "z_rr": (d.n_r, d.n_r),
         }
         for name, shape in spec.items():
-            object.__setattr__(self, name, _as_complex(getattr(self, name), name, shape))
+            block = _as_finite(getattr(self, name), name)
+            if block.shape != shape:
+                raise DimensionMismatch(f"{name} must have shape {shape}, got {block.shape}")
+            object.__setattr__(self, name, block)
         flags = frozenset(self.assumptions)
         unknown = flags - ALL_ASSUMPTIONS
         if unknown:
@@ -203,19 +213,13 @@ class RisLoadStack:
     def __post_init__(self):
         if len(self.loads) == 0:
             raise DimensionMismatch("a load stack needs at least one surface")
-        fixed = []
-        n = None
-        for k, z in enumerate(self.loads):
-            arr = np.asarray(z, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatch(f"load {k} must be square, got shape {arr.shape}")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise DimensionMismatch(
-                    f"load {k} has {arr.shape[0]} ports but earlier loads have {n}")
-            fixed.append(arr)
-        object.__setattr__(self, "loads", tuple(fixed))
+        loads = tuple(_as_finite(z, f"load {k}") for k, z in enumerate(self.loads))
+        n = loads[0].shape[0]
+        for k, z in enumerate(loads):
+            if z.shape != (n, n):
+                raise DimensionMismatch(f"loads must be square and equally sized; load {k} has "
+                                        f"shape {z.shape}, load 0 {loads[0].shape}")
+        object.__setattr__(self, "loads", loads)
 
     @property
     def l(self) -> int:

@@ -14,7 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
-from .errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NotRankOne,
+    ZeroVector,
+    is_finite_real,
+    is_int,
+    shown,
+)
 from .rng import RandomStream
 
 _TINY = 1e-300
@@ -122,9 +130,25 @@ def _rank_one_factors(h, tol: float = 1e-6):
 # -- closed-form line-of-sight configurations ------------------------------------------
 
 
-def _los_cascade_factors(ch: CascadeChannels):
-    links = [ch.h_it_1, *ch.inter, ch.h_ri_l]
-    return [_rank_one_factors(m) for m in links]
+def los_optimal_phases_widely(ch: CascadeChannels) -> ScatteringStack:
+    """Gain-optimal phase vectors for a rank-1 cascade under the widely used model.
+
+    Without the structural term the optimum simply cancels the steering
+    phases, making b^T Theta a = n exactly, every realization. Each link of
+    ch.hops() is factored once; surface k reads its arrival phases a from
+    hops[l-k] and its departure phases b from hops[l-1-k].
+    """
+    _, a, b = zip(*(_rank_one_factors(h) for h in ch.hops()))
+    l = ch.n_l
+    return ScatteringStack("diagonal", tuple(
+        np.exp(1j * (-np.angle(b[l - 1 - k]) - np.angle(a[l - k]))) for k in range(l)))
+
+
+def _physics_from_widely(stack: ScatteringStack) -> ScatteringStack:
+    """The physical-model optimum of a rank-1 cascade from its widely used one: on every
+    surface theta_p = -theta_w e^(-j arg sum theta_w), a zero sum read as phase 0."""
+    return ScatteringStack("diagonal", tuple(-t * np.exp(-1j * _phase_angles(t.sum()))
+                                             for t in stack.thetas))
 
 
 def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
@@ -133,33 +157,10 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
     At each surface the arrival phases a and departure phases b align every
     element to pi + arg(b^T a), which drives b^T (Theta - I) a to
     -(|b^T a| + n) e^(j arg(b^T a)): the tunable sum and the structural term
-    add coherently.
+    add coherently. As b^T a = sum_n conj(theta_w[n]) for the widely used optimum
+    theta_w = e^(-j(arg b + arg a)), this is theta_w turned by pi - arg sum theta_w.
     """
-    factors = _los_cascade_factors(ch)
-    thetas = []
-    for k in range(ch.n_l):
-        _, a, _ = factors[k]
-        _, _, b = factors[k + 1]
-        c = b @ a
-        phases = np.pi + np.angle(c) - np.angle(b) - np.angle(a)
-        thetas.append(np.exp(1j * phases))
-    return ScatteringStack("diagonal", tuple(thetas))
-
-
-def los_optimal_phases_widely(ch: CascadeChannels) -> ScatteringStack:
-    """Gain-optimal phase vectors for a rank-1 cascade under the widely used model.
-
-    Without the structural term the optimum simply cancels the steering
-    phases, making b^T Theta a = n exactly, every realization.
-    """
-    factors = _los_cascade_factors(ch)
-    thetas = []
-    for k in range(ch.n_l):
-        _, a, _ = factors[k]
-        _, _, b = factors[k + 1]
-        phases = -np.angle(b) - np.angle(a)
-        thetas.append(np.exp(1j * phases))
-    return ScatteringStack("diagonal", tuple(thetas))
+    return _physics_from_widely(los_optimal_phases_widely(ch))
 
 
 # -- inner problem ----------------------------------------------------------------------
@@ -310,20 +311,20 @@ class OptimizerConfig:
     max_inner_iters: int = 50
     rel_tol: float = 1e-6
     init: str = "random_phase"
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in ("physics", "widely_used"):
-            raise DimensionMismatch(f"model must be 'physics' or 'widely_used', got {self.model!r}")
+            raise DimensionMismatch(f"model {shown(self.model)} is not physics or widely_used")
         if self.architecture not in ("diagonal", "unitary"):
             raise DimensionMismatch(
-                f"architecture must be 'diagonal' or 'unitary', got {self.architecture!r}")
+                f"architecture {shown(self.architecture)} is not diagonal or unitary")
         if self.init not in ("identity", "random_phase"):
-            raise DimensionMismatch(f"init must be 'identity' or 'random_phase', got {self.init!r}")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise DimensionMismatch("iteration caps must be >= 1")
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise DimensionMismatch(f"rel_tol must be positive, got {self.rel_tol!r}")
+            raise DimensionMismatch(f"init {shown(self.init)} is not identity or random_phase")
+        caps = (self.max_outer_iters, self.max_inner_iters)
+        if not all(is_int(cap) and cap >= 1 for cap in caps):
+            raise DimensionMismatch(f"iteration caps must be integers >= 1, got {shown(caps)}")
+        if not (is_finite_real(self.rel_tol) and self.rel_tol > 0):
+            raise DimensionMismatch(f"rel_tol must be finite and > 0, got {shown(self.rel_tol)}")
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,7 @@ def _init_thetas(ch: CascadeChannels, cfg: OptimizerConfig,
     """Initial surfaces as phase vectors."""
     if cfg.init == "identity":
         return [np.ones(ch.width(k), dtype=complex) for k in range(ch.n_l)]
-    rng = (stream.generator() if stream is not None
-           else RandomStream(cfg.seed, ("alg1-init",)).generator())
+    rng = (stream or RandomStream(0, ("alg1-init",))).generator()
     return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))) for k in range(ch.n_l)]
 
 
@@ -411,10 +411,10 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
 
 
 def _shared_config(cfgs) -> OptimizerConfig:
-    """The settings every member of a batch shares; only model and seed may differ."""
+    """The settings every member of a batch shares; only the model may differ."""
     first = cfgs[0]
     for cfg in cfgs[1:]:
-        if replace(cfg, model=first.model, seed=first.seed) != first:
+        if replace(cfg, model=first.model) != first:
             raise DimensionMismatch(
                 "batched runs must share architecture, iteration caps, rel_tol and init")
     return first

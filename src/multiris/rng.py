@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_int, shown
+
 LabelPart = int | str
 
 
@@ -23,7 +25,7 @@ def _encode_part(part: LabelPart) -> int:
         raise TypeError("stream label parts must be ints or strings, not bool")
     if isinstance(part, int):
         if part < 0:
-            raise ValueError(f"integer label parts must be non-negative, got {part}")
+            raise ValueError(f"integer label parts must be non-negative, got {shown(part)}")
         return part
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
@@ -39,8 +41,8 @@ class RandomStream:
     label: tuple[LabelPart, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {shown(self.seed)}")
         for part in self.label:
             _encode_part(part)
 

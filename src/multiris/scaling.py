@@ -21,8 +21,11 @@ from .errors import (
     EmptySample,
     EmptySequence,
     RangeExceeded,
+    is_finite_real,
+    shown,
 )
-from .fading import FadingSpec, _is_real, gen_link
+from .fading import FadingSpec, gen_link
+from .multiport import Dimensions
 from .rng import RandomStream
 
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -39,14 +42,10 @@ class ScalingInputs:
     path_gain: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_i", "l", "n_t", "n_r"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise DimensionMismatch(f"{name} must be a positive integer, got {v!r}")
-        if not (_is_real(self.path_gain) and np.isfinite(self.path_gain)
-                and self.path_gain >= 0):
+        Dimensions(n_t=self.n_t, n_r=self.n_r, n_i=self.n_i, l=self.l)
+        if not (is_finite_real(self.path_gain) and self.path_gain >= 0):
             raise DimensionMismatch(
-                f"path_gain must be a finite number >= 0, got {self.path_gain!r}")
+                f"path_gain must be a finite number >= 0, got {shown(self.path_gain)}")
 
 
 def _guarded_power(base: float, exponent: int, context: str) -> float:

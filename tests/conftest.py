@@ -13,6 +13,7 @@ from multiris.optimize import (
     OptimizationResult,
     dominant_singular_pair,
     _phase_angles,
+    _rank_one_factors,
     inner_solve_diagonal,
 )
 
@@ -57,6 +58,22 @@ def fold(hops, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(pos):
         right = hops[l - 1 - k] @ factor_times(thetas[k], offsets[k], right)
     return left, right
+
+
+def los_physics_phases_per_surface(ch: CascadeChannels) -> list[np.ndarray]:
+    """The physical-model line-of-sight optimum surface by surface, straight from
+    the steering factors: pi + arg(b^T a) - arg b - arg a at every element, with
+    a the arrival factor of the link entering the surface and b the departure
+    factor of the link leaving it. The oracle for los_optimal_phases_physics,
+    which turns the widely used optimum instead.
+    """
+    factors = [_rank_one_factors(m) for m in (ch.h_it_1, *ch.inter, ch.h_ri_l)]
+    thetas = []
+    for k in range(ch.n_l):
+        _, a, _ = factors[k]
+        _, _, b = factors[k + 1]
+        thetas.append(np.exp(1j * (np.pi + np.angle(b @ a) - np.angle(b) - np.angle(a))))
+    return thetas
 
 
 def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:

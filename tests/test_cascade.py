@@ -289,6 +289,17 @@ class TestMultiSector:
         with pytest.raises(DimensionMismatch):
             MultiSectorSpec(7, (SurfaceSectors(2, 1, 1),))
 
+    def test_bool_and_huge_ints_rejected(self):
+        for count in (True, 2.0, -10 ** 5000):
+            with pytest.raises(DimensionMismatch, match="sector count"):
+                SurfaceSectors(count, 1, 1)
+        for arrival in (True, 1.0, -10 ** 5000):
+            with pytest.raises(SectorIndexOutOfRange, match="arrival"):
+                SurfaceSectors(2, arrival, 1)
+        for n_i in (True, 4.0, -10 ** 5000):
+            with pytest.raises(DimensionMismatch, match="n_i must be"):
+                MultiSectorSpec(n_i, (SurfaceSectors(1, 1, 1),))
+
     def test_all_reflective_matches_physics(self):
         rng = np.random.default_rng(37)
         spec = MultiSectorSpec(4, tuple(SurfaceSectors(1, 1, 1) for _ in range(3)))

@@ -41,6 +41,16 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(-1)
 
+    @pytest.mark.parametrize("seed", [True, 1.0, pytest.param(-10 ** 5000, id="-10**5000")])
+    def test_non_int_or_huge_negative_seed_rejected(self, seed):
+        # our own message, even for an int Python refuses to repr
+        with pytest.raises(ValueError, match="seed must be"):
+            RandomStream(seed)
+
+    def test_huge_negative_part_rejected(self):
+        with pytest.raises(ValueError, match="label parts must be"):
+            RandomStream(1, (-10 ** 5000,))
+
 
 class TestLosLink:
     def test_rank_one_unit_modulus(self):
@@ -128,7 +138,9 @@ class TestFadingSpec:
             FadingSpec("rician", rician_k=-1.0)
 
     @pytest.mark.parametrize("field", ["path_gain", "rician_k"])
-    @pytest.mark.parametrize("value", ["x", None, True, [1.0]])
+    @pytest.mark.parametrize("value", ["x", None, True, [1.0], float("nan"), float("inf"),
+                                       pytest.param(10 ** 400, id="10**400"),
+                                       pytest.param(-10 ** 5000, id="-10**5000")])
     def test_non_number_rejected(self, field, value):
         with pytest.raises(DimensionMismatch):
             FadingSpec("rician", **{field: value})

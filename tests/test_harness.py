@@ -19,7 +19,6 @@ from multiris.harness import (
     run_experiment,
 )
 from multiris.harness import _GridPoint, _point_label
-from multiris.optimize import los_optimal_phases_physics
 from multiris.scaling import ScalingInputs, expected_gain_physics_los, expected_gain_widely_los
 
 
@@ -119,6 +118,29 @@ class TestSpecValidation:
         obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
         with pytest.raises(SpecError):
             ExperimentSpec.from_json_dict(obj)
+
+    @pytest.mark.parametrize("change", [
+        {"path_gain": 10 ** 400},
+        {"path_gain": float("inf")},
+        {"scenario": "rician", "rician_k": (10 ** 400,)},
+        {"scenario": "rician", "rician_k": (float("nan"),)},
+        {"trials": -10 ** 5000},
+        {"seed": -10 ** 5000},
+        {"l": (-10 ** 5000,)},
+        {"n_t": -10 ** 5000},
+        {"trial_overrides": {4: -10 ** 5000}},
+        {"optimizer": {"max_outer_iters": 2.5}},
+        {"optimizer": {"max_inner_iters": True}},
+        {"optimizer": {"max_outer_iters": -10 ** 5000}},
+        {"optimizer": {"rel_tol": "x"}},
+        {"optimizer": {"rel_tol": 10 ** 400}},
+        {"optimizer": {"seed": 3}},
+    ])
+    def test_python_caller_values_rejected(self, change):
+        # typed, and with a message that prints even for an int too long to repr
+        base = dict(scenario="los", l=(2,), n_i_grid=(4,), seed=1, trials=5)
+        with pytest.raises(SpecError, match="must|unknown optimizer key"):
+            ExperimentSpec(**{**base, **change})
 
     def test_rician_k_constraints(self):
         with pytest.raises(SpecError, match="non-empty rician_k"):
@@ -225,19 +247,21 @@ class TestRunExperiment:
             assert blobs[0] == blobs[1]
 
     def test_los_closed_forms_serve_both_architectures(self, monkeypatch):
-        import multiris.harness as harness
+        import multiris.optimize as optimize
 
-        calls = []
+        factored = []
+        rank_one_factors = optimize._rank_one_factors
 
-        def counted(ch):
-            calls.append(ch)
-            return los_optimal_phases_physics(ch)
+        def counted(h, *args, **kwargs):
+            factored.append(h)
+            return rank_one_factors(h, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "los_optimal_phases_physics", counted)
+        monkeypatch.setattr(optimize, "_rank_one_factors", counted)
         spec = tiny_los_spec(architectures=("diagonal", "unitary"))
         header, *lines = format_table(run_experiment(spec), "csv").splitlines()[1:]
-        # one closed form per trial of each of the 4 grid points
-        assert len(calls) == 4 * spec.trials
+        # every model and architecture of a trial shares one factoring of each of
+        # its l + 1 links
+        assert len(factored) == spec.trials * sum(l + 1 for l in spec.l for _ in spec.n_i_grid)
         column = header.split(",").index("architecture")
         by_arch = {}
         for line in lines:

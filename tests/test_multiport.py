@@ -6,6 +6,7 @@ import pytest
 from multiris.errors import (
     AssumptionViolated,
     DimensionMismatch,
+    NonFiniteInput,
     OpenCircuitSingularity,
     SingularDiagonalBlock,
 )
@@ -43,7 +44,8 @@ class TestDimensions:
         d = Dimensions(n_t=2, n_r=3, n_i=4, l=2)
         assert d.n_ports == 2 + 8 + 3
 
-    @pytest.mark.parametrize("bad", [dict(n_t=0), dict(n_r=-1), dict(n_i=0), dict(l=0)])
+    @pytest.mark.parametrize("bad", [dict(n_t=0), dict(n_r=-1), dict(n_i=0), dict(l=0),
+                                     dict(n_t=True), dict(n_i=2.0), dict(l=-10 ** 5000)])
     def test_rejects_nonpositive(self, bad):
         kwargs = dict(n_t=1, n_r=1, n_i=1, l=1)
         kwargs.update(bad)
@@ -196,6 +198,35 @@ class TestChannelModels:
         net = build_trivial_network()
         with pytest.raises(DimensionMismatch):
             channel_z_general(net, RisLoadStack((1j * np.eye(3),)))
+
+    @pytest.mark.parametrize("z0", [True, 0.0, float("nan"), float("inf"), "50",
+                                    pytest.param(10 ** 400, id="10**400"),
+                                    pytest.param(-10 ** 5000, id="-10**5000")])
+    def test_reference_impedance_checked(self, z0):
+        net = build_trivial_network()
+        blocks = {name: getattr(net, name) for name in
+                  ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")}
+        with pytest.raises(DimensionMismatch, match="z0 must be"):
+            MultiportNetwork(dims=net.dims, z0=z0, **blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_blocks_and_loads_rejected(self, bad):
+        # on an instance whose other inputs are valid, a NaN block would otherwise give
+        # a NaN channel and NaN loads a LinAlgError
+        rng = np.random.default_rng(59)
+        dims = Dimensions(n_t=2, n_r=2, n_i=3, l=2)
+        net = network_from_cascade(random_cascade_channels(dims, rng))
+        loads = random_diagonal_lossless_loads(2, 3, rng)
+        assert np.isfinite(channel_z_general(net, loads)).all()
+        blocks = {name: getattr(net, name).copy() for name in
+                  ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")}
+        blocks["z_ii"][4, 1] = bad
+        with pytest.raises(NonFiniteInput, match="z_ii"):
+            MultiportNetwork(dims=dims, z0=net.z0, assumptions=net.assumptions, **blocks)
+        broken = loads.loads[1].copy()
+        broken[0, 0] = bad
+        with pytest.raises(NonFiniteInput, match="load 1"):
+            RisLoadStack((loads.loads[0], broken))
 
 
 class TestConversions:

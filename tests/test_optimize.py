@@ -7,6 +7,7 @@ from conftest import (
     alg1_dense_reference,
     fold,
     grid_search_gain_l2,
+    los_physics_phases_per_surface,
     ones_cascade,
     unitaries_with_first_columns_qr,
     unitary_with_first_column_exact,
@@ -15,6 +16,7 @@ from conftest import (
 from multiris import optimize
 from multiris.cascade import (
     CascadeChannels,
+    ScatteringStack,
     assemble_physics_channel,
     assemble_widely_used,
     sweep_folds,
@@ -39,7 +41,7 @@ from multiris.optimize import (
     upper_bound_physics,
     upper_bound_widely,
 )
-from multiris.optimize import _rank_one_factors
+from multiris.optimize import _physics_from_widely, _rank_one_factors
 from multiris.rng import RandomStream
 from multiris.validation import random_cascade_channels
 
@@ -349,6 +351,46 @@ class TestLosClosedForms:
         with pytest.raises(NotRankOne):
             los_optimal_phases_physics(ch)
 
+    @pytest.mark.parametrize("n_i", [1, 2, 8, 128])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_physics_matches_per_surface_oracle(self, n_i, l):
+        stream = RandomStream(43, ("los-oracle", n_i, l))
+        for trial in range(3):
+            ch = gen_cascade(Dimensions(n_t=2, n_r=3, n_i=n_i, l=l), FadingSpec("los", 0.7),
+                             stream.child(trial))
+            stack = los_optimal_phases_physics(ch)
+            for theta, expect in zip(stack.thetas, los_physics_phases_per_surface(ch),
+                                     strict=True):
+                assert np.abs(theta - expect).max() <= 1e-12
+
+    def test_physics_matches_oracle_on_all_ones(self):
+        ch = ones_cascade(l=3, n_i=4, n_t=2, n_r=2)
+        for theta, expect in zip(los_optimal_phases_physics(ch).thetas,
+                                 los_physics_phases_per_surface(ch), strict=True):
+            assert np.abs(theta - expect).max() <= 1e-12
+
+    def test_orthogonal_steering_factors(self):
+        # b^T a = 0: the structural term vanishes, so the physics optimum is the
+        # widely used one up to a common phase, and any common phase is optimal
+        ch = CascadeChannels(np.array([[1.0, 1.0], [1.0, 1.0]]), (),
+                             np.array([[1.0, -1.0], [1.0, -1.0]]))
+        _, a, _ = _rank_one_factors(ch.h_it_1)
+        _, _, b = _rank_one_factors(ch.h_ri_l)
+        assert abs(b @ a) <= 1e-15
+        (theta,) = los_optimal_phases_physics(ch).thetas
+        assert np.isfinite(theta).all()
+        assert np.abs(np.abs(theta) - 1.0).max() <= 1e-15
+        gain = channel_gain(assemble_physics_channel(ch, (theta,)))
+        expect = 2 * 2 * (abs(b @ a) + 2) ** 2
+        assert gain == pytest.approx(expect, rel=1e-12)
+
+    def test_zero_sum_reads_as_phase_zero(self):
+        # both sums are exactly zero, so the physics stack is -theta_w
+        for widely in ([1.0, -1.0], [1.0, 1j, -1.0, -1j]):
+            stack = ScatteringStack("diagonal", (np.array(widely, dtype=complex),))
+            (theta,) = _physics_from_widely(stack).thetas
+            assert np.array_equal(theta, -stack.thetas[0])
+
 
 class TestUpperBounds:
     def test_siso_all_ones_physics_bound_attained(self):
@@ -392,6 +434,36 @@ class TestUpperBounds:
             thetas = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))) for _ in range(3)]
             assert channel_gain(assemble_physics_channel(ch, thetas)) <= ub_p * (1 + 1e-9)
             assert channel_gain(assemble_widely_used(ch, thetas)) <= ub_w * (1 + 1e-9)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("change", [
+        {"max_outer_iters": 2.5},
+        {"max_outer_iters": 0},
+        {"max_outer_iters": -10 ** 5000},
+        {"max_inner_iters": True},
+        {"max_inner_iters": "5"},
+        {"rel_tol": "x"},
+        {"rel_tol": True},
+        {"rel_tol": 0.0},
+        {"rel_tol": float("nan")},
+        {"rel_tol": float("inf")},
+        {"rel_tol": 10 ** 400},
+        {"model": "exact"},
+        {"architecture": "beyond"},
+        {"init": "zeros"},
+    ])
+    def test_bad_settings_rejected(self, change):
+        with pytest.raises(DimensionMismatch):
+            OptimizerConfig(**change)
+
+    def test_run_without_stream_draws_the_default_init_stream(self):
+        ch = gen_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=2), FadingSpec("rayleigh"),
+                         RandomStream(61, ("cfg",)))
+        cfg = OptimizerConfig(max_outer_iters=3)
+        default = alg1_optimize(ch, cfg)
+        explicit = alg1_optimize(ch, cfg, RandomStream(0, ("alg1-init",)))
+        assert default.gain_trace == explicit.gain_trace
 
 
 class TestAlg1:

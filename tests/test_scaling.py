@@ -113,13 +113,19 @@ class TestInputValidation:
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=True, l=2, n_t=2, n_r=2)
 
+    def test_rejects_huge_negative_dims(self):
+        with pytest.raises(DimensionMismatch, match="n_i must be"):
+            ScalingInputs(n_i=-10 ** 5000, l=2, n_t=2, n_r=2)
+
     def test_rejects_bad_path_gain(self):
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=-0.5)
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=float("nan"))
 
-    @pytest.mark.parametrize("path_gain", ["x", None, True, [1.0]])
+    @pytest.mark.parametrize("path_gain", ["x", None, True, [1.0], float("inf"),
+                                           pytest.param(10 ** 400, id="10**400"),
+                                           pytest.param(-10 ** 5000, id="-10**5000")])
     def test_rejects_non_number_path_gain(self, path_gain):
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=path_gain)
