@@ -58,6 +58,16 @@ BLOCK_TRIALS = 32
 _OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol", "init")
 
 
+def _grid_values(value) -> tuple:
+    """A grid field as a tuple: a string or a value that is not iterable is a grid of one."""
+    if isinstance(value, str):
+        return (value,)
+    try:
+        return tuple(value)
+    except TypeError:
+        return (value,)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything one reproducible experiment needs."""
@@ -81,11 +91,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise SpecError(f"unknown scenario {shown(self.scenario)}; expected one of {SCENARIOS}")
-        object.__setattr__(self, "l", tuple(self.l))
-        object.__setattr__(self, "n_i_grid", tuple(self.n_i_grid))
-        object.__setattr__(self, "rician_k", tuple(self.rician_k))
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "architectures", tuple(self.architectures))
+        for name in ("l", "n_i_grid", "rician_k", "models", "architectures"):
+            object.__setattr__(self, name, _grid_values(getattr(self, name)))
         if not self.l or any(not is_int(v) or v < 1 for v in self.l):
             raise SpecError(f"l must be one or more positive integers, got {shown(self.l)}")
         if not self.n_i_grid or any(not is_int(v) or v < 1 for v in self.n_i_grid):
@@ -94,6 +101,10 @@ class ExperimentSpec:
             raise SpecError(f"seed must be a non-negative integer, got {shown(self.seed)}")
         if not is_int(self.trials) or self.trials < 1:
             raise SpecError(f"trials must be a positive integer, got {shown(self.trials)}")
+        for name, kind in (("trial_overrides", dict), ("optimizer", dict), ("output_path", str)):
+            if not isinstance(getattr(self, name), (kind, type(None))):
+                raise SpecError(
+                    f"{name} must be None or a {kind.__name__}, got {shown(getattr(self, name))}")
         overrides = dict(self.trial_overrides or {})
         for k, v in overrides.items():
             if not is_int(k) or not is_int(v) or v < 1:
@@ -107,23 +118,22 @@ class ExperimentSpec:
                 raise SpecError("a rician scenario needs a non-empty rician_k grid")
             if any(not is_finite_real(k) or k < 0 for k in self.rician_k):
                 raise SpecError(f"rician_k must be finite and >= 0, got {shown(self.rician_k)}")
+            # stored as floats, so the emitted spec reads back to the same bytes
+            object.__setattr__(self, "rician_k", tuple(float(k) for k in self.rician_k))
         elif self.rician_k:
             raise SpecError(f"rician_k only applies to scenario rician, got {shown(self.rician_k)}")
-        if not self.models:
-            raise SpecError("models must not be empty")
-        for m in self.models:
-            if m not in MODELS:
-                raise SpecError(f"unknown model {shown(m)}; expected a subset of {MODELS}")
+        if not self.models or any(m not in MODELS for m in self.models):
+            raise SpecError(
+                f"models must be a non-empty subset of {MODELS}, got {shown(self.models)}")
         if "suboptimal_cross" in self.models and not (
                 "physics" in self.models and "widely_used" in self.models):
             raise SpecError("suboptimal_cross requires both physics and widely_used")
-        if not self.architectures:
-            raise SpecError("architectures must not be empty")
-        for a in self.architectures:
-            if a not in ARCHITECTURES:
-                raise SpecError(f"unknown architecture {shown(a)}; expected one of {ARCHITECTURES}")
+        if not self.architectures or any(a not in ARCHITECTURES for a in self.architectures):
+            raise SpecError(f"architectures must be a non-empty subset of {ARCHITECTURES}, "
+                            f"got {shown(self.architectures)}")
         if not (is_finite_real(self.path_gain) and self.path_gain > 0):
             raise SpecError(f"path_gain must be finite and positive, got {shown(self.path_gain)}")
+        object.__setattr__(self, "path_gain", float(self.path_gain))
         opt = dict(self.optimizer or {})
         for key in opt:
             if key not in _OPTIMIZER_KEYS:
@@ -170,7 +180,8 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentSpec":
-        """Strict parser: unknown keys are rejected, not ignored."""
+        """Decode the wire form; unknown keys are rejected, not ignored. The
+        constructor checks every value."""
         if not isinstance(obj, dict):
             raise SpecError(f"experiment spec must be a JSON object, got {type(obj).__name__}")
         allowed = {"scenario", "l", "n_i_grid", "n_t", "n_r", "trials", "seed",
@@ -181,14 +192,9 @@ class ExperimentSpec:
         for required in ("scenario", "l", "n_i_grid", "trials", "seed"):
             if required not in obj:
                 raise SpecError(f"spec is missing required key {required!r}")
-
-        def number(value, name):
-            if not is_finite_real(value):
-                raise SpecError(f"{name} must be a finite number, got {shown(value)}")
-            return float(value)
+        kwargs = {k: v for k, v in obj.items() if k not in ("scenario", "trials", "output")}
 
         scenario = obj["scenario"]
-        rician_k: tuple[float, ...] = ()
         if isinstance(scenario, dict):
             extra = set(scenario) - {"kind", "k"}
             if extra:
@@ -196,68 +202,26 @@ class ExperimentSpec:
             kind = scenario.get("kind")
             if kind != "rician":
                 raise SpecError(f"an object scenario must have kind 'rician', got {shown(kind)}")
-            ks = scenario.get("k")
-            if not isinstance(ks, list) or not ks:
-                raise SpecError("rician scenario needs a non-empty list under 'k'")
-            rician_k = tuple(number(k, "rician k") for k in ks)
-            scenario = "rician"
-        elif not isinstance(scenario, str):
-            raise SpecError(f"scenario must be a string or a rician object, got {shown(scenario)}")
+            scenario, kwargs["rician_k"] = "rician", scenario.get("k", ())
 
-        def scalar_or_list(value):
-            return tuple(value) if isinstance(value, list) else (value,)
-
-        trials_raw = obj["trials"]
-        overrides: dict[int, int] = {}
-        if isinstance(trials_raw, dict):
-            extra_keys = [k for k in trials_raw
+        trials = obj["trials"]
+        if isinstance(trials, dict):
+            extra_keys = [k for k in trials
                           if k != "default" and not (isinstance(k, str) and k.isdecimal())]
-            if extra_keys or "default" not in trials_raw:
+            if extra_keys or "default" not in trials:
                 raise SpecError("object-valued trials needs 'default' plus decimal-keyed overrides")
-            trials = trials_raw["default"]
-            overrides = {int(k): v for k, v in trials_raw.items() if k != "default"}
-        else:
-            trials = trials_raw
+            kwargs["trial_overrides"] = {int(k): v for k, v in trials.items() if k != "default"}
+            trials = trials["default"]
 
         output = obj.get("output")
-        output_path = None
-        output_format = "csv"
         if output is not None:
-            if not isinstance(output, dict) or set(output) - {"path", "format"}:
+            if not isinstance(output, dict) or "path" not in output or \
+                    set(output) - {"path", "format"}:
                 raise SpecError("output must be an object with keys 'path' and optional 'format'")
-            if "path" not in output or not isinstance(output["path"], str):
-                raise SpecError("output.path must be a string")
-            output_path = output["path"]
-            output_format = output.get("format", "csv")
+            kwargs["output_path"] = output["path"]
+            kwargs["output_format"] = output.get("format", "csv")
 
-        optimizer = obj.get("optimizer")
-        if optimizer is not None and not isinstance(optimizer, dict):
-            raise SpecError("optimizer must be an object of config overrides")
-
-        def listed(value, name, default):
-            if value is None:
-                return default
-            if not isinstance(value, list):
-                raise SpecError(f"{name} must be a list of strings")
-            return tuple(value)
-
-        return ExperimentSpec(
-            scenario=scenario,
-            l=scalar_or_list(obj["l"]),
-            n_i_grid=scalar_or_list(obj["n_i_grid"]),
-            seed=obj["seed"],
-            trials=trials,
-            n_t=obj.get("n_t", 2),
-            n_r=obj.get("n_r", 2),
-            rician_k=rician_k,
-            trial_overrides=overrides,
-            models=listed(obj.get("models"), "models", ("physics", "widely_used")),
-            architectures=listed(obj.get("architectures"), "architectures", ("diagonal",)),
-            path_gain=number(obj.get("path_gain", 1.0), "path_gain"),
-            optimizer=optimizer,
-            output_path=output_path,
-            output_format=output_format,
-        )
+        return ExperimentSpec(scenario=scenario, trials=trials, **kwargs)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
@@ -459,10 +423,6 @@ def _aggregate(spec: ExperimentSpec, point: _GridPoint, columns: dict) -> list[G
 
 
 # -- presets -------------------------------------------------------------------------
-
-
-def _multipath_trials() -> dict:
-    return {"default": 1000, 128: 100}
 
 
 _PRESETS: dict[str, dict] = {

@@ -363,14 +363,15 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
 
     left (A, n_r, n) and right (A, n, n_t) are the surface's end links, theta its
     stack (phase vectors (A, n) or matrices (A, n, n)), offsets the d of each
-    member. A member stops once a step gains at most rel_tol of its fold gain, or
-    (unitary) once its fold through this surface is identically zero; stopped
-    members leave the working arrays. Returns the tuned stack and the fold gains.
+    member. A member stops once a step gains at most rel_tol of its fold gain;
+    stopped members leave the working arrays. Returns the tuned stack and the fold
+    gains.
     """
     gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
     if cfg.architecture == "unitary" and theta.ndim == 2:
         theta = theta[:, :, None] * np.eye(theta.shape[1])
-    out_theta, out_gain = theta.copy(), gain.copy()
+    # the unitary step writes into theta, so it works on a copy of its own
+    theta, out_theta, out_gain = theta.copy(), theta.copy(), gain.copy()
     rows = np.arange(len(gain))
     for _ in range(cfg.max_inner_iters):
         _check_unit_pairs(u, v)
@@ -384,17 +385,11 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
         else:
             norm_ri = np.linalg.norm(g_ri, axis=1)
             norm_it = np.linalg.norm(g_it, axis=1)
+            # a member whose fold through this surface is identically zero keeps its
+            # surface, so its gain does not move and it stops below
             live = (norm_ri > _TINY) & (norm_it > _TINY)
-            if not live.all():
-                # the fold through this surface is identically zero; nothing to tune
-                out_theta[rows[~live]] = theta[~live]
-                out_gain[rows[~live]] = gain[~live]
-                (rows, left, right, theta, offsets, gain, g_rt, g_ri, g_it, norm_ri,
-                 norm_it) = (a[live] for a in (rows, left, right, theta, offsets, gain, g_rt,
-                                               g_ri, g_it, norm_ri, norm_it))
-                if not rows.size:
-                    return out_theta, out_gain
-            theta = _unitary_solutions(g_rt, g_ri, g_it, norm_ri, norm_it)
+            theta[live] = _unitary_solutions(g_rt[live], g_ri[live], g_it[live],
+                                             norm_ri[live], norm_it[live])
         value, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
         going = value - gain > cfg.rel_tol * np.maximum(value, _TINY)
         gain = value

@@ -22,6 +22,7 @@ from .errors import (
     EmptySequence,
     RangeExceeded,
     is_finite_real,
+    is_int,
     shown,
 )
 from .fading import FadingSpec, gen_link
@@ -81,10 +82,15 @@ def expected_gain_suboptimal_los(inputs: ScalingInputs) -> float:
     return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
 
 
+def _check_los_dims(n_i, l):
+    if not all(is_int(v) and is_finite_real(v) for v in (n_i, l)) or n_i < 1 or l < 0:
+        raise DimensionMismatch("need ints n_i >= 1 and l >= 0 inside the double range, "
+                                f"got n_i={shown(n_i)}, l={shown(l)}")
+
+
 def relative_difference_los(n_i: int, l: int) -> float:
     """Closed-form eta: ((n_i + sqrt(pi n_i) + 1)^l - n_i^l) / n_i^l."""
-    if n_i < 1 or l < 0:
-        raise DimensionMismatch(f"need n_i >= 1 and l >= 0, got n_i={n_i}, l={l}")
+    _check_los_dims(n_i, l)
     top = _guarded_power(n_i + math.sqrt(math.pi * n_i) + 1.0, l, "relative_difference_los")
     bottom = _guarded_power(float(n_i), l, "relative_difference_los")
     return (top - bottom) / bottom
@@ -92,8 +98,7 @@ def relative_difference_los(n_i: int, l: int) -> float:
 
 def normalized_gain_los(n_i: int, l: int) -> float:
     """Closed-form rho: ((n_i + 1) / (n_i + sqrt(pi n_i) + 1))^l."""
-    if n_i < 1 or l < 0:
-        raise DimensionMismatch(f"need n_i >= 1 and l >= 0, got n_i={n_i}, l={l}")
+    _check_los_dims(n_i, l)
     return ((n_i + 1.0) / (n_i + math.sqrt(math.pi * n_i) + 1.0)) ** l
 
 

@@ -113,6 +113,9 @@ class TestSpecValidation:
         {"scenario": {"kind": "rician", "k": [10 ** 400]}},
         {"trials": {"default": 5, "\u00b2": 3}},
         {"trials": {"default": 5, 4: 3}},
+        {"models": None},
+        {"architectures": None},
+        {"output": {"path": 3}},
     ])
     def test_mistyped_values_rejected(self, change):
         obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
@@ -135,12 +138,56 @@ class TestSpecValidation:
         {"optimizer": {"rel_tol": "x"}},
         {"optimizer": {"rel_tol": 10 ** 400}},
         {"optimizer": {"seed": 3}},
+        {"optimizer": "x"},
+        {"trial_overrides": "ab"},
+        {"output_path": 3},
     ])
     def test_python_caller_values_rejected(self, change):
         # typed, and with a message that prints even for an int too long to repr
         base = dict(scenario="los", l=(2,), n_i_grid=(4,), seed=1, trials=5)
         with pytest.raises(SpecError, match="must|unknown optimizer key"):
             ExperimentSpec(**{**base, **change})
+
+    @pytest.mark.parametrize("field, value, grid", [
+        ("l", 2, (2,)),
+        ("n_i_grid", 4, (4,)),
+        ("rician_k", 1, (1.0,)),
+        ("models", "physics", ("physics",)),
+        ("architectures", "unitary", ("unitary",)),
+    ])
+    def test_single_grid_value_is_a_grid_of_one(self, field, value, grid):
+        base = dict(scenario="rician", l=(2,), n_i_grid=(4,), seed=1, trials=5,
+                    rician_k=(1.0,))
+        spec = ExperimentSpec(**{**base, field: value})
+        assert spec == ExperimentSpec(**{**base, field: grid})
+        assert getattr(spec, field) == grid
+
+    def test_json_single_values(self):
+        spec = ExperimentSpec.from_json_dict(
+            {"scenario": {"kind": "rician", "k": 3}, "l": 2, "n_i_grid": 4, "trials": 5,
+             "seed": 1, "models": "physics"})
+        assert spec.rician_k == (3.0,) and spec.models == ("physics",)
+
+    def test_numpy_values_written_as_floats(self):
+        spec = ExperimentSpec(scenario="rician", l=(1,), n_i_grid=(2,), seed=1, trials=2,
+                              rician_k=np.array([1.0, 3.0]), path_gain=np.float64(2),
+                              optimizer={"max_outer_iters": 5})
+        assert type(spec.path_gain) is float
+        assert all(type(k) is float for k in spec.rician_k)
+        lines = format_table(run_experiment(spec), "csv").splitlines()
+        column = lines[1].split(",").index("rician_k")
+        assert {line.split(",")[column] for line in lines[2:]} == {"1.0", "3.0"}
+
+    def test_int_numbers_rerun_from_header_to_same_bytes(self):
+        spec = ExperimentSpec(scenario="rician", l=(1,), n_i_grid=(2,), seed=1, trials=2,
+                              rician_k=(1,), path_gain=2, optimizer={"max_outer_iters": 5})
+        for fmt in ("csv", "json"):
+            text = format_table(run_experiment(spec), fmt)
+            if fmt == "csv":
+                embedded = ExperimentSpec.from_json(text.splitlines()[0][len("# spec "):])
+            else:
+                embedded = ExperimentSpec.from_json_dict(json.loads(text)["spec"])
+            assert format_table(run_experiment(embedded), fmt) == text
 
     def test_rician_k_constraints(self):
         with pytest.raises(SpecError, match="non-empty rician_k"):

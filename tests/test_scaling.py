@@ -123,6 +123,22 @@ class TestInputValidation:
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=float("nan"))
 
+    @pytest.mark.parametrize("n_i, l", [
+        (float("nan"), 2),
+        (4, float("nan")),
+        (True, 2),
+        (4, True),
+        (2.5, 2),
+        (4, 2.5),
+        pytest.param(-10 ** 5000, 2, id="n_i=-10**5000"),
+        pytest.param(10 ** 400, 2, id="n_i=10**400"),
+        pytest.param(4, 10 ** 400, id="l=10**400"),
+    ])
+    def test_closed_form_metrics_reject_bad_dims(self, n_i, l):
+        for metric in (relative_difference_los, normalized_gain_los):
+            with pytest.raises(DimensionMismatch, match="need ints"):
+                metric(n_i, l)
+
     @pytest.mark.parametrize("path_gain", ["x", None, True, [1.0], float("inf"),
                                            pytest.param(10 ** 400, id="10**400"),
                                            pytest.param(-10 ** 5000, id="-10**5000")])
