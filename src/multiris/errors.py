@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 
 def is_int(value) -> bool:
-    """An int that is not a bool (JSON true/false arrive as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy int that is not a bool (JSON true/false arrive as bools)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_finite_real(value) -> bool:

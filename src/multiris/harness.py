@@ -110,9 +110,14 @@ class ExperimentSpec:
             if not is_int(k) or not is_int(v) or v < 1:
                 raise SpecError(
                     f"trial override {shown(k)}: {shown(v)} must map int n_i to positive int")
-        object.__setattr__(self, "trial_overrides", overrides)
         if not is_int(self.n_t) or self.n_t < 1 or not is_int(self.n_r) or self.n_r < 1:
             raise SpecError(f"n_t, n_r must be positive ints, got {shown((self.n_t, self.n_r))}")
+        # numpy ints are stored as Python ints, so the spec stays JSON-serializable
+        for name in ("l", "n_i_grid"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+        for name in ("seed", "trials", "n_t", "n_r"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "trial_overrides", {int(k): int(v) for k, v in overrides.items()})
         if self.scenario == "rician":
             if not self.rician_k:
                 raise SpecError("a rician scenario needs a non-empty rician_k grid")
@@ -142,7 +147,8 @@ class ExperimentSpec:
             OptimizerConfig(**opt)
         except DimensionMismatch as exc:
             raise SpecError(f"optimizer: {exc}") from exc
-        object.__setattr__(self, "optimizer", opt)
+        object.__setattr__(self, "optimizer",
+                           {k: int(v) if is_int(v) else v for k, v in opt.items()})
         if self.output_format not in ("csv", "json"):
             raise SpecError(f"output_format must be csv or json, got {shown(self.output_format)}")
 
@@ -361,13 +367,20 @@ def _blocks(spec: ExperimentSpec, point: _GridPoint) -> list[tuple]:
             for first in range(0, n_trials, BLOCK_TRIALS)]
 
 
+def _block_cost(block: tuple) -> int:
+    """A block's relative cost, read from its own shape: trials * l * n_i^2."""
+    _, point, _, count = block
+    return count * point.l * point.n_i ** 2
+
+
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     """Run the full grid and aggregate per-point statistics.
 
     The unit of work is a block of BLOCK_TRIALS consecutive trials of one grid
-    point, whatever parallel is. parallel > 1 maps every block of the grid over
-    worker processes; results are reduced in trial order either way, so the
-    output is identical.
+    point, whatever parallel is. parallel > 1 hands every block of the grid to
+    a pool of worker processes, the costliest first, so that the heaviest block
+    does not start last; results are put back in grid order and reduced in
+    trial order either way, so the output is identical.
     """
     if parallel < 1:
         raise DimensionMismatch(f"parallel must be >= 1, got {parallel}")
@@ -376,8 +389,11 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     if parallel == 1:
         done = iter([_run_block(*task) for task in tasks])
     else:
+        # a stable sort keeps blocks of equal cost in grid order
+        order = sorted(range(len(tasks)), key=lambda i: -_block_cost(tasks[i]))
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            done = iter(list(pool.map(_block_task, tasks)))
+            by_index = dict(zip(order, pool.map(_block_task, [tasks[i] for i in order])))
+        done = (by_index[i] for i in range(len(tasks)))
     rows: list[GainStats] = []
     for blocks in per_point:
         columns: dict = {}

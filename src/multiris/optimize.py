@@ -87,11 +87,16 @@ def dominant_singular_pair(h):
 
 
 def spectral_norm(h) -> float:
-    """Largest singular value of h, from LAPACK."""
+    """Largest singular value of h, from LAPACK.
+
+    The first of the descending singular values that np.linalg.svd returns is the
+    value np.linalg.norm(h, 2) reads from the same call, bit for bit, without its
+    axis and reduction wrapper.
+    """
     h = np.asarray(h)
     if h.ndim != 2:
         raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
-    return float(np.linalg.norm(h, 2))
+    return float(np.linalg.svd(h, compute_uv=False)[0])
 
 
 def channel_gain(h) -> float:
@@ -108,14 +113,19 @@ def _rank_one_factors(h, tol: float = 1e-6):
     Raises NotRankOne when a second singular direction carries more than tol
     of the dominant one, or when the entry moduli are not uniform (so the
     factors are not unit-modulus steering vectors).
+
+    The residual ||h - sigma u v^H||_F / sigma is read without the n x n product:
+    dominant_singular_pair returns a unit v and u = h v / sigma, so the squared
+    residual norm is ||h||_F^2 - sigma^2. Cancellation in that difference limits
+    the residual's absolute accuracy to about sqrt(eps) ~ 1e-8, far below tol.
     """
     h = np.asarray(h, dtype=complex)
     rows, cols = h.shape
     sigma, u, v = dominant_singular_pair(h)
     if sigma <= 0.0:
         raise NotRankOne("zero matrix has no steering factors")
-    residual = np.linalg.norm(h - sigma * np.outer(u, v.conj())) / sigma
-    if residual > tol:
+    residual = np.sqrt(max(np.vdot(h, h).real - sigma * sigma, 0.0)) / sigma
+    if not residual <= tol:  # NaN too, from an overflowed inf - inf
         raise NotRankOne(f"relative residual {residual:.3e} beyond rank-1 tolerance {tol:.1e}")
     mod_u, mod_v = np.abs(u), np.abs(v)
     if (mod_u.max() - mod_u.min()) > tol * mod_u.max() or \

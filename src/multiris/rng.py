@@ -10,6 +10,7 @@ what makes trial-level parallelism reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -28,9 +29,16 @@ def _encode_part(part: LabelPart) -> int:
             raise ValueError(f"integer label parts must be non-negative, got {shown(part)}")
         return part
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return int.from_bytes(digest[:16], "little")
+        return _hash_label(part)
     raise TypeError(f"stream label parts must be ints or strings, got {type(part).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _hash_label(part: str) -> int:
+    # labels come from a small fixed vocabulary ("point", "trial", "channel", ...),
+    # so each is hashed once per process
+    digest = hashlib.sha256(part.encode("utf-8")).digest()
+    return int.from_bytes(digest[:16], "little")
 
 
 @dataclass(frozen=True)

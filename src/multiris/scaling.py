@@ -44,6 +44,9 @@ class ScalingInputs:
 
     def __post_init__(self):
         Dimensions(n_t=self.n_t, n_r=self.n_r, n_i=self.n_i, l=self.l)
+        # numpy ints are stored as Python ints: int64 products such as n_i^2 would wrap
+        for name in ("n_i", "l", "n_t", "n_r"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (is_finite_real(self.path_gain) and self.path_gain >= 0):
             raise DimensionMismatch(
                 f"path_gain must be a finite number >= 0, got {shown(self.path_gain)}")
@@ -55,13 +58,18 @@ def _guarded_power(base: float, exponent: int, context: str) -> float:
     return base ** exponent
 
 
+def _sqrt_pi_n(n_i) -> float:
+    """sqrt(pi n_i) without forming pi * n_i, which overflows above n_i ~ 5.7e307."""
+    return math.sqrt(math.pi) * math.sqrt(n_i)
+
+
 def expected_gain_physics_los(inputs: ScalingInputs) -> float:
     """Average optimal gain of the physical model over line-of-sight draws:
 
     path_gain^2 * (n_i^2 + sqrt(pi n_i) n_i + n_i)^l * n_r n_t.
     """
     n = inputs.n_i
-    factor = n * n + math.sqrt(math.pi * n) * n + n
+    factor = n * n + _sqrt_pi_n(n) * n + n
     core = _guarded_power(factor, inputs.l, "expected_gain_physics_los")
     return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
 
@@ -91,7 +99,7 @@ def _check_los_dims(n_i, l):
 def relative_difference_los(n_i: int, l: int) -> float:
     """Closed-form eta: ((n_i + sqrt(pi n_i) + 1)^l - n_i^l) / n_i^l."""
     _check_los_dims(n_i, l)
-    top = _guarded_power(n_i + math.sqrt(math.pi * n_i) + 1.0, l, "relative_difference_los")
+    top = _guarded_power(n_i + _sqrt_pi_n(n_i) + 1.0, l, "relative_difference_los")
     bottom = _guarded_power(float(n_i), l, "relative_difference_los")
     return (top - bottom) / bottom
 
@@ -99,7 +107,7 @@ def relative_difference_los(n_i: int, l: int) -> float:
 def normalized_gain_los(n_i: int, l: int) -> float:
     """Closed-form rho: ((n_i + 1) / (n_i + sqrt(pi n_i) + 1))^l."""
     _check_los_dims(n_i, l)
-    return ((n_i + 1.0) / (n_i + math.sqrt(math.pi * n_i) + 1.0)) ** l
+    return ((n_i + 1.0) / (n_i + _sqrt_pi_n(n_i) + 1.0)) ** l
 
 
 # -- Monte Carlo counterparts -------------------------------------------------------

@@ -51,6 +51,24 @@ class TestRandomStream:
         with pytest.raises(ValueError, match="label parts must be"):
             RandomStream(1, (-10 ** 5000,))
 
+    @pytest.mark.parametrize("label, draw", [
+        (("point", 4, 128, "trial", 3, "channel"), 0.45796770430416844),
+        ((4, 128, 3), 0.22268693575870202),
+    ])
+    def test_pinned_draws(self, label, draw):
+        # pinned literals: a change to how label parts are encoded moves every table
+        for _ in range(2):
+            assert RandomStream(20240402, label).generator().random() == draw
+
+    @pytest.mark.parametrize("part, error, message", [
+        (True, TypeError, "ints or strings, not bool"),
+        (-1, ValueError, "non-negative, got -1"),
+        (1.5, TypeError, "ints or strings, got float"),
+    ])
+    def test_bad_parts_rejected(self, part, error, message):
+        with pytest.raises(error, match=message):
+            RandomStream(1, ("trial", part))
+
 
 class TestLosLink:
     def test_rank_one_unit_modulus(self):

@@ -178,6 +178,26 @@ class TestSpecValidation:
         column = lines[1].split(",").index("rician_k")
         assert {line.split(",")[column] for line in lines[2:]} == {"1.0", "3.0"}
 
+    def test_numpy_ints_give_the_bytes_of_python_ints(self):
+        base = dict(scenario="los", models=("physics", "widely_used", "suboptimal_cross"))
+        spec = ExperimentSpec(**base, l=np.array([2]), n_i_grid=np.arange(8, 33, 8),
+                              seed=np.int64(3), trials=np.int32(2), n_t=np.int64(2),
+                              n_r=np.uint8(2), trial_overrides={np.int64(16): np.int64(3)},
+                              optimizer={"max_outer_iters": np.int64(5)})
+        plain = ExperimentSpec(**base, l=(2,), n_i_grid=(8, 16, 24, 32), seed=3, trials=2,
+                               trial_overrides={16: 3}, optimizer={"max_outer_iters": 5})
+        assert spec == plain
+        ints = [*spec.l, *spec.n_i_grid, spec.seed, spec.trials, spec.n_t, spec.n_r,
+                *spec.trial_overrides, *spec.trial_overrides.values(), *spec.optimizer.values()]
+        assert all(type(v) is int for v in ints)
+        for fmt in ("csv", "json"):
+            assert format_table(run_experiment(spec), fmt) == \
+                format_table(run_experiment(plain), fmt)
+
+    def test_numpy_bools_are_not_ints(self):
+        with pytest.raises(SpecError, match="trials"):
+            ExperimentSpec(scenario="los", l=(2,), n_i_grid=(4,), seed=1, trials=np.True_)
+
     def test_int_numbers_rerun_from_header_to_same_bytes(self):
         spec = ExperimentSpec(scenario="rician", l=(1,), n_i_grid=(2,), seed=1, trials=2,
                               rician_k=(1,), path_gain=2, optimizer={"max_outer_iters": 5})
@@ -316,6 +336,40 @@ class TestRunExperiment:
             by_arch.setdefault(cells.pop(column), []).append(cells)
         assert set(by_arch) == {"diagonal", "unitary"}
         assert by_arch["diagonal"] == by_arch["unitary"]
+
+    def test_pool_gets_costliest_blocks_first(self, monkeypatch):
+        import multiris.harness as harness
+
+        dispatched = []
+
+        class InlinePool:
+            """Runs the tasks in this process, in the order they are handed over."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                dispatched.extend((point.l, point.n_i, first, count)
+                                  for _, point, first, count in tasks)
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        spec = replace(figure_preset("los-diff"), trials=BLOCK_TRIALS + 8)
+        parallel = format_table(run_experiment(spec, parallel=2), "csv")
+        costs = [count * l * n_i ** 2 for l, n_i, _, count in dispatched]
+        assert len(dispatched) == 2 * len(spec.l) * len(spec.n_i_grid)
+        assert dispatched[0] == (4, 128, 0, BLOCK_TRIALS)
+        assert costs == sorted(costs, reverse=True)
+        # equal costs keep grid order: l=4, n_i=64's full block before the tail of n_i=128
+        assert dispatched.index((4, 64, 0, 32)) + 1 == dispatched.index((4, 128, 32, 8))
+        assert parallel == format_table(run_experiment(spec), "csv")
 
     def test_parallel_must_be_positive(self):
         with pytest.raises(DimensionMismatch):

@@ -104,6 +104,15 @@ class TestDominantSingularPair:
         expect = np.prod([sn(h) ** 2 for h in links])
         assert upper_bound_widely(ch) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 128), (128, 128)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_spectral_norm_is_the_lapack_two_norm(self, shape, dtype):
+        rng = np.random.default_rng(shape[1])
+        h = rng.standard_normal(shape)
+        if dtype is complex:
+            h = h + 1j * rng.standard_normal(shape)
+        assert spectral_norm(h) == float(np.linalg.norm(h, 2))
+
 
 class TestRankOneFactors:
     def test_recovers_steering_product(self):
@@ -127,6 +136,41 @@ class TestRankOneFactors:
     def test_rejects_zero(self):
         with pytest.raises(NotRankOne):
             _rank_one_factors(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    @pytest.mark.parametrize("scale", [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_residual_matches_direct_product(self, n, scale):
+        # the residual the check uses sits within 1e-7 of ||h - sigma u v^H||_F / sigma:
+        # a tolerance 1e-7 above the direct value passes the residual test, one 1e-7
+        # below fails it
+        rng = np.random.default_rng(n)
+        h = draw_los_link(n, n, 0.9, RandomStream(n, ("residual",))).matrix()
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = h + scale * np.linalg.norm(h) / np.linalg.norm(noise) * noise
+        sigma, u, v = dominant_singular_pair(h)
+        direct = np.linalg.norm(h - sigma * np.outer(u, v.conj())) / sigma
+        try:
+            _rank_one_factors(h, tol=direct + 1e-7)
+        except NotRankOne as exc:
+            assert "moduli" in str(exc)
+        if direct > 1e-7:
+            with pytest.raises(NotRankOne, match="relative residual") as raised:
+                _rank_one_factors(h, tol=direct - 1e-7)
+            reported = float(str(raised.value).split()[2])
+            assert reported == pytest.approx(direct, rel=1e-3)
+
+    @pytest.mark.parametrize("scale, rank_one", [(1e-5, False), (1e-8, True)])
+    def test_rank_two_perturbation(self, scale, rank_one):
+        rng = np.random.default_rng(17)
+        h = draw_los_link(32, 32, 1.3, RandomStream(17, ("rank2",))).matrix()
+        x, y = _unit_rows(rng, 2, 32)
+        h = h + scale * np.linalg.norm(h) * np.outer(x, y)
+        if rank_one:
+            lam, _, _ = _rank_one_factors(h)
+            assert lam == pytest.approx(1.3, rel=1e-6)
+        else:
+            with pytest.raises(NotRankOne, match="relative residual"):
+                _rank_one_factors(h)
 
 
 class TestInnerSolvers:

@@ -95,6 +95,25 @@ class TestClosedForms:
         values = [normalized_gain_los(n, 4) for n in (4, 16, 64, 256)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_rho_and_eta_at_the_top_of_the_double_range(self):
+        # pi * n_i alone would overflow to inf here and read rho as 0
+        assert normalized_gain_los(10 ** 308, 4) == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 <= relative_difference_los(10 ** 308, 1) < 1e-150
+
+    def test_split_square_root_moves_values_by_rounding_only(self):
+        # sqrt(pi) * sqrt(n_i) against sqrt(pi * n_i), at the points the acceptance tests read
+        for n, l in ((16, 4), (128, 4)):
+            s = math.sqrt(math.pi * n)
+            eta = ((n + s + 1.0) ** l - float(n) ** l) / float(n) ** l
+            assert relative_difference_los(n, l) == pytest.approx(eta, rel=1e-15)
+            rho = ((n + 1.0) / (n + s + 1.0)) ** l
+            assert normalized_gain_los(n, l) == pytest.approx(rho, rel=1e-15)
+        for n in (32, 64, 128):
+            for l in (2, 4):
+                physics = (n * n + math.sqrt(math.pi * n) * n + n) ** l * 2 * 2
+                assert expected_gain_physics_los(
+                    ScalingInputs(n_i=n, l=l, n_t=2, n_r=2)) == pytest.approx(physics, rel=1e-15)
+
     def test_overflow_guard(self):
         with pytest.raises(RangeExceeded):
             expected_gain_physics_los(ScalingInputs(n_i=10 ** 9, l=40, n_t=1, n_r=1))
