@@ -51,7 +51,6 @@ from .optimize import (
     OptimizerConfig,
     alg1_batch,
     alg1_optimize,
-    best_of_restarts,
     channel_gain,
     dominant_singular_pair,
     inner_objective,

@@ -32,9 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the spec seed")
     run.add_argument("--trials", type=int, default=None,
                      help="override the trial count (clears per-n_i overrides)")
-    run.add_argument("--out", default=None, help="output file path")
-    run.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format (default: spec output format)")
+    run.add_argument("--out", default=None, help="output file path (default: stdout)")
+    run.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default: csv)")
     run.add_argument("--parallel", type=int, default=1,
                      help="worker processes for trials (default 1)")
 
@@ -65,13 +65,11 @@ def _cmd_run(args) -> int:
         return 2
 
     table = run_experiment(spec, parallel=args.parallel)
-    out = args.out if args.out is not None else spec.output_path
-    fmt = args.format if args.format is not None else spec.output_format
-    if out is None:
-        # no destination anywhere: print what emit would have written
-        sys.stdout.write(format_table(table, fmt))
+    if args.out is None:
+        # print what emit would have written
+        sys.stdout.write(format_table(table, args.format))
         return 0
-    path = emit(table, fmt, out)
+    path = emit(table, args.format, args.out)
     print(f"wrote {len(table)} rows to {path}")
     return 0
 

@@ -55,7 +55,7 @@ BLOCK_TRIALS = 32
 
 
 # the optimizer settings a spec may override; OptimizerConfig checks their values
-_OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol", "init")
+_OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol")
 
 
 def _grid_values(value) -> tuple:
@@ -85,8 +85,6 @@ class ExperimentSpec:
     architectures: tuple[str, ...] = ("diagonal",)
     path_gain: float = 1.0
     optimizer: dict | None = None
-    output_path: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -101,10 +99,9 @@ class ExperimentSpec:
             raise SpecError(f"seed must be a non-negative integer, got {shown(self.seed)}")
         if not is_int(self.trials) or self.trials < 1:
             raise SpecError(f"trials must be a positive integer, got {shown(self.trials)}")
-        for name, kind in (("trial_overrides", dict), ("optimizer", dict), ("output_path", str)):
-            if not isinstance(getattr(self, name), (kind, type(None))):
-                raise SpecError(
-                    f"{name} must be None or a {kind.__name__}, got {shown(getattr(self, name))}")
+        for name in ("trial_overrides", "optimizer"):
+            if not isinstance(getattr(self, name), (dict, type(None))):
+                raise SpecError(f"{name} must be None or a dict, got {shown(getattr(self, name))}")
         overrides = dict(self.trial_overrides or {})
         for k, v in overrides.items():
             if not is_int(k) or not is_int(v) or v < 1:
@@ -149,8 +146,6 @@ class ExperimentSpec:
             raise SpecError(f"optimizer: {exc}") from exc
         object.__setattr__(self, "optimizer",
                            {k: int(v) if is_int(v) else v for k, v in opt.items()})
-        if self.output_format not in ("csv", "json"):
-            raise SpecError(f"output_format must be csv or json, got {shown(self.output_format)}")
 
     def trials_for(self, n_i: int) -> int:
         return self.trial_overrides.get(n_i, self.trials)
@@ -180,8 +175,6 @@ class ExperimentSpec:
         }
         if self.optimizer:
             out["optimizer"] = dict(sorted(self.optimizer.items()))
-        if self.output_path is not None:
-            out["output"] = {"path": self.output_path, "format": self.output_format}
         return out
 
     @staticmethod
@@ -191,14 +184,14 @@ class ExperimentSpec:
         if not isinstance(obj, dict):
             raise SpecError(f"experiment spec must be a JSON object, got {type(obj).__name__}")
         allowed = {"scenario", "l", "n_i_grid", "n_t", "n_r", "trials", "seed",
-                   "models", "architectures", "path_gain", "optimizer", "output"}
+                   "models", "architectures", "path_gain", "optimizer"}
         unknown = set(obj) - allowed
         if unknown:
             raise SpecError(f"unknown spec keys {sorted(unknown)}; allowed keys: {sorted(allowed)}")
         for required in ("scenario", "l", "n_i_grid", "trials", "seed"):
             if required not in obj:
                 raise SpecError(f"spec is missing required key {required!r}")
-        kwargs = {k: v for k, v in obj.items() if k not in ("scenario", "trials", "output")}
+        kwargs = {k: v for k, v in obj.items() if k not in ("scenario", "trials")}
 
         scenario = obj["scenario"]
         if isinstance(scenario, dict):
@@ -218,14 +211,6 @@ class ExperimentSpec:
                 raise SpecError("object-valued trials needs 'default' plus decimal-keyed overrides")
             kwargs["trial_overrides"] = {int(k): v for k, v in trials.items() if k != "default"}
             trials = trials["default"]
-
-        output = obj.get("output")
-        if output is not None:
-            if not isinstance(output, dict) or "path" not in output or \
-                    set(output) - {"path", "format"}:
-                raise SpecError("output must be an object with keys 'path' and optional 'format'")
-            kwargs["output_path"] = output["path"]
-            kwargs["output_format"] = output.get("format", "csv")
 
         return ExperimentSpec(scenario=scenario, trials=trials, **kwargs)
 
@@ -502,10 +487,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def format_table(table: GainTable, fmt: str | None = None) -> str:
+def format_table(table: GainTable, fmt: str = "csv") -> str:
     """The table as CSV or JSON text. The text embeds the spec and seed;
     identical inputs produce identical text."""
-    fmt = fmt or table.spec.output_format
     if fmt not in ("csv", "json"):
         raise SpecError(f"format must be 'csv' or 'json', got {fmt!r}")
     spec_json = json.dumps(table.spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -519,7 +503,7 @@ def format_table(table: GainTable, fmt: str | None = None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def emit(table: GainTable, fmt: str | None = None, path: str | Path = "results.csv") -> Path:
+def emit(table: GainTable, fmt: str = "csv", path: str | Path = "results.csv") -> Path:
     """Write format_table(table, fmt) to path; identical inputs produce identical bytes."""
     path = Path(path)
     path.write_text(format_table(table, fmt))

@@ -320,7 +320,6 @@ class OptimizerConfig:
     max_outer_iters: int = 100
     max_inner_iters: int = 50
     rel_tol: float = 1e-6
-    init: str = "random_phase"
 
     def __post_init__(self):
         if self.model not in ("physics", "widely_used"):
@@ -328,8 +327,6 @@ class OptimizerConfig:
         if self.architecture not in ("diagonal", "unitary"):
             raise DimensionMismatch(
                 f"architecture {shown(self.architecture)} is not diagonal or unitary")
-        if self.init not in ("identity", "random_phase"):
-            raise DimensionMismatch(f"init {shown(self.init)} is not identity or random_phase")
         caps = (self.max_outer_iters, self.max_inner_iters)
         if not all(is_int(cap) and cap >= 1 for cap in caps):
             raise DimensionMismatch(f"iteration caps must be integers >= 1, got {shown(caps)}")
@@ -351,11 +348,8 @@ class OptimizationResult:
         return self.gain_trace[-1]
 
 
-def _init_thetas(ch: CascadeChannels, cfg: OptimizerConfig,
-                 stream: RandomStream | None) -> list[np.ndarray]:
-    """Initial surfaces as phase vectors."""
-    if cfg.init == "identity":
-        return [np.ones(ch.width(k), dtype=complex) for k in range(ch.n_l)]
+def _init_thetas(ch: CascadeChannels, stream: RandomStream | None) -> list[np.ndarray]:
+    """Initial surfaces as phase vectors of uniform random phases drawn from stream."""
     rng = (stream or RandomStream(0, ("alg1-init",))).generator()
     return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))) for k in range(ch.n_l)]
 
@@ -421,7 +415,7 @@ def _shared_config(cfgs) -> OptimizerConfig:
     for cfg in cfgs[1:]:
         if replace(cfg, model=first.model) != first:
             raise DimensionMismatch(
-                "batched runs must share architecture, iteration caps, rel_tol and init")
+                "batched runs must share architecture, iteration caps and rel_tol")
     return first
 
 
@@ -443,7 +437,7 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
                streams: Sequence[RandomStream | None] | None = None) -> list[OptimizationResult]:
     """alg1_optimize for B independent members at once: chs[b], cfgs[b], streams[b].
 
-    Members share cascade shapes, architecture, iteration caps, rel_tol and init
+    Members share cascade shapes, architecture, iteration caps and rel_tol
     (DimensionMismatch otherwise); each has its own model and draws its initial
     phases from its own stream, so each member's result is that of its own run,
     up to rounding. Links are stacked on a leading axis, singular pairs come
@@ -460,7 +454,7 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     if len({tuple(m.shape for m in h) for h in hops}) > 1:
         raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
     links = [np.stack(h) for h in zip(*hops)]
-    starts = [_init_thetas(ch, c, s) for ch, c, s in zip(chs, cfgs, streams)]
+    starts = [_init_thetas(ch, s) for ch, s in zip(chs, streams)]
     thetas = [np.stack(surface) for surface in zip(*starts)]
     offsets = np.array([1.0 if c.model == "physics" else 0.0 for c in cfgs])
 
@@ -538,14 +532,3 @@ def upper_bound_physics(ch: CascadeChannels) -> float:
 def upper_bound_widely(ch: CascadeChannels) -> float:
     """Gain ceiling for the widely used model: product of squared link norms."""
     return float(np.prod([channel_gain(m) for m in ch.hops()]))
-
-
-def best_of_restarts(ch: CascadeChannels, cfg: OptimizerConfig, stream: RandomStream,
-                     restarts: int = 1) -> OptimizationResult:
-    """Run alg1 from several random initializations as one batch; the first strictly
-    best run wins."""
-    if restarts < 1:
-        raise DimensionMismatch("restarts must be >= 1")
-    runs = alg1_batch([ch] * restarts, [cfg] * restarts,
-                      [stream.child("restart", r) for r in range(restarts)])
-    return max(runs, key=lambda run: run.gain)

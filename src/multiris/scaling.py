@@ -32,6 +32,11 @@ from .rng import RandomStream
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
+def _double_ints(*values) -> bool:
+    """Every value an int a double can hold: the closed forms compute in floats."""
+    return all(is_int(v) and is_finite_real(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ScalingInputs:
     """Cascade geometry and path gain the closed forms are evaluated at."""
@@ -44,6 +49,10 @@ class ScalingInputs:
 
     def __post_init__(self):
         Dimensions(n_t=self.n_t, n_r=self.n_r, n_i=self.n_i, l=self.l)
+        dims = (self.n_i, self.l, self.n_t, self.n_r)
+        if not _double_ints(*dims):
+            raise DimensionMismatch(
+                f"n_i, l, n_t, n_r must lie inside the double range, got {shown(dims)}")
         # numpy ints are stored as Python ints: int64 products such as n_i^2 would wrap
         for name in ("n_i", "l", "n_t", "n_r"):
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -91,7 +100,7 @@ def expected_gain_suboptimal_los(inputs: ScalingInputs) -> float:
 
 
 def _check_los_dims(n_i, l):
-    if not all(is_int(v) and is_finite_real(v) for v in (n_i, l)) or n_i < 1 or l < 0:
+    if not _double_ints(n_i, l) or n_i < 1 or l < 0:
         raise DimensionMismatch("need ints n_i >= 1 and l >= 0 inside the double range, "
                                 f"got n_i={shown(n_i)}, l={shown(l)}")
 

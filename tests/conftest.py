@@ -11,11 +11,14 @@ from multiris.errors import ZeroVector
 from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
+    OptimizerConfig,
     dominant_singular_pair,
     _phase_angles,
     _rank_one_factors,
+    alg1_batch,
     inner_solve_diagonal,
 )
+from multiris.rng import RandomStream
 
 try:
     from hypothesis import settings
@@ -236,11 +239,8 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
     """
     l = ch.n_l
     offsets = [1.0 if cfg.model == "physics" else 0.0] * l
-    if cfg.init == "identity":
-        thetas = [np.eye(w, dtype=complex) for w in ch.widths()]
-    else:
-        rng = stream.generator()
-        thetas = [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w))) for w in ch.widths()]
+    rng = stream.generator()
+    thetas = [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w))) for w in ch.widths()]
 
     trace = []
     converged = False
@@ -276,3 +276,12 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
             break
     return OptimizationResult(ScatteringStack(cfg.architecture, tuple(thetas)), tuple(trace),
                               converged, sweeps)
+
+
+def best_of_restarts(ch: CascadeChannels, cfg: OptimizerConfig, stream: RandomStream,
+                     restarts: int = 1) -> OptimizationResult:
+    """alg1 from several random initializations, run as one batch; the first strictly
+    best run wins."""
+    runs = alg1_batch([ch] * restarts, [cfg] * restarts,
+                      [stream.child("restart", r) for r in range(restarts)])
+    return max(runs, key=lambda run: run.gain)

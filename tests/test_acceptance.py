@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import grid_search_gain_l2
+from conftest import best_of_restarts, grid_search_gain_l2
 from multiris.cascade import (
     MultiSectorSpec,
     SurfaceSectors,
@@ -33,7 +33,6 @@ from multiris.multiport import (
 from multiris.optimize import (
     OptimizerConfig,
     alg1_optimize,
-    best_of_restarts,
     channel_gain,
     los_optimal_phases_physics,
     los_optimal_phases_widely,

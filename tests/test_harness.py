@@ -43,8 +43,7 @@ class TestSpecValidation:
                               trials=50, rician_k=(0.0, 3.0), trial_overrides={16: 10},
                               models=("physics", "widely_used"),
                               architectures=("diagonal", "unitary"),
-                              optimizer={"rel_tol": 1e-7},
-                              output_path="out.json", output_format="json")
+                              optimizer={"rel_tol": 1e-7})
         assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_from_json_text(self):
@@ -105,17 +104,17 @@ class TestSpecValidation:
         {"optimizer": {"rel_tol": False}},
         {"optimizer": {"max_inner_iters": 2.5}},
         {"optimizer": {"max_outer_iters": True}},
-        {"optimizer": {"init": 1}},
+        {"optimizer": {"max_inner_iters": None}},
         {"optimizer": {"max_outer_iters": 0}},
         {"optimizer": {"rel_tol": -1.0}},
-        {"optimizer": {"init": "zeros"}},
+        {"optimizer": {"max_outer_iters": "100"}},
         {"path_gain": 10 ** 400},
         {"scenario": {"kind": "rician", "k": [10 ** 400]}},
         {"trials": {"default": 5, "\u00b2": 3}},
         {"trials": {"default": 5, 4: 3}},
         {"models": None},
         {"architectures": None},
-        {"output": {"path": 3}},
+        {"n_i_grid": [4.5]},
     ])
     def test_mistyped_values_rejected(self, change):
         obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
@@ -140,7 +139,7 @@ class TestSpecValidation:
         {"optimizer": {"seed": 3}},
         {"optimizer": "x"},
         {"trial_overrides": "ab"},
-        {"output_path": 3},
+        {"optimizer": {"init": "identity"}},
     ])
     def test_python_caller_values_rejected(self, change):
         # typed, and with a message that prints even for an int too long to repr
@@ -225,16 +224,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="unknown optimizer key"):
             ExperimentSpec(scenario="los", l=(2,), n_i_grid=(4,), seed=1, trials=5,
                            optimizer={"learning_rate": 0.1})
-
-    def test_output_object(self):
-        spec = ExperimentSpec.from_json_dict(
-            {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1,
-             "output": {"path": "x.json", "format": "json"}})
-        assert spec.output_path == "x.json" and spec.output_format == "json"
-        with pytest.raises(SpecError, match="output"):
-            ExperimentSpec.from_json_dict(
-                {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1,
-                 "output": {"path": "x.json", "mode": "append"}})
 
     def test_invalid_json_text(self):
         with pytest.raises(SpecError, match="not valid JSON"):
@@ -472,11 +461,41 @@ class TestCli:
     def test_run_spec_file(self, tmp_path):
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps({
-            "scenario": "los", "l": 1, "n_i_grid": [2], "trials": 2, "seed": 3,
-            "output": {"path": str(tmp_path / "exp_rows.json"), "format": "json"}}))
-        assert main(["run", "--spec", str(spec_path)]) == 0
-        doc = json.loads((tmp_path / "exp_rows.json").read_text())
+            "scenario": "los", "l": 1, "n_i_grid": [2], "trials": 2, "seed": 3}))
+        out = tmp_path / "exp_rows.json"
+        assert main(["run", "--spec", str(spec_path), "--out", str(out),
+                     "--format", "json"]) == 0
+        doc = json.loads(out.read_text())
         assert doc["rows"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_reruns_from_its_own_spec(self, tmp_path, fmt):
+        first = tmp_path / f"first.{fmt}"
+        assert main(["run", "--preset", "smoke", "--trials", "2", "--out", str(first),
+                     "--format", fmt]) == 0
+        text = first.read_text()
+        if fmt == "csv":
+            embedded = text.splitlines()[0][len("# spec "):]
+        else:
+            embedded = json.dumps(json.loads(text)["spec"])
+        spec_path = tmp_path / "embedded.json"
+        spec_path.write_text(embedded)
+        again = tmp_path / f"again.{fmt}"
+        assert main(["run", "--spec", str(spec_path), "--out", str(again),
+                     "--format", fmt]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"output": {"path": "x.csv", "format": "csv"}}, "'output'"),
+        ({"optimizer": {"init": "identity"}}, "'init'"),
+    ])
+    def test_removed_spec_keys_exit_2(self, tmp_path, capsys, change, key):
+        spec_path = tmp_path / "old.json"
+        spec_path.write_text(json.dumps({"scenario": "los", "l": 1, "n_i_grid": [2],
+                                         "trials": 1, "seed": 1, **change}))
+        assert main(["run", "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown" in err and key in err
 
     def test_seed_override_changes_output(self, tmp_path):
         spec_path = tmp_path / "exp.json"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     alg1_dense_reference,
+    best_of_restarts,
     fold,
     grid_search_gain_l2,
     los_physics_phases_per_surface,
@@ -29,7 +30,6 @@ from multiris.optimize import (
     OptimizerConfig,
     alg1_batch,
     alg1_optimize,
-    best_of_restarts,
     channel_gain,
     dominant_singular_pair,
     inner_objective,
@@ -495,7 +495,7 @@ class TestOptimizerConfig:
         {"rel_tol": 10 ** 400},
         {"model": "exact"},
         {"architecture": "beyond"},
-        {"init": "zeros"},
+        {"max_inner_iters": 0},
     ])
     def test_bad_settings_rejected(self, change):
         with pytest.raises(DimensionMismatch):
@@ -565,12 +565,6 @@ class TestAlg1:
                 res = best_of_restarts(ch, cfg, stream.child("opt", arch, trial), restarts=3)
                 gains[arch] = res.gain
             assert gains["unitary"] >= gains["diagonal"] * (1 - 1e-6)
-
-    def test_identity_init_supported(self):
-        ch = ones_cascade(l=2, n_i=2)
-        cfg = OptimizerConfig(model="widely_used", architecture="diagonal", init="identity")
-        res = alg1_optimize(ch, cfg)
-        assert res.gain == pytest.approx(upper_bound_widely(ch), rel=1e-6)
 
     def test_los_closed_form_never_beaten(self):
         stream = RandomStream(79, ("loscmp",))

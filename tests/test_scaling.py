@@ -136,6 +136,12 @@ class TestInputValidation:
         with pytest.raises(DimensionMismatch, match="n_i must be"):
             ScalingInputs(n_i=-10 ** 5000, l=2, n_t=2, n_r=2)
 
+    @pytest.mark.parametrize("field", ["n_i", "l", "n_t", "n_r"])
+    def test_rejects_dims_beyond_double_range(self, field):
+        dims = {"n_i": 4, "l": 2, "n_t": 2, "n_r": 2, field: 10 ** 400}
+        with pytest.raises(DimensionMismatch, match="double range"):
+            ScalingInputs(**dims)
+
     def test_rejects_bad_path_gain(self):
         with pytest.raises(DimensionMismatch):
             ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=-0.5)
