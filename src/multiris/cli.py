@@ -75,6 +75,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     report = validate() if args.seed is None else validate(args.seed)
     print(report.format_text())
     return 0 if report.passed else 1

@@ -367,16 +367,18 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     does not start last; results are put back in grid order and reduced in
     trial order either way, so the output is identical.
     """
-    if parallel < 1:
-        raise DimensionMismatch(f"parallel must be >= 1, got {parallel}")
+    if not is_int(parallel) or parallel < 1:
+        raise DimensionMismatch(f"parallel must be an integer >= 1, got {shown(parallel)}")
     per_point = [_blocks(spec, point) for point in _grid(spec)]
     tasks = [block for blocks in per_point for block in blocks]
-    if parallel == 1:
+    # the pool starts every worker it is given, so never more than there are blocks
+    workers = min(parallel, len(tasks))
+    if workers <= 1:
         done = iter([_run_block(*task) for task in tasks])
     else:
         # a stable sort keeps blocks of equal cost in grid order
         order = sorted(range(len(tasks)), key=lambda i: -_block_cost(tasks[i]))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             by_index = dict(zip(order, pool.map(_block_task, [tasks[i] for i in order])))
         done = (by_index[i] for i in range(len(tasks)))
     rows: list[GainStats] = []

@@ -33,12 +33,25 @@ def _encode_part(part: LabelPart) -> int:
     raise TypeError(f"stream label parts must be ints or strings, got {type(part).__name__}")
 
 
-@functools.lru_cache(maxsize=256)
 def _hash_label(part: str) -> int:
-    # labels come from a small fixed vocabulary ("point", "trial", "channel", ...),
-    # so each is hashed once per process
     digest = hashlib.sha256(part.encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "little")
+
+
+def _int_words(n: int) -> tuple[int, ...]:
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return tuple(words)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _part_words(part: LabelPart) -> tuple[int, ...]:
+    # labels reuse a small vocabulary, so each part is checked and encoded once
+    # per process; typed keys keep True and 1.0 off the entry of an equal int
+    # (an IntEnum member shares their key shape), so they are rejected every time
+    return _int_words(_encode_part(part))
 
 
 @dataclass(frozen=True)
@@ -52,13 +65,24 @@ class RandomStream:
         if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {shown(self.seed)}")
         for part in self.label:
-            _encode_part(part)
+            _part_words(part)
 
     def child(self, *parts: LabelPart) -> "RandomStream":
         """Return the stream whose label path extends this one by `parts`."""
-        return RandomStream(self.seed, self.label + tuple(parts))
+        for part in parts:
+            _part_words(part)
+        # this stream is already checked, so the child skips __post_init__
+        stream = object.__new__(RandomStream)
+        object.__setattr__(stream, "seed", self.seed)
+        object.__setattr__(stream, "label", self.label + parts)
+        return stream
 
     def generator(self) -> np.random.Generator:
-        """Materialize a fresh numpy Generator for this stream."""
-        entropy = [self.seed] + [_encode_part(p) for p in self.label]
-        return np.random.default_rng(np.random.SeedSequence(entropy))
+        """Materialize a fresh numpy Generator for this stream.
+
+        SeedSequence gets the uint32 words it would make of [seed, *encoded
+        parts] itself, so the draws are the same without its slow int conversion."""
+        words = list(_int_words(int(self.seed)))
+        for part in self.label:
+            words.extend(_part_words(part))
+        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

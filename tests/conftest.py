@@ -1,5 +1,6 @@
 """Shared test helpers: brute-force oracles and instance shorthands."""
 
+import hashlib
 import tempfile
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,16 @@ else:
     settings.load_profile("deterministic")
     _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
     set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def int_list_seed_sequence(stream: RandomStream) -> np.random.SeedSequence:
+    """The entropy a stream's generator must reproduce: the seed, then each label
+    part as an int, a string standing for the first 16 bytes of its UTF-8 sha256
+    read little-endian, all handed to SeedSequence as a list of Python ints."""
+    parts = [p if isinstance(p, int)
+             else int.from_bytes(hashlib.sha256(p.encode("utf-8")).digest()[:16], "little")
+             for p in stream.label]
+    return np.random.SeedSequence([stream.seed, *parts])
 
 
 def ones_cascade(l: int, n_i: int = 1, n_t: int = 1, n_r: int = 1) -> CascadeChannels:

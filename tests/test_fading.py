@@ -1,5 +1,7 @@
 """Link generators: statistics, determinism, stream independence."""
 
+import enum
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,12 @@ from multiris.fading import (
 )
 from multiris.multiport import Dimensions
 from multiris.rng import RandomStream
+
+from conftest import int_list_seed_sequence
+
+
+class _One(enum.IntEnum):
+    ONE = 1
 
 
 class TestRandomStream:
@@ -68,6 +76,35 @@ class TestRandomStream:
     def test_bad_parts_rejected(self, part, error, message):
         with pytest.raises(error, match=message):
             RandomStream(1, ("trial", part))
+
+    @pytest.mark.parametrize("part, error, message", [
+        (True, TypeError, "ints or strings, not bool"),
+        (1.0, TypeError, "ints or strings, got float"),
+        (-1, ValueError, "non-negative, got -1"),
+    ])
+    def test_bad_parts_rejected_after_cache_warmed(self, part, error, message):
+        # True == 1.0 == 1 and they hash alike: the part cache must not hand
+        # them the entry that 1, or an int subclass equal to it, leaves behind
+        RandomStream(1).child(1, _One.ONE).generator()
+        with pytest.raises(error, match=message):
+            RandomStream(1, ("trial", part))
+        with pytest.raises(error, match=message):
+            RandomStream(1).child("trial", part)
+        with pytest.raises(error, match=message):
+            RandomStream(1, ("trial",)).child(part)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 130 + 7])
+    def test_generator_matches_int_list_entropy(self, seed):
+        parts = ("point", 0, 2 ** 32, "trial", 10 ** 40, "channel", 7, "hop")
+        for depth in range(len(parts) + 1):
+            stream = RandomStream(seed, parts[:depth])
+            by_child = RandomStream(seed).child(*parts[:depth // 2]).child(*parts[depth // 2:depth])
+            assert by_child == stream and hash(by_child) == hash(stream)
+            oracle = int_list_seed_sequence(stream)
+            for built in (stream, by_child):
+                gen = built.generator()
+                assert np.array_equal(gen.bit_generator.seed_seq.pool, oracle.pool)
+                assert np.array_equal(gen.random(4), np.random.default_rng(oracle).random(4))
 
 
 class TestLosLink:

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,34 @@ def tiny_los_spec(**overrides):
                 models=("physics", "widely_used", "suboptimal_cross"))
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Swaps the harness's process pool for one that runs the tasks in this
+    process, in the order they are handed over. Returns the log of the worker
+    count each pool was asked for and of the tasks handed over."""
+    import multiris.harness as harness
+
+    log = SimpleNamespace(workers=[], tasks=[])
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            log.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            log.tasks.extend(tasks)
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return log
 
 
 def tiny_rayleigh_spec(**overrides):
@@ -326,32 +355,11 @@ class TestRunExperiment:
         assert set(by_arch) == {"diagonal", "unitary"}
         assert by_arch["diagonal"] == by_arch["unitary"]
 
-    def test_pool_gets_costliest_blocks_first(self, monkeypatch):
-        import multiris.harness as harness
-
-        dispatched = []
-
-        class InlinePool:
-            """Runs the tasks in this process, in the order they are handed over."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                dispatched.extend((point.l, point.n_i, first, count)
-                                  for _, point, first, count in tasks)
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    def test_pool_gets_costliest_blocks_first(self, inline_pool):
         spec = replace(figure_preset("los-diff"), trials=BLOCK_TRIALS + 8)
         parallel = format_table(run_experiment(spec, parallel=2), "csv")
+        dispatched = [(point.l, point.n_i, first, count)
+                      for _, point, first, count in inline_pool.tasks]
         costs = [count * l * n_i ** 2 for l, n_i, _, count in dispatched]
         assert len(dispatched) == 2 * len(spec.l) * len(spec.n_i_grid)
         assert dispatched[0] == (4, 128, 0, BLOCK_TRIALS)
@@ -363,6 +371,21 @@ class TestRunExperiment:
     def test_parallel_must_be_positive(self):
         with pytest.raises(DimensionMismatch):
             run_experiment(tiny_los_spec(), parallel=0)
+
+    @pytest.mark.parametrize("parallel", [-1, 2.5, True, "2"])
+    def test_parallel_must_be_an_int(self, parallel):
+        with pytest.raises(DimensionMismatch, match="parallel must be an integer"):
+            run_experiment(tiny_los_spec(), parallel=parallel)
+
+    @pytest.mark.parametrize("spec, parallel, workers", [
+        (replace(figure_preset("smoke"), trials=2), 3, None),  # one block: no pool at all
+        (tiny_los_spec(), 3, 3),
+        (tiny_los_spec(), 8, 4),  # four blocks, so four workers
+    ])
+    def test_pool_never_gets_more_workers_than_blocks(self, inline_pool, spec, parallel, workers):
+        table = format_table(run_experiment(spec, parallel=parallel), "csv")
+        assert inline_pool.workers == ([] if workers is None else [workers])
+        assert table == format_table(run_experiment(spec), "csv")
 
     def test_point_label_ignores_rician_k(self):
         # the pairing contract: one channel draw is shared across the K grid
@@ -568,3 +591,10 @@ class TestCli:
     def test_validate_command(self, capsys):
         assert main(["validate"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_validate_negative_seed_exit_2(self, capsys):
+        # bad input, not a failed check, and no traceback
+        assert main(["validate", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--seed" in captured.err
+        assert captured.out == ""
