@@ -337,8 +337,9 @@ def assemble_multisector(ch: CascadeChannels, stack, spec: MultiSectorSpec) -> n
 def cascade_from_network(net: multiport.MultiportNetwork) -> CascadeChannels:
     """Extract normalized channel blocks from a matched impedance network.
 
-    Requires assumptions 1-5. Side links are populated unless assumption 6 is
-    asserted, in which case the layout is pure-cascade and sides stay None.
+    Requires assumptions 1-5. Side links are populated unless the blocks also
+    satisfy assumption 6, in which case the layout is pure-cascade and sides
+    stay None.
     """
     net.require(1, 2, 3, 4, 5)
     z0 = net.z0

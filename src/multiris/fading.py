@@ -91,36 +91,20 @@ def gen_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream) -> np
     return gen_rician_link(rows, cols, spec, stream)
 
 
-def gen_cascade(dims: Dimensions, fading, stream: RandomStream,
+def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
                 include_sides: bool = False) -> CascadeChannels:
-    """Draw every link of a cascade from independent child streams.
-
-    fading is one FadingSpec applied to all links, or a sequence of l+1 specs
-    ordered transmitter-to-surface-1, the l-1 inter-surface hops, then
-    surface-l-to-receiver. The sequence form does not cover side links.
-    """
+    """Draw every link of a cascade, all following fading, from independent child streams."""
     l = dims.l
-    if isinstance(fading, FadingSpec):
-        specs = [fading] * (l + 1)
-        side_spec = fading
-    else:
-        specs = list(fading)
-        if len(specs) != l + 1:
-            raise DimensionMismatch(f"a {l}-surface cascade needs {l + 1} fading specs")
-        if include_sides:
-            raise DimensionMismatch(
-                "per-link fading specs do not cover side links; pass one FadingSpec")
-        side_spec = None
-    h_it_1 = gen_link(dims.n_i, dims.n_t, specs[0], stream.child("it", 0))
-    inter = tuple(gen_link(dims.n_i, dims.n_i, specs[1 + k], stream.child("hop", k))
+    h_it_1 = gen_link(dims.n_i, dims.n_t, fading, stream.child("it", 0))
+    inter = tuple(gen_link(dims.n_i, dims.n_i, fading, stream.child("hop", k))
                   for k in range(l - 1))
-    h_ri_l = gen_link(dims.n_r, dims.n_i, specs[l], stream.child("ri", l - 1))
+    h_ri_l = gen_link(dims.n_r, dims.n_i, fading, stream.child("ri", l - 1))
     sides = None
     if include_sides:
-        h_rt = gen_link(dims.n_r, dims.n_t, side_spec, stream.child("side_rt"))
-        h_ri = tuple(gen_link(dims.n_r, dims.n_i, side_spec, stream.child("side_ri", k))
+        h_rt = gen_link(dims.n_r, dims.n_t, fading, stream.child("side_rt"))
+        h_ri = tuple(gen_link(dims.n_r, dims.n_i, fading, stream.child("side_ri", k))
                      for k in range(l - 1))
-        h_it = tuple(gen_link(dims.n_i, dims.n_t, side_spec, stream.child("side_it", k))
+        h_it = tuple(gen_link(dims.n_i, dims.n_t, fading, stream.child("side_it", k))
                      for k in range(1, l))
         sides = SideLinks(h_rt, h_ri, h_it)
     return CascadeChannels(h_it_1, inter, h_ri_l, sides)

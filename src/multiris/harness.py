@@ -12,6 +12,7 @@ process parallelism.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -57,6 +58,11 @@ BLOCK_TRIALS = 32
 # the optimizer settings a spec may override; OptimizerConfig checks their values
 _OPTIMIZER_KEYS = ("max_outer_iters", "max_inner_iters", "rel_tol")
 
+# the gain scale of every grid point must lie within 1e-100 .. 1e100: the standard
+# error squares the gains, and an optimum can sit orders of magnitude above the
+# scale, so this keeps every product far inside the double range
+_GAIN_LOG10_LIMIT = 100
+
 
 def _grid_values(value) -> tuple:
     """A grid field as a tuple: a string or a value that is not iterable is a grid of one."""
@@ -91,8 +97,9 @@ class ExperimentSpec:
             raise SpecError(f"unknown scenario {shown(self.scenario)}; expected one of {SCENARIOS}")
         for name in ("l", "n_i_grid", "rician_k", "models", "architectures"):
             object.__setattr__(self, name, _grid_values(getattr(self, name)))
-        if not self.l or any(not is_int(v) or v < 1 for v in self.l):
-            raise SpecError(f"l must be one or more positive integers, got {shown(self.l)}")
+        if not self.l or any(not is_int(v) or not is_finite_real(v) or v < 1 for v in self.l):
+            raise SpecError(f"l must be one or more positive integers inside the double range, "
+                            f"got {shown(self.l)}")
         if not self.n_i_grid or any(not is_int(v) or v < 1 for v in self.n_i_grid):
             raise SpecError(f"n_i_grid must be positive integers, got {shown(self.n_i_grid)}")
         if not is_int(self.seed) or self.seed < 0:
@@ -136,6 +143,7 @@ class ExperimentSpec:
         if not (is_finite_real(self.path_gain) and self.path_gain > 0):
             raise SpecError(f"path_gain must be finite and positive, got {shown(self.path_gain)}")
         object.__setattr__(self, "path_gain", float(self.path_gain))
+        self._check_gain_scale()
         opt = dict(self.optimizer or {})
         for key in opt:
             if key not in _OPTIMIZER_KEYS:
@@ -146,6 +154,20 @@ class ExperimentSpec:
             raise SpecError(f"optimizer: {exc}") from exc
         object.__setattr__(self, "optimizer",
                            {k: int(v) if is_int(v) else v for k, v in opt.items()})
+
+    def _check_gain_scale(self):
+        """Reject a path gain whose gain scale path_gain^(2(l+1)) n_i^(2l) n_t n_r
+        leaves the window at some grid point: l+1 links each scale a trial's
+        gain by path_gain^2, and a line-of-sight optimum reaches n_i^(2l) n_t n_r."""
+        log_pg, log_ends = math.log10(self.path_gain), math.log10(self.n_t * self.n_r)
+        for l in self.l:
+            for n_i in self.n_i_grid:
+                log_gain = (l + 1) * (2 * log_pg) + l * (2 * math.log10(n_i)) + log_ends
+                if not abs(log_gain) <= _GAIN_LOG10_LIMIT:
+                    raise SpecError(
+                        f"path_gain {self.path_gain!r} puts the gain at l={l}, n_i={n_i} near "
+                        f"1e{log_gain:.0f}, outside 1e-{_GAIN_LOG10_LIMIT} .. "
+                        f"1e{_GAIN_LOG10_LIMIT}")
 
     def trials_for(self, n_i: int) -> int:
         return self.trial_overrides.get(n_i, self.trials)

@@ -10,14 +10,16 @@ voltage-transfer channel matrix under progressively stronger assumptions:
    (Z_TI = Z_TR = Z_IR = 0),
 2. no propagation against the cascade direction between surfaces
    (upper off-diagonal blocks of Z_II are zero),
-3. consecutive surfaces only (Z_II is block bidiagonal),
+3. no propagation that skips a surface (blocks of Z_II two or more below
+   the diagonal are zero; with 2, Z_II is block bidiagonal),
 4. matched, uncoupled transmitter and receiver arrays (Z_TT = Z_RR = z0*I),
 5. matched, uncoupled surface arrays (each diagonal block of Z_II is z0*I),
 6. the transmitter reaches only the first surface and the receiver hears
    only the last one (all other Z_IT / Z_RI blocks and Z_RT are zero).
 
-Assumptions are explicit flags on the network object; a model raises
-AssumptionViolated instead of silently zeroing blocks it was not given.
+A network reads which of these its blocks satisfy from the blocks themselves;
+a model raises AssumptionViolated instead of silently zeroing a block it drops
+that is not zero.
 """
 
 from __future__ import annotations
@@ -41,10 +43,7 @@ from .errors import (
 DEFAULT_Z0 = 50.0
 CONDITION_CAP = 1e12
 
-ALL_ASSUMPTIONS = frozenset({1, 2, 3, 4, 5, 6})
-
-# Tolerance, relative to z0, when verifying that a block asserted zero or
-# matched actually is.
+# Tolerance, relative to z0, within which a block counts as zero or as z0*I.
 _BLOCK_TOL = 1e-10
 
 
@@ -84,11 +83,12 @@ def _max_abs(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MultiportNetwork:
-    """Partitioned impedance matrix of the full link plus asserted assumptions.
+    """Partitioned impedance matrix of the full link.
 
     Blocks follow the transmitter / surfaces / receiver split: z_ii is the
     (l*n_i) x (l*n_i) surface-to-surface block, z_it and z_ri are the stacked
-    transmitter-to-surface and surface-to-receiver blocks.
+    transmitter-to-surface and surface-to-receiver blocks. assumptions holds
+    the ids 1-6 of the module docstring that the blocks satisfy.
     """
 
     dims: Dimensions
@@ -102,7 +102,7 @@ class MultiportNetwork:
     z_ri: np.ndarray
     z_rr: np.ndarray
     z0: float = DEFAULT_Z0
-    assumptions: frozenset[int] = field(default_factory=frozenset)
+    assumptions: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         d = self.dims
@@ -126,12 +126,7 @@ class MultiportNetwork:
             if block.shape != shape:
                 raise DimensionMismatch(f"{name} must have shape {shape}, got {block.shape}")
             object.__setattr__(self, name, block)
-        flags = frozenset(self.assumptions)
-        unknown = flags - ALL_ASSUMPTIONS
-        if unknown:
-            raise AssumptionViolated(f"unknown assumption ids {sorted(unknown)}; valid ids are 1..6")
-        object.__setattr__(self, "assumptions", flags)
-        self._check_assumptions()
+        object.__setattr__(self, "assumptions", self._held_assumptions())
 
     # -- block accessors (surface indices are 0-based) ------------------------
 
@@ -155,53 +150,39 @@ class MultiportNetwork:
         """Surface-k-to-receiver block."""
         return self.z_ri[:, self._sl(k)]
 
-    # -- assumption checking ---------------------------------------------------
+    # -- assumptions ------------------------------------------------------------
 
-    def _check_assumptions(self):
+    def _held_assumptions(self) -> frozenset[int]:
         tol = _BLOCK_TOL * self.z0
-        l, n = self.dims.l, self.dims.n_i
-        eye_i = self.z0 * np.eye(n)
+        l = self.dims.l
 
-        def zero(block, what):
-            if _max_abs(block) > tol:
-                raise AssumptionViolated(f"assumption asserted but {what} is not zero")
+        def zero(*blocks):
+            return all(_max_abs(b) <= tol for b in blocks)
 
-        if 1 in self.assumptions:
-            zero(self.z_ti, "z_ti")
-            zero(self.z_tr, "z_tr")
-            zero(self.z_ir, "z_ir")
-        if 2 in self.assumptions:
-            for j in range(l):
-                for i in range(j):
-                    zero(self.z_ii[self._sl(i), self._sl(j)], f"z_ii upper block ({i},{j})")
-        if 3 in self.assumptions:
-            if 2 not in self.assumptions:
-                raise AssumptionViolated("assumption 3 requires assumption 2")
-            for j in range(l):
-                for i in range(j + 2, l):
-                    zero(self.z_ii[self._sl(i), self._sl(j)], f"z_ii block ({i},{j})")
-        if 4 in self.assumptions:
-            if _max_abs(self.z_tt - self.z0 * np.eye(self.dims.n_t)) > tol:
-                raise AssumptionViolated("assumption 4 asserted but z_tt != z0*I")
-            if _max_abs(self.z_rr - self.z0 * np.eye(self.dims.n_r)) > tol:
-                raise AssumptionViolated("assumption 4 asserted but z_rr != z0*I")
-        if 5 in self.assumptions:
-            for k in range(l):
-                if _max_abs(self.surface_block(k) - eye_i) > tol:
-                    raise AssumptionViolated(f"assumption 5 asserted but surface block {k} != z0*I")
-        if 6 in self.assumptions:
-            for k in range(1, l):
-                zero(self.z_it_block(k), f"z_it block {k}")
-            for k in range(l - 1):
-                zero(self.z_ri_block(k), f"z_ri block {k}")
-            zero(self.z_rt, "z_rt")
+        def matched(*blocks):
+            return all(_max_abs(b - self.z0 * np.eye(len(b))) <= tol for b in blocks)
+
+        def z_ii_blocks(keep):
+            return [self.z_ii[self._sl(i), self._sl(j)]
+                    for i in range(l) for j in range(l) if keep(i, j)]
+
+        held = {
+            1: zero(self.z_ti, self.z_tr, self.z_ir),
+            2: zero(*z_ii_blocks(lambda i, j: i < j)),
+            3: zero(*z_ii_blocks(lambda i, j: i > j + 1)),
+            4: matched(self.z_tt, self.z_rr),
+            5: matched(*(self.surface_block(k) for k in range(l))),
+            6: zero(self.z_rt, *(self.z_it_block(k) for k in range(1, l)),
+                    *(self.z_ri_block(k) for k in range(l - 1))),
+        }
+        return frozenset(k for k, ok in held.items() if ok)
 
     def require(self, *ids: int):
         missing = sorted(set(ids) - self.assumptions)
         if missing:
             raise AssumptionViolated(
-                f"this channel model needs assumption(s) {missing} asserted on the network"
-            )
+                f"this channel model needs assumption(s) {missing}, which the network's "
+                f"blocks do not satisfy")
 
 
 @dataclass(frozen=True)
@@ -243,9 +224,9 @@ def _loads_for(net: MultiportNetwork, loads) -> RisLoadStack:
     return stack
 
 
-def _checked_inv(a: np.ndarray, what: str, cond_cap: float = CONDITION_CAP) -> np.ndarray:
+def _checked_inv(a: np.ndarray, what: str) -> np.ndarray:
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
         raise SingularMatrix(what, float(cond))
     return np.linalg.inv(a)
 
@@ -253,8 +234,7 @@ def _checked_inv(a: np.ndarray, what: str, cond_cap: float = CONDITION_CAP) -> n
 # -- structured inverse ---------------------------------------------------------
 
 
-def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks,
-                              cond_cap: float = CONDITION_CAP) -> list[list[np.ndarray]]:
+def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[np.ndarray]]:
     """Invert a block matrix whose only nonzero blocks sit on the diagonal and
     the first subdiagonal.
 
@@ -286,7 +266,7 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks,
     d_inv = []
     for k, b in enumerate(d):
         cond = np.linalg.cond(b)
-        if not np.isfinite(cond) or cond > cond_cap:
+        if not np.isfinite(cond) or cond > CONDITION_CAP:
             raise SingularDiagonalBlock(k, float(cond))
         d_inv.append(np.linalg.inv(b))
     sd = [s[k] @ d_inv[k] for k in range(l - 1)]
@@ -358,10 +338,6 @@ def channel_z_matched(net: MultiportNetwork, loads) -> np.ndarray:
     blocks reduced to load + z0*I.
     """
     net.require(1, 2, 3, 4, 5)
-    tol = _BLOCK_TOL * net.z0
-    if _max_abs(net.z_tt - net.z0 * np.eye(net.dims.n_t)) > tol or \
-       _max_abs(net.z_rr - net.z0 * np.eye(net.dims.n_r)) > tol:
-        raise AssumptionViolated("matched model ran on a network whose end arrays are not z0*I")
     stack = _loads_for(net, loads)
     eye_i = net.z0 * np.eye(net.dims.n_i)
     d_blocks = [stack.loads[k] + eye_i for k in range(net.dims.l)]

@@ -64,6 +64,9 @@ class RandomStream:
     def __post_init__(self):
         if not is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {shown(self.seed)}")
+        if not isinstance(self.label, tuple):
+            raise TypeError(f"a stream label must be a tuple of parts, got "
+                            f"{type(self.label).__name__}")
         for part in self.label:
             _part_words(part)
 

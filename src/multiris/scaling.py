@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     EmptySequence,
+    NonFiniteInput,
     RangeExceeded,
     is_finite_real,
     is_int,
@@ -130,6 +131,8 @@ def _paired_means(x, y, x_name: str, y_name: str):
     if xs.shape != ys.shape:
         raise DimensionMismatch(f"{x_name} and {y_name} must be paired, got "
                                 f"{xs.shape} vs {ys.shape}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise NonFiniteInput(f"{x_name} and {y_name} must be finite")
     return float(xs.mean()), float(ys.mean())
 
 
@@ -159,6 +162,8 @@ def structural_scattering_strength(mean_sq_singular_values) -> float:
     singular values, sorted descending. 1/n^2 for rank-1 links, 1/n when all
     directions are equally strong."""
     lam = np.asarray(mean_sq_singular_values, dtype=float)
+    if not np.isfinite(lam).all():
+        raise NonFiniteInput("mean squared singular values must be finite")
     if lam.size == 0:
         raise EmptySequence("need at least one mean squared singular value")
     if lam[0] <= 0.0:
@@ -173,8 +178,8 @@ def estimate_mean_sq_singular_values(rows: int, cols: int, spec: FadingSpec,
                                      stream: RandomStream, draws: int = 10000) -> np.ndarray:
     """Monte Carlo estimate of the per-direction average squared singular values
     of a link distribution, sorted descending."""
-    if draws < 1:
-        raise EmptySample("draws must be >= 1")
+    if not is_int(draws) or draws < 1:
+        raise EmptySample(f"draws must be an integer >= 1, got {shown(draws)}")
     acc = np.zeros(min(rows, cols))
     for t in range(draws):
         h = gen_link(rows, cols, spec, stream.child("draw", t))

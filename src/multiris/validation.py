@@ -17,7 +17,6 @@ from .cascade import (
     CascadeChannels,
     MultiSectorSpec,
     ScatteringStack,
-    SideLinks,
     SurfaceSectors,
     assemble_multisector,
     assemble_physics_channel,
@@ -113,25 +112,6 @@ def random_full_lossless_loads(l: int, n: int, rng: np.random.Generator,
     return RisLoadStack(tuple(loads))
 
 
-def random_cascade_channels(dims: Dimensions, rng: np.random.Generator,
-                            scale: float | None = None,
-                            include_sides: bool = False) -> CascadeChannels:
-    """Generic complex Gaussian cascade blocks at a conditioning-friendly scale."""
-    s = scale if scale is not None else 0.5 / np.sqrt(dims.n_i)
-
-    def block(rows, cols):
-        return s * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-
-    sides = None
-    if include_sides:
-        sides = SideLinks(block(dims.n_r, dims.n_t),
-                          tuple(block(dims.n_r, dims.n_i) for _ in range(dims.l - 1)),
-                          tuple(block(dims.n_i, dims.n_t) for _ in range(dims.l - 1)))
-    return CascadeChannels(block(dims.n_i, dims.n_t),
-                           tuple(block(dims.n_i, dims.n_i) for _ in range(dims.l - 1)),
-                           block(dims.n_r, dims.n_i), sides)
-
-
 def network_from_cascade(ch: CascadeChannels, z0: float = multiport.DEFAULT_Z0) -> MultiportNetwork:
     """Impedance network realizing a cascade: transfer blocks are 2*z0 times the
     channel blocks, end and surface arrays matched to z0."""
@@ -152,20 +132,16 @@ def network_from_cascade(ch: CascadeChannels, z0: float = multiport.DEFAULT_Z0) 
     z_it[:n_i, :] = 2.0 * z0 * ch.h_it_1
     z_ri[:, (l - 1) * n_i:] = 2.0 * z0 * ch.h_ri_l
     z_rt = np.zeros((n_r, n_t), dtype=complex)
-    assumptions = {1, 2, 3, 4, 5}
     if ch.sides is not None:
         z_rt = 2.0 * z0 * ch.sides.h_rt
         for k in range(l - 1):
             z_ri[:, k * n_i:(k + 1) * n_i] = 2.0 * z0 * ch.sides.h_ri[k]
             z_it[(k + 1) * n_i:(k + 2) * n_i, :] = 2.0 * z0 * ch.sides.h_it[k]
-    else:
-        assumptions.add(6)
     return MultiportNetwork(
         dims=dims,
         z_tt=z0 * np.eye(n_t), z_ti=np.zeros((n_t, ni_all)), z_tr=np.zeros((n_t, n_r)),
         z_it=z_it, z_ii=z_ii, z_ir=np.zeros((ni_all, n_r)),
-        z_rt=z_rt, z_ri=z_ri, z_rr=z0 * np.eye(n_r),
-        z0=z0, assumptions=frozenset(assumptions),
+        z_rt=z_rt, z_ri=z_ri, z_rr=z0 * np.eye(n_r), z0=z0,
     )
 
 
@@ -230,7 +206,8 @@ def _check_model_chain(stream: RandomStream) -> CheckResult:
     for i in range(20):
         l = int(rng.integers(1, 5))
         dims = Dimensions(n_t=2, n_r=2, n_i=int(rng.integers(2, 5)), l=l)
-        ch = random_cascade_channels(dims, rng)
+        ch = gen_cascade(dims, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims.n_i)),
+                         stream.child("ch", i))
         net = network_from_cascade(ch)
         loads = (random_diagonal_lossless_loads(l, dims.n_i, rng) if i % 2 == 0
                  else random_full_lossless_loads(l, dims.n_i, rng))
@@ -260,9 +237,8 @@ def _check_conversion_roundtrip(stream: RandomStream) -> CheckResult:
 
 
 def _check_structural_null(stream: RandomStream) -> CheckResult:
-    rng = stream.generator()
     dims = Dimensions(n_t=2, n_r=2, n_i=4, l=3)
-    ch = random_cascade_channels(dims, rng)
+    ch = gen_cascade(dims, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims.n_i)), stream)
     identity = [np.eye(4) for _ in range(3)]
     h = assemble_physics_channel(ch, identity)
     worst = float(np.abs(h).max())
@@ -273,13 +249,14 @@ def _check_structural_null(stream: RandomStream) -> CheckResult:
 def _check_transmissive_equivalence(stream: RandomStream) -> CheckResult:
     worst = 0.0
     rng = stream.generator()
-    for _ in range(10):
+    for trial in range(10):
         l = int(rng.integers(1, 4))
         n_i = 6
         spec = MultiSectorSpec(n_i, tuple(SurfaceSectors(3, 1, 2) for _ in range(l)))
         widths = tuple(spec.reduced_width(k) for k in range(l))
         dims_red = Dimensions(n_t=2, n_r=2, n_i=widths[0], l=l)
-        ch = random_cascade_channels(dims_red, rng)
+        ch = gen_cascade(dims_red, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims_red.n_i)),
+                         stream.child("ch", trial))
         stack = random_phase_stack(widths, rng)
         h_ms = assemble_multisector(ch, stack, spec)
         h_widely = assemble_widely_used(ch, stack)

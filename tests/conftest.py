@@ -9,6 +9,8 @@ import numpy as np
 
 from multiris.cascade import CascadeChannels, ScatteringStack, factor_times, times_factor
 from multiris.errors import ZeroVector
+from multiris.fading import FadingSpec, gen_cascade
+from multiris.multiport import Dimensions
 from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
@@ -43,6 +45,16 @@ def int_list_seed_sequence(stream: RandomStream) -> np.random.SeedSequence:
              else int.from_bytes(hashlib.sha256(p.encode("utf-8")).digest()[:16], "little")
              for p in stream.label]
     return np.random.SeedSequence([stream.seed, *parts])
+
+
+def gaussian_cascade(dims: Dimensions, rng: np.random.Generator,
+                     include_sides: bool = False) -> CascadeChannels:
+    """A Rayleigh cascade at per-entry power 1/(2 n_i), the scale at which every
+    matrix the impedance models invert stays well conditioned. Its stream is
+    seeded from rng, so one generator still fixes all of a test's instances."""
+    stream = RandomStream(int(rng.integers(2 ** 63)))
+    return gen_cascade(dims, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims.n_i)), stream,
+                       include_sides)
 
 
 def ones_cascade(l: int, n_i: int = 1, n_t: int = 1, n_r: int = 1) -> CascadeChannels:

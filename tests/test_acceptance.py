@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import best_of_restarts, grid_search_gain_l2
+from conftest import best_of_restarts, gaussian_cascade, grid_search_gain_l2
 from multiris.cascade import (
     MultiSectorSpec,
     SurfaceSectors,
@@ -53,7 +53,6 @@ from multiris.validation import (
     assemble_block_bidiagonal,
     bidiagonal_instance,
     network_from_cascade,
-    random_cascade_channels,
     random_diagonal_lossless_loads,
     random_full_lossless_loads,
     random_phase_stack,
@@ -129,7 +128,7 @@ def test_model_chain_equivalence(report):
         l = 1 if i < 20 else int(rng.integers(1, 5))
         dims = Dimensions(n_t=int(rng.integers(1, 4)), n_r=int(rng.integers(1, 4)),
                           n_i=int(rng.integers(1, 6)), l=l)
-        ch = random_cascade_channels(dims, rng)
+        ch = gaussian_cascade(dims, rng)
         net = network_from_cascade(ch)
         loads = (random_diagonal_lossless_loads(l, dims.n_i, rng) if i % 2 == 0
                  else random_full_lossless_loads(l, dims.n_i, rng))
@@ -319,11 +318,11 @@ def test_multisector_identities(report):
         l = int(rng.integers(1, 4))
         spec = MultiSectorSpec(8, tuple(SurfaceSectors(4, 1, 2) for _ in range(l)))
         widths = tuple(spec.reduced_width(k) for k in range(l))
-        ch = random_cascade_channels(Dimensions(2, 2, widths[0], l), rng)
+        ch = gaussian_cascade(Dimensions(2, 2, widths[0], l), rng)
         stack = random_phase_stack(widths, rng)
         worst_trans = max(worst_trans, _rel_err(assemble_multisector(ch, stack, spec),
                                                 assemble_widely_used(ch, stack)))
-    ch = random_cascade_channels(Dimensions(2, 2, 4, 3), rng)
+    ch = gaussian_cascade(Dimensions(2, 2, 4, 3), rng)
     h_null = assemble_physics_channel(ch, [np.eye(4)] * 3)
     null_max = float(np.abs(h_null).max())
     lam = estimate_mean_sq_singular_values(6, 6, FadingSpec("los"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fold, ones_cascade
+from conftest import fold, gaussian_cascade, ones_cascade
 from multiris.cascade import (
     CascadeChannels,
     MultiSectorSpec,
@@ -27,7 +27,6 @@ from multiris.multiport import channel_z_matched, channel_z_pure_cascade, scatte
 from multiris.optimize import channel_gain
 from multiris.validation import (
     network_from_cascade,
-    random_cascade_channels,
     random_phase_stack,
 )
 from multiris.multiport import Dimensions
@@ -117,7 +116,7 @@ class TestCascadeChannels:
 class TestPureCascadeAssembly:
     def test_identity_zeroes_physics_exactly(self):
         rng = np.random.default_rng(9)
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=4, l=3), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=3), rng)
         h = assemble_physics_channel(ch, [np.eye(4)] * 3)
         assert np.all(h == 0.0)
 
@@ -140,7 +139,7 @@ class TestPureCascadeAssembly:
     def test_two_surface_expansion_identity(self):
         # H - H' = -A T2 B C - A B T1 C + A B C  with A,B,C the hop links
         rng = np.random.default_rng(13)
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng)
         stack = random_phase_stack((3, 3), rng)
         t1, t2 = (np.diag(t) for t in stack.thetas)
         a, b, c = ch.h_ri_l, ch.inter[0], ch.h_it_1
@@ -152,7 +151,7 @@ class TestPureCascadeAssembly:
     def test_matches_impedance_pure_cascade(self):
         rng = np.random.default_rng(17)
         for l in (1, 2, 3):
-            ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=3, l=l), rng)
+            ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=l), rng)
             net = network_from_cascade(ch)
             stack = random_phase_stack((3,) * l, rng)
             loads = [scattering_to_z(np.diag(t), net.z0) for t in stack.thetas]
@@ -163,7 +162,7 @@ class TestPureCascadeAssembly:
     def test_fold_reassembles_channel(self):
         rng = np.random.default_rng(19)
         for l in (1, 2, 3, 4):
-            ch = random_cascade_channels(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
+            ch = gaussian_cascade(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
             diag = random_phase_stack((4,) * l, rng).thetas
             unit = tuple(np.linalg.qr(rng.standard_normal((4, 4)) +
                                       1j * rng.standard_normal((4, 4)))[0] for _ in range(l))
@@ -182,7 +181,7 @@ class TestPureCascadeAssembly:
         rng = np.random.default_rng(23)
         for l in (1, 2, 3, 4):
             for count in (2, 3):
-                chs = [random_cascade_channels(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
+                chs = [gaussian_cascade(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng)
                        for _ in range(count)]
                 hops = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
                 offsets = np.array([1.0, 0.0, 1.0][:count])
@@ -233,7 +232,7 @@ class TestFullMultipath:
         rng = np.random.default_rng(19)
         l = 4
         dims = Dimensions(n_t=2, n_r=2, n_i=3, l=l)
-        ch = random_cascade_channels(dims, rng, include_sides=True)
+        ch = gaussian_cascade(dims, rng, include_sides=True)
         stack = random_phase_stack((3,) * l, rng)
         thetas = [np.diag(t) for t in stack.thetas]
         out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
@@ -256,7 +255,7 @@ class TestFullMultipath:
         rng = np.random.default_rng(29)
         for l in (2, 3):
             dims = Dimensions(n_t=2, n_r=2, n_i=3, l=l)
-            ch = random_cascade_channels(dims, rng, include_sides=True)
+            ch = gaussian_cascade(dims, rng, include_sides=True)
             net = network_from_cascade(ch)
             stack = random_phase_stack((3,) * l, rng)
             loads = [scattering_to_z(np.diag(t), net.z0) for t in stack.thetas]
@@ -267,7 +266,7 @@ class TestFullMultipath:
     def test_reduces_to_pure_cascade_when_sides_vanish(self):
         rng = np.random.default_rng(31)
         dims = Dimensions(n_t=2, n_r=2, n_i=3, l=3)
-        ch = random_cascade_channels(dims, rng)
+        ch = gaussian_cascade(dims, rng)
         from multiris.cascade import SideLinks
         zero_sides = SideLinks(np.zeros((2, 2)),
                                tuple(np.zeros((2, 3)) for _ in range(2)),
@@ -303,7 +302,7 @@ class TestMultiSector:
     def test_all_reflective_matches_physics(self):
         rng = np.random.default_rng(37)
         spec = MultiSectorSpec(4, tuple(SurfaceSectors(1, 1, 1) for _ in range(3)))
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=4, l=3), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=3), rng)
         stack = random_phase_stack((4, 4, 4), rng)
         assert rel_err(assemble_multisector(ch, stack, spec),
                        assemble_physics_channel(ch, stack)) == 0.0
@@ -312,7 +311,7 @@ class TestMultiSector:
         rng = np.random.default_rng(41)
         spec = MultiSectorSpec(8, tuple(SurfaceSectors(2, 1, 2) for _ in range(2)))
         widths = tuple(spec.reduced_width(k) for k in range(2))
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=widths[0], l=2), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=widths[0], l=2), rng)
         stack = random_phase_stack(widths, rng)
         assert rel_err(assemble_multisector(ch, stack, spec),
                        assemble_widely_used(ch, stack)) == 0.0
@@ -321,7 +320,7 @@ class TestMultiSector:
         # surface 1 reflective (delta 1), surface 2 transmissive (delta 0)
         rng = np.random.default_rng(43)
         spec = MultiSectorSpec(4, (SurfaceSectors(2, 2, 2), SurfaceSectors(2, 1, 2)))
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=2, l=2), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=2, l=2), rng)
         stack = random_phase_stack((2, 2), rng)
         t1, t2 = (np.diag(t) for t in stack.thetas)
         expect = ch.h_ri_l @ t2 @ ch.inter[0] @ (t1 - np.eye(2)) @ ch.h_it_1
@@ -330,6 +329,6 @@ class TestMultiSector:
     def test_reduced_width_mismatch_rejected(self):
         rng = np.random.default_rng(47)
         spec = MultiSectorSpec(8, (SurfaceSectors(2, 1, 1),))
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=3, l=1), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=1), rng)
         with pytest.raises(DimensionMismatch):
             assemble_multisector(ch, random_phase_stack((3,), rng), spec)

@@ -72,10 +72,14 @@ class TestRandomStream:
         (True, TypeError, "ints or strings, not bool"),
         (-1, ValueError, "non-negative, got -1"),
         (1.5, TypeError, "ints or strings, got float"),
+        # whole labels that are not tuples: "trial" would draw as ("t", "r", "i", "a", "l")
+        ("trial", TypeError, "label must be a tuple of parts, got str"),
+        (["a"], TypeError, "label must be a tuple of parts, got list"),
     ])
     def test_bad_parts_rejected(self, part, error, message):
+        label = part if isinstance(part, (str, list)) else ("trial", part)
         with pytest.raises(error, match=message):
-            RandomStream(1, ("trial", part))
+            RandomStream(1, label)
 
     @pytest.mark.parametrize("part, error, message", [
         (True, TypeError, "ints or strings, not bool"),
@@ -228,20 +232,6 @@ class TestGenCascade:
         corr = np.abs(np.vdot(x - x.mean(), y - y.mean())) / (
             np.linalg.norm(x - x.mean()) * np.linalg.norm(y - y.mean()))
         assert corr < 0.01
-
-    def test_per_link_spec_list(self):
-        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
-        specs = [FadingSpec("los"), FadingSpec("rayleigh"), FadingSpec("los")]
-        ch = gen_cascade(dims, specs, RandomStream(43, ("mix",)))
-        s_first = np.linalg.svd(ch.h_it_1, compute_uv=False)
-        assert np.all(s_first[1:] < 1e-12 * s_first[0])
-        s_mid = np.linalg.svd(ch.inter[0], compute_uv=False)
-        assert s_mid[1] > 1e-3 * s_mid[0]
-
-    def test_per_link_spec_count_checked(self):
-        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
-        with pytest.raises(DimensionMismatch):
-            gen_cascade(dims, [FadingSpec("los")], RandomStream(47))
 
     def test_side_links_drawn_on_request(self):
         dims = Dimensions(n_t=2, n_r=3, n_i=4, l=3)

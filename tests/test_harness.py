@@ -1,6 +1,8 @@
 """Experiment spec parsing, the run/aggregate pipeline, emission, and the CLI."""
 
 import json
+import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -158,6 +160,7 @@ class TestSpecValidation:
         {"trials": -10 ** 5000},
         {"seed": -10 ** 5000},
         {"l": (-10 ** 5000,)},
+        {"l": (10 ** 400,)},
         {"n_t": -10 ** 5000},
         {"trial_overrides": {4: -10 ** 5000}},
         {"optimizer": {"max_outer_iters": 2.5}},
@@ -368,6 +371,24 @@ class TestRunExperiment:
         assert dispatched.index((4, 64, 0, 32)) + 1 == dispatched.index((4, 128, 32, 8))
         assert parallel == format_table(run_experiment(spec), "csv")
 
+    @pytest.mark.parametrize("scenario, l", [("rayleigh", 2), ("los", 4)])
+    @pytest.mark.parametrize("log_gain", [-99.5, 99.5])
+    def test_path_gain_just_inside_the_window_runs_clean(self, scenario, l, log_gain):
+        # the gain scale path_gain^(2(l+1)) n_i^(2l) n_t n_r at n_i = 4, n_t = n_r = 2
+        # sits half an order inside 1e+-100
+        log_pg = (log_gain - (2 * l + 1) * math.log10(4)) / (2 * (l + 1))
+        spec = ExperimentSpec(scenario=scenario, l=(l,), n_i_grid=(4,), seed=1, trials=2,
+                              path_gain=10 ** log_pg,
+                              models=("physics", "widely_used", "suboptimal_cross"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_experiment(spec)
+        for row in table:
+            assert 0.0 < row.mean_gain < math.inf and math.isfinite(row.std_err)
+        # one order further out is refused
+        with pytest.raises(SpecError, match="path_gain"):
+            replace(spec, path_gain=10 ** (log_pg + math.copysign(1.0, log_gain) / (2 * (l + 1))))
+
     def test_parallel_must_be_positive(self):
         with pytest.raises(DimensionMismatch):
             run_experiment(tiny_los_spec(), parallel=0)
@@ -570,6 +591,19 @@ class TestCli:
                                  '"seed": 1, "path_gain": 1' + "0" * digits + "}")
             assert main(["run", "--spec", str(spec_path)]) == 2
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        # overflowed in matmul, then raised LinAlgError
+        {"scenario": "rayleigh", "l": 2, "n_i_grid": 4, "trials": 2, "seed": 1,
+         "path_gain": 1e120},
+        # ran to gains of exactly 0.0
+        {"scenario": "los", "l": 4, "n_i_grid": 4, "trials": 2, "seed": 1, "path_gain": 1e-40},
+    ])
+    def test_path_gain_out_of_range_exit_2(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path)]) == 2
+        assert "error: path_gain" in capsys.readouterr().err
 
     def test_runtime_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         import multiris.harness as harness

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import gaussian_cascade
+from multiris.cascade import cascade_from_network
 from multiris.errors import (
     AssumptionViolated,
     DimensionMismatch,
@@ -27,7 +29,6 @@ from multiris.validation import (
     assemble_block_bidiagonal,
     bidiagonal_instance,
     network_from_cascade,
-    random_cascade_channels,
     random_diagonal_lossless_loads,
     random_full_lossless_loads,
 )
@@ -121,36 +122,100 @@ def build_trivial_network(z_rt_scale=2.0):
         z_it=np.zeros((ni, 2)), z_ii=z0 * np.eye(ni), z_ir=np.zeros((ni, 2)),
         z_rt=z_rt_scale * z0 * np.ones((2, 2)), z_ri=np.zeros((2, ni)),
         z_rr=z0 * np.eye(2), z0=z0,
-        assumptions=frozenset({1, 2, 3, 4, 5}),
     )
+
+
+_BLOCKS = ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")
+
+# the network broken_network starts from: three surfaces, so every z_ii block kind exists
+_DIMS = Dimensions(n_t=2, n_r=2, n_i=3, l=3)
+_N = _DIMS.n_i
+
+# one entry per assumption id: the block entry whose change breaks it
+_BREAKS = {
+    1: ("z_ti", (0, 0)),
+    2: ("z_ii", (0, _N)),          # surface 1 back into surface 0
+    3: ("z_ii", (2 * _N, 0)),      # surface 0 straight to surface 2
+    4: ("z_rr", (0, 0)),
+    5: ("z_ii", (_N, _N)),         # surface 1's own coupling
+    6: ("z_rt", (0, 0)),
+}
+
+
+def broken_network(ids, seed=61):
+    """A matched pure-cascade network with one block entry moved by 1 (z0 is 50)
+    for each assumption id in ids."""
+    net = network_from_cascade(gaussian_cascade(_DIMS, np.random.default_rng(seed)))
+    blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
+    for k in ids:
+        name, entry = _BREAKS[k]
+        blocks[name][entry] += 1.0
+    return MultiportNetwork(dims=_DIMS, z0=net.z0, **blocks)
+
+
+# what each model needs, by its function
+_NEEDS = [(channel_z_general, {1}), (channel_z_cascade, {1, 2, 3}),
+          (channel_z_matched, {1, 2, 3, 4, 5}), (channel_z_pure_cascade, {1, 2, 3, 4, 5, 6})]
 
 
 class TestChannelModels:
     def test_direct_path_normalization(self):
         # with Z_RT = 2 z0 J and matched ends the channel is exactly J
         net = build_trivial_network()
+        assert net.assumptions == {1, 2, 3, 4, 5}
         loads = RisLoadStack((1j * 50.0 * np.eye(2),))
         h = channel_z_general(net, loads)
         assert rel_err(h, np.ones((2, 2))) < 1e-14
 
     def test_general_requires_assumption_one(self):
         net = build_trivial_network()
-        stripped = MultiportNetwork(
-            dims=net.dims, z_tt=net.z_tt, z_ti=net.z_ti, z_tr=net.z_tr,
-            z_it=net.z_it, z_ii=net.z_ii, z_ir=net.z_ir,
-            z_rt=net.z_rt, z_ri=net.z_ri, z_rr=net.z_rr, z0=net.z0,
-            assumptions=frozenset())
-        with pytest.raises(AssumptionViolated):
-            channel_z_general(stripped, RisLoadStack((1j * 50.0 * np.eye(2),)))
+        blocks = {name: getattr(net, name) for name in _BLOCKS}
+        fed_back = MultiportNetwork(dims=net.dims, z0=net.z0,
+                                    **{**blocks, "z_ti": np.ones((2, 2))})
+        assert fed_back.assumptions == {2, 3, 4, 5}
+        with pytest.raises(AssumptionViolated, match=r"\[1\]"):
+            channel_z_general(fed_back, RisLoadStack((1j * 50.0 * np.eye(2),)))
 
-    def test_assumption_flags_verified_against_blocks(self):
-        net = build_trivial_network()
-        with pytest.raises(AssumptionViolated):
-            MultiportNetwork(
-                dims=net.dims, z_tt=net.z_tt, z_ti=np.ones((2, 2)), z_tr=net.z_tr,
-                z_it=net.z_it, z_ii=net.z_ii, z_ir=net.z_ir,
-                z_rt=net.z_rt, z_ri=net.z_ri, z_rr=net.z_rr, z0=net.z0,
-                assumptions=frozenset({1}))
+    def test_assumptions_read_from_blocks(self):
+        everything = {1, 2, 3, 4, 5, 6}
+        for held in ({1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4, 5}, everything):
+            assert broken_network(everything - held).assumptions == held
+        # a break within the tolerance, 1e-10 z0, still counts as zero
+        net = broken_network(())
+        blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
+        blocks["z_rt"][0, 0] += 1e-9
+        assert MultiportNetwork(dims=net.dims, z0=net.z0, **blocks).assumptions == everything
+
+    @pytest.mark.parametrize("include_sides", [False, True])
+    def test_cascade_round_trips_through_its_network(self, include_sides):
+        # side links come back exactly when the cascade had them
+        dims = Dimensions(n_t=2, n_r=3, n_i=2, l=3)
+        ch = gaussian_cascade(dims, np.random.default_rng(71), include_sides)
+        back = cascade_from_network(network_from_cascade(ch))
+        assert (back.sides is None) == (not include_sides)
+        pairs = list(zip(ch.hops(), back.hops()))
+        if include_sides:
+            pairs += [(ch.sides.h_rt, back.sides.h_rt),
+                      *zip(ch.sides.h_ri + ch.sides.h_it, back.sides.h_ri + back.sides.h_it)]
+        for a, b in pairs:
+            assert rel_err(a, b) < 1e-15
+
+    @pytest.mark.parametrize("broken", [1, 2, 3, 4, 5, 6])
+    def test_models_refuse_a_broken_assumption(self, broken):
+        net = broken_network({broken})
+        assert net.assumptions == {1, 2, 3, 4, 5, 6} - {broken}
+        loads = random_diagonal_lossless_loads(3, 3, np.random.default_rng(67))
+        for model, needs in _NEEDS:
+            if broken in needs:
+                with pytest.raises(AssumptionViolated, match=rf"\[{broken}\]"):
+                    model(net, loads)
+            else:
+                assert np.isfinite(model(net, loads)).all()
+        if broken <= 5:
+            with pytest.raises(AssumptionViolated):
+                cascade_from_network(net)
+        else:
+            assert cascade_from_network(net).sides is not None
 
     def test_model_chain_on_random_matched_instances(self):
         rng = np.random.default_rng(31)
@@ -158,7 +223,7 @@ class TestChannelModels:
         for i in range(stream_trials):
             l = int(rng.integers(1, 5))
             dims = Dimensions(n_t=2, n_r=2, n_i=int(rng.integers(2, 5)), l=l)
-            ch = random_cascade_channels(dims, rng)
+            ch = gaussian_cascade(dims, rng)
             net = network_from_cascade(ch)
             loads = (random_diagonal_lossless_loads(l, dims.n_i, rng) if i % 2
                      else random_full_lossless_loads(l, dims.n_i, rng))
@@ -176,7 +241,7 @@ class TestChannelModels:
         for _ in range(6):
             l = int(rng.integers(2, 4))
             dims = Dimensions(n_t=2, n_r=2, n_i=3, l=l)
-            ch = random_cascade_channels(dims, rng, include_sides=True)
+            ch = gaussian_cascade(dims, rng, include_sides=True)
             net = network_from_cascade(ch)
             loads = random_full_lossless_loads(l, 3, rng)
             h1 = channel_z_general(net, loads)
@@ -204,8 +269,7 @@ class TestChannelModels:
                                     pytest.param(-10 ** 5000, id="-10**5000")])
     def test_reference_impedance_checked(self, z0):
         net = build_trivial_network()
-        blocks = {name: getattr(net, name) for name in
-                  ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")}
+        blocks = {name: getattr(net, name) for name in _BLOCKS}
         with pytest.raises(DimensionMismatch, match="z0 must be"):
             MultiportNetwork(dims=net.dims, z0=z0, **blocks)
 
@@ -215,14 +279,13 @@ class TestChannelModels:
         # a NaN channel and NaN loads a LinAlgError
         rng = np.random.default_rng(59)
         dims = Dimensions(n_t=2, n_r=2, n_i=3, l=2)
-        net = network_from_cascade(random_cascade_channels(dims, rng))
+        net = network_from_cascade(gaussian_cascade(dims, rng))
         loads = random_diagonal_lossless_loads(2, 3, rng)
         assert np.isfinite(channel_z_general(net, loads)).all()
-        blocks = {name: getattr(net, name).copy() for name in
-                  ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")}
+        blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
         blocks["z_ii"][4, 1] = bad
         with pytest.raises(NonFiniteInput, match="z_ii"):
-            MultiportNetwork(dims=dims, z0=net.z0, assumptions=net.assumptions, **blocks)
+            MultiportNetwork(dims=dims, z0=net.z0, **blocks)
         broken = loads.loads[1].copy()
         broken[0, 0] = bad
         with pytest.raises(NonFiniteInput, match="load 1"):

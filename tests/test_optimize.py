@@ -7,6 +7,7 @@ from conftest import (
     alg1_dense_reference,
     best_of_restarts,
     fold,
+    gaussian_cascade,
     grid_search_gain_l2,
     los_physics_phases_per_surface,
     ones_cascade,
@@ -43,7 +44,6 @@ from multiris.optimize import (
 )
 from multiris.optimize import _physics_from_widely, _rank_one_factors
 from multiris.rng import RandomStream
-from multiris.validation import random_cascade_channels
 
 
 def _unit_rows(rng, count, n, first=None):
@@ -390,7 +390,7 @@ class TestLosClosedForms:
         assert gain >= grid_best * (1.0 - 1e-9)
 
     def test_multipath_input_rejected(self):
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=4, l=2),
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=2),
                                      np.random.default_rng(41))
         with pytest.raises(NotRankOne):
             los_optimal_phases_physics(ch)
@@ -446,7 +446,7 @@ class TestUpperBounds:
     def test_two_surface_expansion_value(self):
         # four segment-norm products: |ATBTC| style expansion with unit thetas
         rng = np.random.default_rng(43)
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng)
         a, b, c = ch.h_ri_l, ch.inter[0], ch.h_it_1
         sn = lambda m: np.linalg.svd(m, compute_uv=False)[0]
         expect = (sn(a) * sn(b) * sn(c) + sn(a) * sn(b @ c) +
@@ -455,7 +455,7 @@ class TestUpperBounds:
 
     def test_widely_bound_is_norm_product(self):
         rng = np.random.default_rng(47)
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=3, l=3), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=3), rng)
         sn = lambda m: np.linalg.svd(m, compute_uv=False)[0]
         expect = (sn(ch.h_ri_l) * sn(ch.inter[0]) * sn(ch.inter[1]) * sn(ch.h_it_1)) ** 2
         assert upper_bound_widely(ch) == pytest.approx(expect, rel=1e-10)
@@ -463,7 +463,7 @@ class TestUpperBounds:
     def test_path_sum_matches_expansion_oracle(self):
         rng = np.random.default_rng(51)
         for l in (1, 2, 3, 4, 5, 6, 17):
-            ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=2, l=l), rng)
+            ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=2, l=l), rng)
             expect = upper_bound_physics_expansion(ch)
             assert upper_bound_physics(ch) == pytest.approx(expect, rel=1e-12)
 
@@ -588,7 +588,7 @@ class TestAlg1:
 
     def test_widely_gain_invariant_under_common_phase(self):
         rng = np.random.default_rng(89)
-        ch = random_cascade_channels(Dimensions(n_t=2, n_r=2, n_i=4, l=2), rng)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=2), rng)
         thetas = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))) for _ in range(2)]
         rotated = [thetas[0] * np.exp(1j * 0.7), thetas[1]]
         g = channel_gain(assemble_widely_used(ch, thetas))

@@ -10,6 +10,7 @@ from multiris.errors import (
     DimensionMismatch,
     EmptySample,
     EmptySequence,
+    NonFiniteInput,
     RangeExceeded,
 )
 from multiris.fading import FadingSpec, draw_los_link
@@ -210,8 +211,15 @@ class TestMonteCarloMetrics:
             mc_relative_difference([1.0], [0.0])
         with pytest.raises(DegenerateDenominator):
             mc_normalized_gain([1.0], [0.0])
-        with pytest.raises(DegenerateDenominator):
-            mc_relative_difference([1.0], [float("nan")])
+
+    @pytest.mark.parametrize("metric, x, y", [
+        (mc_relative_difference, [math.nan, 1.0], [1.0, 1.0]),
+        (mc_relative_difference, [1.0], [math.nan]),
+        (mc_normalized_gain, [math.inf, 1.0], [1.0, 1.0]),
+    ])
+    def test_non_finite_samples_rejected(self, metric, x, y):
+        with pytest.raises(NonFiniteInput):
+            metric(x, y)
 
 
 class TestScatteringStrength:
@@ -230,6 +238,14 @@ class TestScatteringStrength:
             structural_scattering_strength([1.0, 2.0])
         with pytest.raises(DegenerateDenominator):
             structural_scattering_strength([0.0, 0.0])
+        with pytest.raises(NonFiniteInput):
+            structural_scattering_strength([math.nan, 1.0])
+
+    @pytest.mark.parametrize("draws", [0, 2.5, True])
+    def test_estimate_rejects_bad_draw_counts(self, draws):
+        with pytest.raises(EmptySample, match="draws must be an integer"):
+            estimate_mean_sq_singular_values(4, 4, FadingSpec("los"), RandomStream(31),
+                                             draws=draws)
 
     def test_los_estimate_is_rank_one(self):
         lam = estimate_mean_sq_singular_values(4, 4, FadingSpec("los"),
