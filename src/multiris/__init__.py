@@ -64,7 +64,6 @@ from .optimize import (
 )
 from .rng import RandomStream
 from .scaling import (
-    ScalingInputs,
     estimate_mean_sq_singular_values,
     expected_gain_physics_los,
     expected_gain_suboptimal_los,

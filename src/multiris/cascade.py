@@ -22,7 +22,7 @@ DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SideLinks:
     """Direct and skip paths of a full multipath layout.
 
@@ -43,7 +43,7 @@ class SideLinks:
                                                for k, m in enumerate(self.h_it)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeChannels:
     """The per-hop channel matrices of one realization.
 
@@ -114,7 +114,7 @@ class CascadeChannels:
         return [self.h_ri_l, *reversed(self.inter), self.h_it_1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringStack:
     """One surface configuration per surface, tagged with the architecture it obeys.
 
@@ -243,25 +243,23 @@ def assemble_widely_used(ch: CascadeChannels, stack) -> np.ndarray:
 def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
     """Full multipath channel: direct, single-bounce and every multi-bounce path.
 
-    Sums 1 + l(l+1)/2 terms. Needs the side links; raises MissingSideLinks
+    Sums the 1 + l(l+1)/2 paths in one pass over the surfaces: reach_k, every
+    path from the transmitter through surface k, is (Theta_k - I)(in_k +
+    inter[k-1] reach_{k-1}). Needs the side links; raises MissingSideLinks
     when the cascade does not carry them.
     """
     if ch.sides is None:
         raise MissingSideLinks("assemble_full_physics needs side links on the cascade")
     thetas = _theta_list(stack, ch)
-    l = ch.n_l
     # receiver-side link leaving surface k / transmitter-side link entering surface k
     out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
     in_links = [ch.h_it_1] + list(ch.sides.h_it)
 
     h = ch.sides.h_rt
-    for k in range(l):
-        h = h + times_factor(out_links[k], thetas[k], 1.0) @ in_links[k]
-    for top in range(1, l):
-        acc = times_factor(out_links[top], thetas[top], 1.0)
-        for k in range(top - 1, -1, -1):
-            acc = times_factor(acc @ ch.inter[k], thetas[k], 1.0)
-            h = h + acc @ in_links[k]
+    for k in range(ch.n_l):
+        entering = in_links[k] if k == 0 else in_links[k] + ch.inter[k - 1] @ reach
+        reach = factor_times(thetas[k], 1.0, entering)
+        h = h + out_links[k] @ reach
     return h
 
 

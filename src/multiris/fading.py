@@ -12,7 +12,7 @@ from .multiport import Dimensions
 from .rng import RandomStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LosLink:
     """Rank-1 steering link: path_gain * outer(a, b) with unit-modulus a, b."""
 

@@ -140,6 +140,14 @@ class ExperimentSpec:
         if not self.architectures or any(a not in ARCHITECTURES for a in self.architectures):
             raise SpecError(f"architectures must be a non-empty subset of {ARCHITECTURES}, "
                             f"got {shown(self.architectures)}")
+        # a repeated grid value would run its points again and repeat their rows
+        for name in ("l", "n_i_grid", "rician_k", "models", "architectures"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise SpecError(f"{name} values must be distinct, got {shown(values)}")
+        unused = sorted(set(self.trial_overrides) - set(self.n_i_grid))
+        if unused:
+            raise SpecError(f"trial overrides must name sizes in n_i_grid, got {unused}")
         if not (is_finite_real(self.path_gain) and self.path_gain > 0):
             raise SpecError(f"path_gain must be finite and positive, got {shown(self.path_gain)}")
         object.__setattr__(self, "path_gain", float(self.path_gain))

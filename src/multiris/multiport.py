@@ -81,7 +81,7 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiportNetwork:
     """Partitioned impedance matrix of the full link.
 
@@ -185,7 +185,7 @@ class MultiportNetwork:
                 f"blocks do not satisfy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RisLoadStack:
     """Per-surface load impedance matrices terminating the surface elements."""
 

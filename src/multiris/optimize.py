@@ -176,7 +176,7 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
 # -- inner problem ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProblemData:
     """Coefficients of one surface's subproblem: maximize |g_rt + g_ri Theta g_it|^2.
 

@@ -11,7 +11,6 @@ counterparts of both operate on paired gain samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,97 +26,89 @@ from .errors import (
     shown,
 )
 from .fading import FadingSpec, gen_link
-from .multiport import Dimensions
 from .rng import RandomStream
 
-_LOG_MAX = math.log(np.finfo(float).max)
+
+def _check_los_dims(n_i, l, n_t=1, n_r=1, path_gain=1.0):
+    """The closed forms' inputs as Python ints and a float: numpy scalars would
+    wrap or warn where Python numbers overflow."""
+    dims = (n_i, l, n_t, n_r)
+    if not all(is_int(v) and is_finite_real(v) for v in dims) or min(n_i, n_t, n_r) < 1 or l < 0:
+        raise DimensionMismatch("need ints n_i, n_t, n_r >= 1 and l >= 0 inside the double "
+                                f"range, got (n_i, l, n_t, n_r) = {shown(dims)}")
+    if not (is_finite_real(path_gain) and path_gain >= 0):
+        raise DimensionMismatch(
+            f"path_gain must be a finite number >= 0, got {shown(path_gain)}")
+    return (*(int(v) for v in dims), float(path_gain))
 
 
-def _double_ints(*values) -> bool:
-    """Every value an int a double can hold: the closed forms compute in floats."""
-    return all(is_int(v) and is_finite_real(v) for v in values)
+def _per_surface(n_i: int) -> dict[str, tuple[float, float]]:
+    """Per-surface factor of each closed form and its excess over n_i^2, so that
+    factor = n_i^2 (1 + excess); the excess is formed directly, not by subtraction."""
+    n = float(n_i)
+    s = math.sqrt(math.pi) * math.sqrt(n_i)  # sqrt(pi n_i): pi * n_i overflows above ~5.7e307
+    return {"physics": (n * n + s * n + n, (s + 1.0) / n),
+            "widely_used": (n * n, 0.0),
+            "suboptimal_cross": (n * n + n, 1.0 / n)}
 
 
-@dataclass(frozen=True)
-class ScalingInputs:
-    """Cascade geometry and path gain the closed forms are evaluated at."""
-
-    n_i: int
-    l: int
-    n_t: int
-    n_r: int
-    path_gain: float = 1.0
-
-    def __post_init__(self):
-        Dimensions(n_t=self.n_t, n_r=self.n_r, n_i=self.n_i, l=self.l)
-        dims = (self.n_i, self.l, self.n_t, self.n_r)
-        if not _double_ints(*dims):
-            raise DimensionMismatch(
-                f"n_i, l, n_t, n_r must lie inside the double range, got {shown(dims)}")
-        # numpy ints are stored as Python ints: int64 products such as n_i^2 would wrap
-        for name in ("n_i", "l", "n_t", "n_r"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not (is_finite_real(self.path_gain) and self.path_gain >= 0):
-            raise DimensionMismatch(
-                f"path_gain must be a finite number >= 0, got {shown(self.path_gain)}")
-
-
-def _guarded_power(base: float, exponent: int, context: str) -> float:
-    if base > 0 and exponent * math.log(base) > _LOG_MAX:
+def _in_range(context: str, value) -> float:
+    """value(), or RangeExceeded where it leaves the double range."""
+    try:
+        result = value()
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
         raise RangeExceeded(f"{context} overflows double precision")
-    return base ** exponent
+    return result
 
 
-def _sqrt_pi_n(n_i) -> float:
-    """sqrt(pi n_i) without forming pi * n_i, which overflows above n_i ~ 5.7e307."""
-    return math.sqrt(math.pi) * math.sqrt(n_i)
+def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
+    """path_gain^2 * factor^l * n_r n_t for the per-surface factor of model."""
+    n_i, l, n_t, n_r, path_gain = _check_los_dims(n_i, l, n_t, n_r, path_gain)
+    factor = _per_surface(n_i)[model][0]
+    return _in_range(f"the expected {model} gain",
+                     lambda: path_gain ** 2 * factor ** l * n_r * n_t)
 
 
-def expected_gain_physics_los(inputs: ScalingInputs) -> float:
+def expected_gain_physics_los(n_i: int, l: int, n_t: int, n_r: int,
+                              path_gain: float = 1.0) -> float:
     """Average optimal gain of the physical model over line-of-sight draws:
 
     path_gain^2 * (n_i^2 + sqrt(pi n_i) n_i + n_i)^l * n_r n_t.
     """
-    n = inputs.n_i
-    factor = n * n + _sqrt_pi_n(n) * n + n
-    core = _guarded_power(factor, inputs.l, "expected_gain_physics_los")
-    return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
+    return _expected_gain("physics", n_i, l, n_t, n_r, path_gain)
 
-def expected_gain_widely_los(inputs: ScalingInputs) -> float:
+
+def expected_gain_widely_los(n_i: int, l: int, n_t: int, n_r: int,
+                             path_gain: float = 1.0) -> float:
     """Gain of the widely used model at its optimum. Deterministic, so the
     average is the every-realization value: path_gain^2 n_i^(2l) n_r n_t."""
-    core = _guarded_power(float(inputs.n_i), 2 * inputs.l, "expected_gain_widely_los")
-    return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
+    return _expected_gain("widely_used", n_i, l, n_t, n_r, path_gain)
 
 
-def expected_gain_suboptimal_los(inputs: ScalingInputs) -> float:
+def expected_gain_suboptimal_los(n_i: int, l: int, n_t: int, n_r: int,
+                                 path_gain: float = 1.0) -> float:
     """Average physical-model gain of phases tuned against the widely used model:
 
     path_gain^2 * (n_i^2 + n_i)^l * n_r n_t.
     """
-    n = inputs.n_i
-    core = _guarded_power(float(n * n + n), inputs.l, "expected_gain_suboptimal_los")
-    return inputs.path_gain ** 2 * core * inputs.n_r * inputs.n_t
-
-
-def _check_los_dims(n_i, l):
-    if not _double_ints(n_i, l) or n_i < 1 or l < 0:
-        raise DimensionMismatch("need ints n_i >= 1 and l >= 0 inside the double range, "
-                                f"got n_i={shown(n_i)}, l={shown(l)}")
+    return _expected_gain("suboptimal_cross", n_i, l, n_t, n_r, path_gain)
 
 
 def relative_difference_los(n_i: int, l: int) -> float:
-    """Closed-form eta: ((n_i + sqrt(pi n_i) + 1)^l - n_i^l) / n_i^l."""
-    _check_los_dims(n_i, l)
-    top = _guarded_power(n_i + _sqrt_pi_n(n_i) + 1.0, l, "relative_difference_los")
-    bottom = _guarded_power(float(n_i), l, "relative_difference_los")
-    return (top - bottom) / bottom
+    """Closed-form eta: ((n_i + sqrt(pi n_i) + 1)^l - n_i^l) / n_i^l, formed as
+    (1 + excess)^l - 1 so that it neither cancels nor overflows before eta does."""
+    n_i, l = _check_los_dims(n_i, l)[:2]
+    excess = _per_surface(n_i)["physics"][1]
+    return _in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)))
 
 
 def normalized_gain_los(n_i: int, l: int) -> float:
     """Closed-form rho: ((n_i + 1) / (n_i + sqrt(pi n_i) + 1))^l."""
-    _check_los_dims(n_i, l)
-    return ((n_i + 1.0) / (n_i + _sqrt_pi_n(n_i) + 1.0)) ** l
+    n_i, l = _check_los_dims(n_i, l)[:2]
+    table = _per_surface(n_i)
+    return ((1.0 + table["suboptimal_cross"][1]) / (1.0 + table["physics"][1])) ** l
 
 
 # -- Monte Carlo counterparts -------------------------------------------------------

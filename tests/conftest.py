@@ -86,6 +86,23 @@ def fold(hops, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def full_physics_pairwise(ch: CascadeChannels, stack: ScatteringStack) -> np.ndarray:
+    """The full multipath channel as the explicit sum over (entry, exit) surface
+    pairs, l(l+1)/2 products: the oracle for cascade.assemble_full_physics."""
+    thetas = stack.thetas
+    out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
+    in_links = [ch.h_it_1] + list(ch.sides.h_it)
+    h = ch.sides.h_rt
+    for k in range(ch.n_l):
+        h = h + times_factor(out_links[k], thetas[k], 1.0) @ in_links[k]
+    for top in range(1, ch.n_l):
+        acc = times_factor(out_links[top], thetas[top], 1.0)
+        for k in range(top - 1, -1, -1):
+            acc = times_factor(acc @ ch.inter[k], thetas[k], 1.0)
+            h = h + acc @ in_links[k]
+    return h
+
+
 def los_physics_phases_per_surface(ch: CascadeChannels) -> list[np.ndarray]:
     """The physical-model line-of-sight optimum surface by surface, straight from
     the steering factors: pi + arg(b^T a) - arg b - arg a at every element, with

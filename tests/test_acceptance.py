@@ -41,7 +41,6 @@ from multiris.optimize import (
 )
 from multiris.rng import RandomStream
 from multiris.scaling import (
-    ScalingInputs,
     estimate_mean_sq_singular_values,
     expected_gain_physics_los,
     expected_gain_widely_los,
@@ -160,8 +159,8 @@ def test_los_scaling_law(report):
         for l in (2, 4):
             stream = RandomStream(1003, ("acceptance", "scaling", n_i, l))
             phys, widely, _ = _los_point_gains(n_i, l, 1000, stream)
-            expect_p = expected_gain_physics_los(ScalingInputs(n_i=n_i, l=l, n_t=2, n_r=2))
-            expect_w = expected_gain_widely_los(ScalingInputs(n_i=n_i, l=l, n_t=2, n_r=2))
+            expect_p = expected_gain_physics_los(n_i, l, 2, 2)
+            expect_w = expected_gain_widely_los(n_i, l, 2, 2)
             worst_mean = max(worst_mean, abs(phys.mean() - expect_p) / expect_p)
             worst_widely = max(worst_widely, float(np.abs(widely - expect_w).max() / expect_w))
     dt = time.perf_counter() - t0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import fold, gaussian_cascade, ones_cascade
+from conftest import fold, full_physics_pairwise, gaussian_cascade, ones_cascade
 from multiris.cascade import (
     CascadeChannels,
     MultiSectorSpec,
@@ -23,13 +23,20 @@ from multiris.errors import (
     NonFiniteInput,
     SectorIndexOutOfRange,
 )
-from multiris.multiport import channel_z_matched, channel_z_pure_cascade, scattering_to_z
-from multiris.optimize import channel_gain
+from multiris.fading import draw_los_link
+from multiris.multiport import (
+    Dimensions,
+    RisLoadStack,
+    channel_z_matched,
+    channel_z_pure_cascade,
+    scattering_to_z,
+)
+from multiris.optimize import InnerProblemData, channel_gain
+from multiris.rng import RandomStream
 from multiris.validation import (
     network_from_cascade,
     random_phase_stack,
 )
-from multiris.multiport import Dimensions
 
 
 def rel_err(a, b):
@@ -99,6 +106,21 @@ class TestCascadeChannels:
         ch = CascadeChannels(np.ones((4, 2)), (np.ones((3, 4)),), np.ones((2, 3)))
         assert ch.widths() == (4, 3)
         assert ch.n_t == 2 and ch.n_r == 2 and ch.n_l == 2
+
+    def test_equality_and_hash_are_by_identity(self):
+        # array fields cannot be compared or hashed by value, so these classes don't try
+        rng = np.random.default_rng(41)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng, include_sides=True)
+        twin = CascadeChannels(ch.h_it_1.copy(), tuple(m.copy() for m in ch.inter),
+                               ch.h_ri_l.copy(), ch.sides)
+        assert ch == ch and ch != twin
+        stack = random_phase_stack((3, 3), rng)
+        net = network_from_cascade(ch)
+        others = (RisLoadStack((np.eye(3),)), draw_los_link(3, 2, 1.0, RandomStream(1)),
+                  InnerProblemData(0j, np.ones(3), np.ones(3), np.eye(2)[0], np.eye(2)[0]))
+        for obj in (ch, ch.sides, stack, net, *others):
+            assert hash(obj) == hash(obj) and obj == obj
+        assert {ch: 1, twin: 2}[twin] == 2
 
     def test_non_finite_rejected(self):
         inter = np.ones((4, 4))
@@ -250,6 +272,19 @@ class TestFullMultipath:
                 terms.append(acc @ in_links[k])
         assert len(terms) == 1 + l * (l + 1) // 2 == 11
         assert rel_err(assemble_full_physics(ch, stack), sum(terms)) < 1e-12
+
+    @pytest.mark.parametrize("architecture", ["diagonal", "unitary"])
+    def test_one_pass_matches_pairwise_sum(self, architecture):
+        rng = np.random.default_rng(37)
+        for l in range(1, 6):
+            ch = gaussian_cascade(Dimensions(n_t=2, n_r=3, n_i=4, l=l), rng, include_sides=True)
+            if architecture == "diagonal":
+                stack = random_phase_stack((4,) * l, rng)
+            else:
+                gauss = rng.normal(size=(l, 4, 4)) + 1j * rng.normal(size=(l, 4, 4))
+                stack = ScatteringStack("unitary", tuple(np.linalg.qr(gauss)[0]))
+            assert rel_err(assemble_full_physics(ch, stack), full_physics_pairwise(ch, stack)) \
+                < 1e-12
 
     def test_matches_impedance_matched_model(self):
         rng = np.random.default_rng(29)

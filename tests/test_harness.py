@@ -22,7 +22,7 @@ from multiris.harness import (
     run_experiment,
 )
 from multiris.harness import _GridPoint, _point_label
-from multiris.scaling import ScalingInputs, expected_gain_physics_los, expected_gain_widely_los
+from multiris.scaling import expected_gain_physics_los, expected_gain_widely_los
 
 
 def tiny_los_spec(**overrides):
@@ -146,6 +146,12 @@ class TestSpecValidation:
         {"models": None},
         {"architectures": None},
         {"n_i_grid": [4.5]},
+        {"l": [2, 2]},
+        {"n_i_grid": [4, 8, 4]},
+        {"scenario": {"kind": "rician", "k": [0, 0.0]}},
+        {"models": ["physics", "physics"]},
+        {"architectures": ["diagonal", "unitary", "diagonal"]},
+        {"trials": {"default": 5, "999": 3}},
     ])
     def test_mistyped_values_rejected(self, change):
         obj = {"scenario": "los", "l": 2, "n_i_grid": [4], "trials": 5, "seed": 1, **change}
@@ -172,6 +178,17 @@ class TestSpecValidation:
         {"optimizer": "x"},
         {"trial_overrides": "ab"},
         {"optimizer": {"init": "identity"}},
+        {"l": (2, 2)},
+        {"n_i_grid": (4, 4)},
+        {"scenario": "rician", "rician_k": (0, 0.0)},
+        {"scenario": "rician", "rician_k": (1.0, 3.0, np.float64(1.0))},
+        {"models": ("physics", "physics")},
+        {"architectures": ("diagonal", "diagonal")},
+        {"trial_overrides": {999: 5}},
+        {"n_i_grid": (4, 8), "trial_overrides": {4: 2, 16: 3}},
+        pytest.param({"l": (2, 2), "n_i_grid": (4, 4), "trials": 2,
+                      "models": ("physics", "physics"),
+                      "architectures": ("diagonal", "diagonal")}, id="every-grid-repeated"),
     ])
     def test_python_caller_values_rejected(self, change):
         # typed, and with a message that prints even for an int too long to repr
@@ -286,14 +303,12 @@ class TestRunExperiment:
             assert row.bound_mean is None
             if row.model == "physics":
                 assert row.eta is not None and row.rho is None
-                expect = expected_gain_physics_los(
-                    ScalingInputs(n_i=row.n_i, l=row.l, n_t=2, n_r=2))
+                expect = expected_gain_physics_los(row.n_i, row.l, 2, 2)
                 # 3 trials only; just sanity-band the Monte Carlo mean
                 assert 0.3 * expect < row.mean_gain < 3.0 * expect
             elif row.model == "widely_used":
                 assert row.eta is None and row.rho is None
-                expect = expected_gain_widely_los(
-                    ScalingInputs(n_i=row.n_i, l=row.l, n_t=2, n_r=2))
+                expect = expected_gain_widely_los(row.n_i, row.l, 2, 2)
                 assert row.mean_gain == pytest.approx(expect, rel=1e-9)
                 assert row.std_err == pytest.approx(0.0, abs=1e-6 * expect)
             else:
@@ -574,6 +589,13 @@ class TestCli:
         binary.write_bytes(b'{"scenario": "\xff"}')
         assert main(["run", "--spec", str(binary)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_repeated_grid_value_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "repeated.json"
+        spec_path.write_text(json.dumps({"scenario": "los", "l": [2, 2], "n_i_grid": [4],
+                                         "trials": 2, "seed": 1}))
+        assert main(["run", "--spec", str(spec_path)]) == 2
+        assert "error: l values must be distinct" in capsys.readouterr().err
 
     def test_mistyped_spec_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "typo.json"

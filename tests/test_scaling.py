@@ -1,5 +1,6 @@
 """Closed-form scaling laws, discrepancy metrics, and their Monte Carlo twins."""
 
+import decimal
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from multiris.errors import (
 from multiris.fading import FadingSpec, draw_los_link
 from multiris.rng import RandomStream
 from multiris.scaling import (
-    ScalingInputs,
     estimate_mean_sq_singular_values,
     expected_gain_physics_los,
     expected_gain_suboptimal_los,
@@ -31,40 +31,36 @@ from multiris.scaling import (
 
 class TestClosedForms:
     def test_single_element_two_hop_value(self):
-        val = expected_gain_physics_los(ScalingInputs(n_i=1, l=2, n_t=2, n_r=2))
+        val = expected_gain_physics_los(1, 2, 2, 2)
         assert val == pytest.approx(56.92563222884743, rel=1e-12)
 
     def test_widely_used_value(self):
-        val = expected_gain_widely_los(ScalingInputs(n_i=4, l=4, n_t=2, n_r=2))
+        val = expected_gain_widely_los(4, 4, 2, 2)
         assert val == pytest.approx(262144.0, rel=1e-12)
 
     def test_suboptimal_value(self):
-        val = expected_gain_suboptimal_los(ScalingInputs(n_i=4, l=2, n_t=2, n_r=2))
+        val = expected_gain_suboptimal_los(4, 2, 2, 2)
         assert val == pytest.approx(1600.0, rel=1e-12)
 
     def test_path_gain_scales_quadratically(self):
-        base = ScalingInputs(n_i=8, l=3, n_t=2, n_r=4)
-        scaled = ScalingInputs(n_i=8, l=3, n_t=2, n_r=4, path_gain=3.0)
         for fn in (expected_gain_physics_los, expected_gain_widely_los,
                    expected_gain_suboptimal_los):
-            assert fn(scaled) == pytest.approx(9.0 * fn(base), rel=1e-12)
+            assert fn(8, 3, 2, 4, path_gain=3.0) == pytest.approx(9.0 * fn(8, 3, 2, 4),
+                                                                  rel=1e-12)
 
     def test_suboptimal_depth_doubling_identity(self):
         # squaring the two-hop value and stripping one gain/aperture factor
         # lands exactly on the four-hop value
         for n in (2, 8, 32):
-            two = expected_gain_suboptimal_los(ScalingInputs(n_i=n, l=2, n_t=2, n_r=2,
-                                                             path_gain=1.3))
-            four = expected_gain_suboptimal_los(ScalingInputs(n_i=n, l=4, n_t=2, n_r=2,
-                                                              path_gain=1.3))
+            two = expected_gain_suboptimal_los(n, 2, 2, 2, path_gain=1.3)
+            four = expected_gain_suboptimal_los(n, 4, 2, 2, path_gain=1.3)
             assert two ** 2 / (1.3 ** 2 * 2 * 2) == pytest.approx(four, rel=1e-12)
 
     def test_metric_factorizations(self):
         for n, l in ((4, 1), (16, 3), (64, 5)):
-            inp = ScalingInputs(n_i=n, l=l, n_t=3, n_r=2)
-            physics = expected_gain_physics_los(inp)
-            widely = expected_gain_widely_los(inp)
-            sub = expected_gain_suboptimal_los(inp)
+            physics = expected_gain_physics_los(n, l, 3, 2)
+            widely = expected_gain_widely_los(n, l, 3, 2)
+            sub = expected_gain_suboptimal_los(n, l, 3, 2)
             assert physics / widely == pytest.approx(1.0 + relative_difference_los(n, l),
                                                      rel=1e-12)
             assert sub / physics == pytest.approx(normalized_gain_los(n, l), rel=1e-12)
@@ -80,6 +76,10 @@ class TestClosedForms:
     def test_depth_zero(self):
         assert relative_difference_los(64, 0) == 0.0
         assert normalized_gain_los(64, 0) == 1.0
+        # no surface: the bare path gain and aperture, even where n_i^2 is out of range
+        for fn in _GAINS:
+            assert fn(64, 0, 2, 3, path_gain=2.0) == 24.0
+            assert fn(10 ** 300, 0, 1, 1) == 1.0
 
     def test_eta_asymptote(self):
         # eta -> l sqrt(pi / n) for wide surfaces
@@ -113,41 +113,82 @@ class TestClosedForms:
             for l in (2, 4):
                 physics = (n * n + math.sqrt(math.pi * n) * n + n) ** l * 2 * 2
                 assert expected_gain_physics_los(
-                    ScalingInputs(n_i=n, l=l, n_t=2, n_r=2)) == pytest.approx(physics, rel=1e-15)
+                    n, l, 2, 2) == pytest.approx(physics, rel=1e-15)
 
     def test_overflow_guard(self):
         with pytest.raises(RangeExceeded):
-            expected_gain_physics_los(ScalingInputs(n_i=10 ** 9, l=40, n_t=1, n_r=1))
+            expected_gain_physics_los(10 ** 9, 40, 1, 1)
+        # eta itself is small here although (n_i + sqrt(pi n_i) + 1)^l overflows
+        assert relative_difference_los(10 ** 9, 40) == pytest.approx(
+            _decimal_eta(10 ** 9, 40), rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda: expected_gain_physics_los(10 ** 200, 1, 1, 1),
+        lambda: expected_gain_suboptimal_los(10 ** 200, 1, 1, 1),
+        lambda: expected_gain_widely_los(1, 1, 1, 1, path_gain=1e200),
+        lambda: expected_gain_physics_los(2, 1, 10 ** 200, 10 ** 200),
+        # l log(n_i^2) equals log(max double) after rounding: the power itself overflows
+        lambda: expected_gain_widely_los(2, 512, 1, 1),
+        lambda: relative_difference_los(1, 1000),
+    ])
+    def test_gains_beyond_the_double_range_raise(self, call):
         with pytest.raises(RangeExceeded):
-            relative_difference_los(10 ** 9, 40)
+            call()
+
+    @pytest.mark.parametrize("n_i, l", [(128, 150), (10 ** 9, 40), (10 ** 200, 1), (16, 4),
+                                        (1, 5), (128, 4)])
+    def test_eta_matches_a_decimal_evaluation(self, n_i, l):
+        assert relative_difference_los(n_i, l) == pytest.approx(_decimal_eta(n_i, l), rel=1e-12)
+
+    def test_numpy_scalars_give_python_floats(self):
+        val = expected_gain_physics_los(np.int64(4), np.int64(2), np.int64(2), np.int64(2),
+                                        np.float64(1.0))
+        assert type(val) is float
+        assert val == expected_gain_physics_los(4, 2, 2, 2)
+
+
+def _decimal_eta(n_i, l):
+    """(1 + (sqrt(pi n_i) + 1) / n_i)^l - 1 in 400-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        n = decimal.Decimal(n_i)
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        return float((1 + ((pi * n).sqrt() + 1) / n) ** l - 1)
+
+
+_GAINS = (expected_gain_physics_los, expected_gain_widely_los, expected_gain_suboptimal_los)
 
 
 class TestInputValidation:
     def test_rejects_nonpositive_dims(self):
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=0, l=2, n_t=2, n_r=2)
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=4, l=2, n_t=2, n_r=-1)
+        for dims in ((0, 2, 2, 2), (4, 2, 2, -1), (4, -1, 2, 2), (4, 2, 0, 2)):
+            for fn in _GAINS:
+                with pytest.raises(DimensionMismatch):
+                    fn(*dims)
 
     def test_rejects_bool_dims(self):
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=True, l=2, n_t=2, n_r=2)
+        for fn in _GAINS:
+            with pytest.raises(DimensionMismatch):
+                fn(True, 2, 2, 2)
 
     def test_rejects_huge_negative_dims(self):
-        with pytest.raises(DimensionMismatch, match="n_i must be"):
-            ScalingInputs(n_i=-10 ** 5000, l=2, n_t=2, n_r=2)
+        for fn in _GAINS:
+            with pytest.raises(DimensionMismatch, match="n_i, n_t, n_r >= 1"):
+                fn(-10 ** 5000, 2, 2, 2)
 
     @pytest.mark.parametrize("field", ["n_i", "l", "n_t", "n_r"])
     def test_rejects_dims_beyond_double_range(self, field):
         dims = {"n_i": 4, "l": 2, "n_t": 2, "n_r": 2, field: 10 ** 400}
-        with pytest.raises(DimensionMismatch, match="double range"):
-            ScalingInputs(**dims)
+        for fn in _GAINS:
+            with pytest.raises(DimensionMismatch, match="double range"):
+                fn(**dims)
 
     def test_rejects_bad_path_gain(self):
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=-0.5)
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=float("nan"))
+        for fn in _GAINS:
+            with pytest.raises(DimensionMismatch):
+                fn(4, 2, 2, 2, path_gain=-0.5)
+            with pytest.raises(DimensionMismatch):
+                fn(4, 2, 2, 2, path_gain=float("nan"))
 
     @pytest.mark.parametrize("n_i, l", [
         (float("nan"), 2),
@@ -169,15 +210,16 @@ class TestInputValidation:
                                            pytest.param(10 ** 400, id="10**400"),
                                            pytest.param(-10 ** 5000, id="-10**5000")])
     def test_rejects_non_number_path_gain(self, path_gain):
-        with pytest.raises(DimensionMismatch):
-            ScalingInputs(n_i=4, l=2, n_t=2, n_r=2, path_gain=path_gain)
+        for fn in _GAINS:
+            with pytest.raises(DimensionMismatch):
+                fn(4, 2, 2, 2, path_gain=path_gain)
 
 
 class TestMonteCarloMetrics:
     def test_eta_matches_closed_form_on_los_draws(self):
         n, l = 4, 2
         stream = RandomStream(101, ("mc-eta",))
-        widely = expected_gain_widely_los(ScalingInputs(n_i=n, l=l, n_t=2, n_r=2))
+        widely = expected_gain_widely_los(n, l, 2, 2)
         physics = []
         for t in range(400):
             sub = stream.child(t)
