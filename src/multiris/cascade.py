@@ -340,16 +340,16 @@ def cascade_from_network(net: multiport.MultiportNetwork) -> CascadeChannels:
     stay None.
     """
     net.require(1, 2, 3, 4, 5)
-    z0 = net.z0
     l = net.dims.l
-    h_it_1 = multiport.normalize_z_to_channel(net.z_it_block(0), z0)
-    inter = tuple(multiport.normalize_z_to_channel(net.hop_block(k), z0) for k in range(l - 1))
-    h_ri_l = multiport.normalize_z_to_channel(net.z_ri_block(l - 1), z0)
+
+    def channel(rows, cols):
+        return multiport.normalize_z_to_channel(net.block(rows, cols), net.z0)
+
+    h_it_1 = channel(0, "t")
+    inter = tuple(channel(k + 1, k) for k in range(l - 1))
+    h_ri_l = channel("r", l - 1)
     sides = None
     if 6 not in net.assumptions:
-        sides = SideLinks(
-            multiport.normalize_z_to_channel(net.z_rt, z0),
-            tuple(multiport.normalize_z_to_channel(net.z_ri_block(k), z0) for k in range(l - 1)),
-            tuple(multiport.normalize_z_to_channel(net.z_it_block(k), z0) for k in range(1, l)),
-        )
+        sides = SideLinks(channel("r", "t"), tuple(channel("r", k) for k in range(l - 1)),
+                          tuple(channel(k, "t") for k in range(1, l)))
     return CascadeChannels(h_it_1, inter, h_ri_l, sides)

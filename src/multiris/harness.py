@@ -127,8 +127,9 @@ class ExperimentSpec:
                 raise SpecError("a rician scenario needs a non-empty rician_k grid")
             if any(not is_finite_real(k) or k < 0 for k in self.rician_k):
                 raise SpecError(f"rician_k must be finite and >= 0, got {shown(self.rician_k)}")
-            # stored as floats, so the emitted spec reads back to the same bytes
-            object.__setattr__(self, "rician_k", tuple(float(k) for k in self.rician_k))
+            # stored as floats, so the emitted spec reads back to the same bytes;
+            # + 0.0 turns -0.0 into 0.0, so both write the same table
+            object.__setattr__(self, "rician_k", tuple(float(k) + 0.0 for k in self.rician_k))
         elif self.rician_k:
             raise SpecError(f"rician_k only applies to scenario rician, got {shown(self.rician_k)}")
         if not self.models or any(m not in MODELS for m in self.models):

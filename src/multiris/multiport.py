@@ -2,9 +2,10 @@
 
 The whole wireless system is one linear N-port: transmitter antennas, the
 elements of each reconfigurable surface in order, then receiver antennas.
-Its impedance matrix is held in partitioned form. The channel expressions
-here map that partition plus the surface load impedances to the end-to-end
-voltage-transfer channel matrix under progressively stronger assumptions:
+Its impedance matrix Z is held whole; Dimensions.ports says which rows and
+columns belong to which port group. The channel expressions here map Z's
+blocks plus the surface load impedances to the end-to-end voltage-transfer
+channel matrix under progressively stronger assumptions:
 
 1. no feedback into the transmitter and none out of the receiver
    (Z_TI = Z_TR = Z_IR = 0),
@@ -66,6 +67,28 @@ class Dimensions:
     def n_ports(self) -> int:
         return self.n_t + self.l * self.n_i + self.n_r
 
+    def ports(self, group) -> slice:
+        """Rows (or columns) of the impedance matrix that hold a port group.
+
+        Ports run transmitter, surface 0 ... surface l-1, receiver. A group is
+        "t", "r", "i" (every surface element) or a surface index k in 0..l-1.
+        """
+        n_t, n_i = self.n_t, self.n_i
+        end_i = n_t + self.l * n_i
+        spans = {"t": (0, n_t), "i": (n_t, end_i), "r": (end_i, self.n_ports)}
+        if is_int(group) and 0 <= group < self.l:
+            return slice(n_t + group * n_i, n_t + (group + 1) * n_i)
+        if isinstance(group, str) and group in spans:
+            return slice(*spans[group])
+        raise DimensionMismatch(f"a port group is 't', 'r', 'i' or a surface index in "
+                                f"0..{self.l - 1}, got {shown(group)}")
+
+
+def _checked_z0(z0) -> float:
+    if not (is_finite_real(z0) and z0 > 0):
+        raise DimensionMismatch(f"z0 must be a finite real number > 0, got {shown(z0)}")
+    return float(z0)
+
 
 def _as_finite(a, name: str, ndims=(2,)) -> np.ndarray:
     """a as a finite complex array with one of the allowed ndims."""
@@ -83,97 +106,51 @@ def _max_abs(a: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MultiportNetwork:
-    """Partitioned impedance matrix of the full link.
-
-    Blocks follow the transmitter / surfaces / receiver split: z_ii is the
-    (l*n_i) x (l*n_i) surface-to-surface block, z_it and z_ri are the stacked
-    transmitter-to-surface and surface-to-receiver blocks. assumptions holds
-    the ids 1-6 of the module docstring that the blocks satisfy.
+    """Impedance matrix z of the full link, n_ports x n_ports in the port order
+    of Dimensions.ports. assumptions holds the ids 1-6 of the module docstring
+    that its blocks satisfy.
     """
 
     dims: Dimensions
-    z_tt: np.ndarray
-    z_ti: np.ndarray
-    z_tr: np.ndarray
-    z_it: np.ndarray
-    z_ii: np.ndarray
-    z_ir: np.ndarray
-    z_rt: np.ndarray
-    z_ri: np.ndarray
-    z_rr: np.ndarray
+    z: np.ndarray
     z0: float = DEFAULT_Z0
     assumptions: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        d = self.dims
-        if not (is_finite_real(self.z0) and self.z0 > 0):
-            raise DimensionMismatch(f"z0 must be a finite real number > 0, got {shown(self.z0)}")
-        object.__setattr__(self, "z0", float(self.z0))
-        ni_all = d.l * d.n_i
-        spec = {
-            "z_tt": (d.n_t, d.n_t),
-            "z_ti": (d.n_t, ni_all),
-            "z_tr": (d.n_t, d.n_r),
-            "z_it": (ni_all, d.n_t),
-            "z_ii": (ni_all, ni_all),
-            "z_ir": (ni_all, d.n_r),
-            "z_rt": (d.n_r, d.n_t),
-            "z_ri": (d.n_r, ni_all),
-            "z_rr": (d.n_r, d.n_r),
-        }
-        for name, shape in spec.items():
-            block = _as_finite(getattr(self, name), name)
-            if block.shape != shape:
-                raise DimensionMismatch(f"{name} must have shape {shape}, got {block.shape}")
-            object.__setattr__(self, name, block)
+        object.__setattr__(self, "z0", _checked_z0(self.z0))
+        z = _as_finite(self.z, "z")
+        n = self.dims.n_ports
+        if z.shape != (n, n):
+            raise DimensionMismatch(f"z must have shape {(n, n)}, got {z.shape}")
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "assumptions", self._held_assumptions())
 
-    # -- block accessors (surface indices are 0-based) ------------------------
-
-    def _sl(self, k: int) -> slice:
-        n = self.dims.n_i
-        return slice(k * n, (k + 1) * n)
-
-    def surface_block(self, k: int) -> np.ndarray:
-        """Z_II diagonal block of surface k (its own array coupling)."""
-        return self.z_ii[self._sl(k), self._sl(k)]
-
-    def hop_block(self, k: int) -> np.ndarray:
-        """Z_II subdiagonal block from surface k to surface k+1."""
-        return self.z_ii[self._sl(k + 1), self._sl(k)]
-
-    def z_it_block(self, k: int) -> np.ndarray:
-        """Transmitter-to-surface-k block."""
-        return self.z_it[self._sl(k), :]
-
-    def z_ri_block(self, k: int) -> np.ndarray:
-        """Surface-k-to-receiver block."""
-        return self.z_ri[:, self._sl(k)]
-
-    # -- assumptions ------------------------------------------------------------
+    def block(self, rows, cols) -> np.ndarray:
+        """The block of z from port group cols to port group rows (a view)."""
+        return self.z[self.dims.ports(rows), self.dims.ports(cols)]
 
     def _held_assumptions(self) -> frozenset[int]:
         tol = _BLOCK_TOL * self.z0
         l = self.dims.l
+        b = self.block
 
         def zero(*blocks):
-            return all(_max_abs(b) <= tol for b in blocks)
+            return all(_max_abs(x) <= tol for x in blocks)
 
         def matched(*blocks):
-            return all(_max_abs(b - self.z0 * np.eye(len(b))) <= tol for b in blocks)
+            return all(_max_abs(x - self.z0 * np.eye(len(x))) <= tol for x in blocks)
 
-        def z_ii_blocks(keep):
-            return [self.z_ii[self._sl(i), self._sl(j)]
-                    for i in range(l) for j in range(l) if keep(i, j)]
+        def surface_blocks(keep):
+            return [b(i, j) for i in range(l) for j in range(l) if keep(i, j)]
 
         held = {
-            1: zero(self.z_ti, self.z_tr, self.z_ir),
-            2: zero(*z_ii_blocks(lambda i, j: i < j)),
-            3: zero(*z_ii_blocks(lambda i, j: i > j + 1)),
-            4: matched(self.z_tt, self.z_rr),
-            5: matched(*(self.surface_block(k) for k in range(l))),
-            6: zero(self.z_rt, *(self.z_it_block(k) for k in range(1, l)),
-                    *(self.z_ri_block(k) for k in range(l - 1))),
+            1: zero(b("t", "i"), b("t", "r"), b("i", "r")),
+            2: zero(*surface_blocks(lambda i, j: i < j)),
+            3: zero(*surface_blocks(lambda i, j: i > j + 1)),
+            4: matched(b("t", "t"), b("r", "r")),
+            5: matched(*(b(k, k) for k in range(l))),
+            6: zero(b("r", "t"), *(b(k, "t") for k in range(1, l)),
+                    *(b("r", k) for k in range(l - 1))),
         }
         return frozenset(k for k, ok in held.items() if ok)
 
@@ -248,20 +225,18 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[
     N[i][j] for i < j exactly the zero matrix. Returns the inverse as a list
     of lists of blocks.
     """
-    d = [np.asarray(b, dtype=complex) for b in diagonal_blocks]
-    s = [np.asarray(b, dtype=complex) for b in subdiagonal_blocks]
+    d = [_as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
+    s = [_as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
     l = len(d)
     if l == 0:
         raise DimensionMismatch("need at least one diagonal block")
     if len(s) != l - 1:
         raise DimensionMismatch(f"{l} diagonal blocks need {l - 1} subdiagonal blocks, got {len(s)}")
-    n = d[0].shape[0] if d[0].ndim == 2 else -1
-    for k, b in enumerate(d):
-        if b.ndim != 2 or b.shape != (n, n):
-            raise DimensionMismatch(f"diagonal block {k} must be {n} x {n}, got shape {b.shape}")
-    for k, b in enumerate(s):
-        if b.ndim != 2 or b.shape != (n, n):
-            raise DimensionMismatch(f"subdiagonal block {k} must be {n} x {n}, got shape {b.shape}")
+    n = d[0].shape[0]
+    for kind, blocks in (("diagonal", d), ("subdiagonal", s)):
+        for k, b in enumerate(blocks):
+            if b.shape != (n, n):
+                raise DimensionMismatch(f"{kind} block {k} must be {n} x {n}, got shape {b.shape}")
 
     d_inv = []
     for k, b in enumerate(d):
@@ -284,8 +259,15 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[
 # -- channel models --------------------------------------------------------------
 
 
+def _between_end_arrays(net: MultiportNetwork, inner: np.ndarray) -> np.ndarray:
+    """z0 * inv(z0*I + Z_RR) @ inner @ inv(Z_TT): inner seen through the end arrays."""
+    eye_r = net.z0 * np.eye(net.dims.n_r)
+    left = net.z0 * _checked_inv(eye_r + net.block("r", "r"), "z0*I + z_rr")
+    return left @ inner @ _checked_inv(net.block("t", "t"), "z_tt")
+
+
 def channel_z_general(net: MultiportNetwork, loads) -> np.ndarray:
-    """End-to-end channel from the full impedance partition.
+    """End-to-end channel from the full impedance matrix.
 
     Needs only assumption 1. Computes
     z0 * inv(z0*I + Z_RR) @ (Z_RT - Z_RI inv(Z_I + Z_II) Z_IT) @ inv(Z_TT)
@@ -293,25 +275,24 @@ def channel_z_general(net: MultiportNetwork, loads) -> np.ndarray:
     """
     net.require(1)
     stack = _loads_for(net, loads)
-    d = net.dims
-    z_i = np.zeros((d.l * d.n_i, d.l * d.n_i), dtype=complex)
-    for k, z in enumerate(stack.loads):
-        z_i[net._sl(k), net._sl(k)] = z
-    y = _checked_inv(z_i + net.z_ii, "z_i + z_ii")
-    inner = net.z_rt - net.z_ri @ y @ net.z_it
-    left = net.z0 * _checked_inv(net.z0 * np.eye(d.n_r) + net.z_rr, "z0*I + z_rr")
-    return left @ inner @ _checked_inv(net.z_tt, "z_tt")
+    ports = net.dims.ports
+    z = net.z.copy()
+    for k, z_k in enumerate(stack.loads):
+        z[ports(k), ports(k)] += z_k
+    y = _checked_inv(z[ports("i"), ports("i")], "z_i + z_ii")
+    inner = net.block("r", "t") - net.block("r", "i") @ y @ net.block("i", "t")
+    return _between_end_arrays(net, inner)
 
 
 def _cascade_sum(net: MultiportNetwork, diag_blocks) -> np.ndarray:
     """Z_RT minus the double sum of Z_RI,l Ybar[l][k] Z_IT,k over l >= k."""
-    hops = [net.hop_block(k) for k in range(net.dims.l - 1)]
-    ybar = block_subdiagonal_inverse(diag_blocks, hops)
-    acc = net.z_rt.astype(complex).copy()
-    for i in range(net.dims.l):
-        z_ri_i = net.z_ri_block(i)
+    l = net.dims.l
+    ybar = block_subdiagonal_inverse(diag_blocks, [net.block(k + 1, k) for k in range(l - 1)])
+    acc = net.block("r", "t").copy()
+    for i in range(l):
+        z_ri_i = net.block("r", i)
         for j in range(i + 1):
-            acc -= z_ri_i @ ybar[i][j] @ net.z_it_block(j)
+            acc -= z_ri_i @ ybar[i][j] @ net.block(j, "t")
     return acc
 
 
@@ -323,11 +304,8 @@ def channel_z_cascade(net: MultiportNetwork, loads) -> np.ndarray:
     """
     net.require(1, 2, 3)
     stack = _loads_for(net, loads)
-    d_blocks = [stack.loads[k] + net.surface_block(k) for k in range(net.dims.l)]
-    inner = _cascade_sum(net, d_blocks)
-    d = net.dims
-    left = net.z0 * _checked_inv(net.z0 * np.eye(d.n_r) + net.z_rr, "z0*I + z_rr")
-    return left @ inner @ _checked_inv(net.z_tt, "z_tt")
+    d_blocks = [stack.loads[k] + net.block(k, k) for k in range(net.dims.l)]
+    return _between_end_arrays(net, _cascade_sum(net, d_blocks))
 
 
 def channel_z_matched(net: MultiportNetwork, loads) -> np.ndarray:
@@ -356,23 +334,28 @@ def channel_z_pure_cascade(net: MultiportNetwork, loads) -> np.ndarray:
     l = net.dims.l
     eye_i = net.z0 * np.eye(net.dims.n_i)
     inv_last = _checked_inv(stack.loads[l - 1] + eye_i, f"load {l - 1} + z0*I")
-    acc = net.z_ri_block(l - 1) @ inv_last
+    acc = net.block("r", l - 1) @ inv_last
     for k in range(l - 2, -1, -1):
         inv_k = _checked_inv(stack.loads[k] + eye_i, f"load {k} + z0*I")
-        acc = acc @ (net.hop_block(k) @ inv_k)
+        acc = acc @ (net.block(k + 1, k) @ inv_k)
     sign = -((-1.0) ** (l - 1))
-    return (sign / (2.0 * net.z0)) * (acc @ net.z_it_block(0))
+    return (sign / (2.0 * net.z0)) * (acc @ net.block(0, "t"))
 
 
 # -- impedance / scattering maps --------------------------------------------------
 
 
+def _square(a, name: str) -> np.ndarray:
+    arr = _as_finite(a, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
 def z_to_scattering(z_load: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
     """Scattering matrix of a load bank: Theta = inv(Z + z0 I) (Z - z0 I)."""
-    z = np.asarray(z_load, dtype=complex)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimensionMismatch(f"load matrix must be square, got shape {z.shape}")
-    eye = z0 * np.eye(z.shape[0])
+    z = _square(z_load, "load matrix")
+    eye = _checked_z0(z0) * np.eye(z.shape[0])
     return _checked_inv(z + eye, "z_load + z0*I") @ (z - eye)
 
 
@@ -382,9 +365,8 @@ def scattering_to_z(theta: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
     Raises OpenCircuitSingularity when Theta has an eigenvalue at 1, since that
     element is an open circuit with no finite impedance.
     """
-    th = np.asarray(theta, dtype=complex)
-    if th.ndim != 2 or th.shape[0] != th.shape[1]:
-        raise DimensionMismatch(f"scattering matrix must be square, got shape {th.shape}")
+    th = _square(theta, "scattering matrix")
+    z0 = _checked_z0(z0)
     eigs = np.linalg.eigvals(th)
     if np.min(np.abs(eigs - 1.0)) < 1e-9:
         raise OpenCircuitSingularity(
@@ -395,4 +377,4 @@ def scattering_to_z(theta: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
 
 def normalize_z_to_channel(z_block: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
     """Convert a transfer impedance block to its channel-matrix normalization."""
-    return np.asarray(z_block, dtype=complex) / (2.0 * z0)
+    return _as_finite(z_block, "z_block") / (2.0 * _checked_z0(z0))

@@ -11,6 +11,7 @@ counterparts of both operate on paired gain samples.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -52,14 +53,17 @@ def _per_surface(n_i: int) -> dict[str, tuple[float, float]]:
             "suboptimal_cross": (n * n + n, 1.0 / n)}
 
 
-def _in_range(context: str, value) -> float:
-    """value(), or RangeExceeded where it leaves the double range."""
+def _in_range(context: str, value, exact_zero: bool = False) -> float:
+    """value(), or RangeExceeded where it leaves the double range: above its top,
+    or below its smallest normal number when the exact value is not zero."""
     try:
         result = value()
     except OverflowError:
         result = math.inf
     if not math.isfinite(result):
         raise RangeExceeded(f"{context} overflows double precision")
+    if result < sys.float_info.min and not exact_zero:
+        raise RangeExceeded(f"{context} underflows double precision")
     return result
 
 
@@ -68,7 +72,7 @@ def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
     n_i, l, n_t, n_r, path_gain = _check_los_dims(n_i, l, n_t, n_r, path_gain)
     factor = _per_surface(n_i)[model][0]
     return _in_range(f"the expected {model} gain",
-                     lambda: path_gain ** 2 * factor ** l * n_r * n_t)
+                     lambda: path_gain ** 2 * factor ** l * n_r * n_t, path_gain == 0)
 
 
 def expected_gain_physics_los(n_i: int, l: int, n_t: int, n_r: int,
@@ -101,14 +105,16 @@ def relative_difference_los(n_i: int, l: int) -> float:
     (1 + excess)^l - 1 so that it neither cancels nor overflows before eta does."""
     n_i, l = _check_los_dims(n_i, l)[:2]
     excess = _per_surface(n_i)["physics"][1]
-    return _in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)))
+    return _in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)),
+                     l == 0)
 
 
 def normalized_gain_los(n_i: int, l: int) -> float:
     """Closed-form rho: ((n_i + 1) / (n_i + sqrt(pi n_i) + 1))^l."""
     n_i, l = _check_los_dims(n_i, l)[:2]
     table = _per_surface(n_i)
-    return ((1.0 + table["suboptimal_cross"][1]) / (1.0 + table["physics"][1])) ** l
+    return _in_range("normalized_gain_los", lambda: (
+        (1.0 + table["suboptimal_cross"][1]) / (1.0 + table["physics"][1])) ** l)
 
 
 # -- Monte Carlo counterparts -------------------------------------------------------

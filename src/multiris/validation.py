@@ -121,28 +121,19 @@ def network_from_cascade(ch: CascadeChannels, z0: float = multiport.DEFAULT_Z0) 
         if ch.width(k) != n_i:
             raise DimensionMismatch("impedance synthesis needs uniform surface widths")
     dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
-    ni_all = l * n_i
-    z_ii = np.zeros((ni_all, ni_all), dtype=complex)
-    z_it = np.zeros((ni_all, n_t), dtype=complex)
-    z_ri = np.zeros((n_r, ni_all), dtype=complex)
-    for k in range(l):
-        z_ii[k * n_i:(k + 1) * n_i, k * n_i:(k + 1) * n_i] = z0 * np.eye(n_i)
+    ports = dims.ports
+    # every end and surface array matched: the diagonal blocks are z0*I
+    z = z0 * np.eye(dims.n_ports, dtype=complex)
+    z[ports(0), ports("t")] = 2.0 * z0 * ch.h_it_1
     for k in range(l - 1):
-        z_ii[(k + 1) * n_i:(k + 2) * n_i, k * n_i:(k + 1) * n_i] = 2.0 * z0 * ch.inter[k]
-    z_it[:n_i, :] = 2.0 * z0 * ch.h_it_1
-    z_ri[:, (l - 1) * n_i:] = 2.0 * z0 * ch.h_ri_l
-    z_rt = np.zeros((n_r, n_t), dtype=complex)
+        z[ports(k + 1), ports(k)] = 2.0 * z0 * ch.inter[k]
+    z[ports("r"), ports(l - 1)] = 2.0 * z0 * ch.h_ri_l
     if ch.sides is not None:
-        z_rt = 2.0 * z0 * ch.sides.h_rt
+        z[ports("r"), ports("t")] = 2.0 * z0 * ch.sides.h_rt
         for k in range(l - 1):
-            z_ri[:, k * n_i:(k + 1) * n_i] = 2.0 * z0 * ch.sides.h_ri[k]
-            z_it[(k + 1) * n_i:(k + 2) * n_i, :] = 2.0 * z0 * ch.sides.h_it[k]
-    return MultiportNetwork(
-        dims=dims,
-        z_tt=z0 * np.eye(n_t), z_ti=np.zeros((n_t, ni_all)), z_tr=np.zeros((n_t, n_r)),
-        z_it=z_it, z_ii=z_ii, z_ir=np.zeros((ni_all, n_r)),
-        z_rt=z_rt, z_ri=z_ri, z_rr=z0 * np.eye(n_r), z0=z0,
-    )
+            z[ports("r"), ports(k)] = 2.0 * z0 * ch.sides.h_ri[k]
+            z[ports(k + 1), ports("t")] = 2.0 * z0 * ch.sides.h_it[k]
+    return MultiportNetwork(dims, z, z0)
 
 
 def random_phase_stack(widths, rng: np.random.Generator) -> ScatteringStack:

@@ -257,6 +257,14 @@ class TestSpecValidation:
                 embedded = ExperimentSpec.from_json_dict(json.loads(text)["spec"])
             assert format_table(run_experiment(embedded), fmt) == text
 
+    def test_negative_zero_k_gives_the_bytes_of_zero(self):
+        # -0.0 passes the k >= 0 check; kept as is it wrote "-0.0" into the spec and every row
+        tables = [[format_table(run_experiment(ExperimentSpec(
+            scenario="rician", l=(1,), n_i_grid=(2,), seed=1, trials=2, rician_k=(k,))), fmt)
+            for fmt in ("csv", "json")] for k in (-0.0, 0.0)]
+        assert tables[0] == tables[1]
+        assert "-0.0" not in tables[0][0]
+
     def test_rician_k_constraints(self):
         with pytest.raises(SpecError, match="non-empty rician_k"):
             ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=1, trials=5)

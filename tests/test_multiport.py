@@ -53,6 +53,22 @@ class TestDimensions:
         with pytest.raises(DimensionMismatch):
             Dimensions(**kwargs)
 
+    @pytest.mark.parametrize("dims", [Dimensions(1, 1, 1, 1), Dimensions(2, 3, 4, 2),
+                                      Dimensions(3, 1, 2, 5), Dimensions(1, 4, 7, 3)],
+                             ids=repr)
+    def test_ports_tile_in_order(self, dims):
+        index = range(dims.n_ports)
+        rows = [list(index[dims.ports(g)]) for g in ("t", *range(dims.l), "r")]
+        assert sum(rows, []) == list(index)
+        assert [len(r) for r in rows] == [dims.n_t, *[dims.n_i] * dims.l, dims.n_r]
+        assert list(index[dims.ports("i")]) == sum(rows[1:-1], [])
+        assert dims.ports(np.int64(dims.l - 1)) == dims.ports(dims.l - 1)
+
+    @pytest.mark.parametrize("group", [2, -1, "x", "T", "", "ti", True, 1.0, None, (0,)])
+    def test_ports_reject_unknown_groups(self, group):
+        with pytest.raises(DimensionMismatch, match="port group"):
+            Dimensions(n_t=2, n_r=2, n_i=3, l=2).ports(group)
+
 
 class TestBlockSubdiagonalInverse:
     def test_single_block_is_plain_inverse(self):
@@ -114,31 +130,30 @@ class TestBlockSubdiagonalInverse:
 def build_trivial_network(z_rt_scale=2.0):
     """No surface coupling at all: only the direct Z_RT path."""
     z0 = 50.0
-    dims = Dimensions(n_t=2, n_r=2, n_i=2, l=1)
-    ni = dims.n_i
-    return MultiportNetwork(
-        dims=dims,
-        z_tt=z0 * np.eye(2), z_ti=np.zeros((2, ni)), z_tr=np.zeros((2, 2)),
-        z_it=np.zeros((ni, 2)), z_ii=z0 * np.eye(ni), z_ir=np.zeros((ni, 2)),
-        z_rt=z_rt_scale * z0 * np.ones((2, 2)), z_ri=np.zeros((2, ni)),
-        z_rr=z0 * np.eye(2), z0=z0,
-    )
+    eye, zeros = z0 * np.eye(2), np.zeros((2, 2))
+    z = np.block([[eye, zeros, zeros], [zeros, eye, zeros],
+                  [z_rt_scale * z0 * np.ones((2, 2)), zeros, eye]])
+    return MultiportNetwork(Dimensions(n_t=2, n_r=2, n_i=2, l=1), z, z0)
 
 
-_BLOCKS = ("z_tt", "z_ti", "z_tr", "z_it", "z_ii", "z_ir", "z_rt", "z_ri", "z_rr")
+def moved(net, rows, cols, entry=(0, 0), by=1.0):
+    """net with one entry of its (rows, cols) block moved by `by`."""
+    z = net.z.copy()
+    z[net.dims.ports(rows), net.dims.ports(cols)][entry] += by
+    return MultiportNetwork(net.dims, z, net.z0)
 
-# the network broken_network starts from: three surfaces, so every z_ii block kind exists
+
+# the network broken_network starts from: three surfaces, so every Z_II block kind exists
 _DIMS = Dimensions(n_t=2, n_r=2, n_i=3, l=3)
-_N = _DIMS.n_i
 
-# one entry per assumption id: the block entry whose change breaks it
+# one block per assumption id: the block whose first entry, moved, breaks it
 _BREAKS = {
-    1: ("z_ti", (0, 0)),
-    2: ("z_ii", (0, _N)),          # surface 1 back into surface 0
-    3: ("z_ii", (2 * _N, 0)),      # surface 0 straight to surface 2
-    4: ("z_rr", (0, 0)),
-    5: ("z_ii", (_N, _N)),         # surface 1's own coupling
-    6: ("z_rt", (0, 0)),
+    1: ("t", "i"),
+    2: (0, 1),      # surface 1 back into surface 0
+    3: (2, 0),      # surface 0 straight to surface 2
+    4: ("r", "r"),
+    5: (1, 1),      # surface 1's own coupling
+    6: ("r", "t"),
 }
 
 
@@ -146,11 +161,9 @@ def broken_network(ids, seed=61):
     """A matched pure-cascade network with one block entry moved by 1 (z0 is 50)
     for each assumption id in ids."""
     net = network_from_cascade(gaussian_cascade(_DIMS, np.random.default_rng(seed)))
-    blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
     for k in ids:
-        name, entry = _BREAKS[k]
-        blocks[name][entry] += 1.0
-    return MultiportNetwork(dims=_DIMS, z0=net.z0, **blocks)
+        net = moved(net, *_BREAKS[k])
+    return net
 
 
 # what each model needs, by its function
@@ -168,10 +181,7 @@ class TestChannelModels:
         assert rel_err(h, np.ones((2, 2))) < 1e-14
 
     def test_general_requires_assumption_one(self):
-        net = build_trivial_network()
-        blocks = {name: getattr(net, name) for name in _BLOCKS}
-        fed_back = MultiportNetwork(dims=net.dims, z0=net.z0,
-                                    **{**blocks, "z_ti": np.ones((2, 2))})
+        fed_back = moved(build_trivial_network(), "t", "i")
         assert fed_back.assumptions == {2, 3, 4, 5}
         with pytest.raises(AssumptionViolated, match=r"\[1\]"):
             channel_z_general(fed_back, RisLoadStack((1j * 50.0 * np.eye(2),)))
@@ -181,10 +191,7 @@ class TestChannelModels:
         for held in ({1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4, 5}, everything):
             assert broken_network(everything - held).assumptions == held
         # a break within the tolerance, 1e-10 z0, still counts as zero
-        net = broken_network(())
-        blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
-        blocks["z_rt"][0, 0] += 1e-9
-        assert MultiportNetwork(dims=net.dims, z0=net.z0, **blocks).assumptions == everything
+        assert moved(broken_network(()), "r", "t", by=1e-9).assumptions == everything
 
     @pytest.mark.parametrize("include_sides", [False, True])
     def test_cascade_round_trips_through_its_network(self, include_sides):
@@ -257,7 +264,7 @@ class TestChannelModels:
         net = build_trivial_network(z_rt_scale=0.8)
         loads = RisLoadStack((1j * 50.0 * np.eye(2),))
         h = channel_z_matched(net, loads)
-        assert rel_err(h, normalize_z_to_channel(net.z_rt, 50.0)) < 1e-14
+        assert rel_err(h, normalize_z_to_channel(net.block("r", "t"), 50.0)) < 1e-14
 
     def test_load_stack_shape_checked(self):
         net = build_trivial_network()
@@ -269,9 +276,15 @@ class TestChannelModels:
                                     pytest.param(-10 ** 5000, id="-10**5000")])
     def test_reference_impedance_checked(self, z0):
         net = build_trivial_network()
-        blocks = {name: getattr(net, name) for name in _BLOCKS}
         with pytest.raises(DimensionMismatch, match="z0 must be"):
-            MultiportNetwork(dims=net.dims, z0=z0, **blocks)
+            MultiportNetwork(net.dims, net.z, z0)
+
+    @pytest.mark.parametrize("z", [np.eye(7), np.eye(6)[:5], np.ones(6), np.eye(6)[None]],
+                             ids=["7x7", "5x6", "1-d", "3-d"])
+    def test_impedance_matrix_shape_checked(self, z):
+        # n_t + l n_i + n_r = 2 + 2 + 2 ports
+        with pytest.raises(DimensionMismatch, match="z must"):
+            MultiportNetwork(Dimensions(n_t=2, n_r=2, n_i=2, l=1), z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_blocks_and_loads_rejected(self, bad):
@@ -282,10 +295,8 @@ class TestChannelModels:
         net = network_from_cascade(gaussian_cascade(dims, rng))
         loads = random_diagonal_lossless_loads(2, 3, rng)
         assert np.isfinite(channel_z_general(net, loads)).all()
-        blocks = {name: getattr(net, name).copy() for name in _BLOCKS}
-        blocks["z_ii"][4, 1] = bad
-        with pytest.raises(NonFiniteInput, match="z_ii"):
-            MultiportNetwork(dims=dims, z0=net.z0, **blocks)
+        with pytest.raises(NonFiniteInput, match="z has NaN"):
+            moved(net, 1, 0, entry=(1, 1), by=bad)
         broken = loads.loads[1].copy()
         broken[0, 0] = bad
         with pytest.raises(NonFiniteInput, match="load 1"):
@@ -326,6 +337,29 @@ class TestConversions:
     def test_normalize_is_linear_scaling(self):
         block = np.arange(6, dtype=complex).reshape(2, 3)
         assert rel_err(normalize_z_to_channel(block, 50.0), block / 100.0) < 1e-15
+
+    # unchecked, NaN reaches LAPACK (a bare LinAlgError) or the result (a silent NaN)
+    @pytest.mark.parametrize("call", [
+        lambda: scattering_to_z(np.array([[np.nan]])),
+        lambda: z_to_scattering(np.array([[np.nan]])),
+        lambda: block_subdiagonal_inverse([np.array([[np.nan]])], []),
+        lambda: block_subdiagonal_inverse([np.eye(2), np.eye(2)], [np.full((2, 2), np.inf)]),
+        lambda: normalize_z_to_channel(np.array([[np.nan]])),
+    ], ids=["scattering_to_z", "z_to_scattering", "diagonal", "subdiagonal", "normalize"])
+    def test_non_finite_input_rejected(self, call):
+        with pytest.raises(NonFiniteInput):
+            call()
+
+    # unchecked, these return an answer for a z0 no port can have (0 with a divide warning)
+    @pytest.mark.parametrize("call", [
+        lambda: z_to_scattering(np.eye(2), 0.0),
+        lambda: z_to_scattering(np.eye(2), -50.0),
+        lambda: scattering_to_z(1j * np.eye(2), float("nan")),
+        lambda: normalize_z_to_channel(np.eye(2), 0.0),
+    ], ids=["z_to_scattering-0", "z_to_scattering-negative", "scattering_to_z-nan", "normalize-0"])
+    def test_conversions_check_reference_impedance(self, call):
+        with pytest.raises(DimensionMismatch, match="z0 must be"):
+            call()
 
 
 class TestLoadStack:

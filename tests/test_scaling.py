@@ -135,6 +135,25 @@ class TestClosedForms:
         with pytest.raises(RangeExceeded):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: normalized_gain_los(1, 10 ** 4),
+        lambda: expected_gain_widely_los(4, 2, 2, 2, path_gain=1e-200),
+        lambda: expected_gain_physics_los(2, 2, 2, 2, path_gain=1e-170),
+        # a subnormal result is below the range too: 1e-320
+        lambda: expected_gain_widely_los(1, 1, 1, 1, path_gain=1e-160),
+    ])
+    def test_gains_below_the_double_range_raise(self, call):
+        # each comes out as 0.0 in doubles, a 100% relative error
+        with pytest.raises(RangeExceeded, match="underflows"):
+            call()
+
+    def test_exact_zeros_and_the_smallest_normals_are_returned(self):
+        for fn in _GAINS:
+            assert fn(4, 2, 2, 2, path_gain=0) == 0.0
+            assert fn(4, 2, 2, 2, path_gain=0.0) == 0.0
+        assert relative_difference_los(4, 0) == 0.0
+        assert expected_gain_widely_los(1, 1, 1, 1, path_gain=2e-154) == pytest.approx(4e-308)
+
     @pytest.mark.parametrize("n_i, l", [(128, 150), (10 ** 9, 40), (10 ** 200, 1), (16, 4),
                                         (1, 5), (128, 4)])
     def test_eta_matches_a_decimal_evaluation(self, n_i, l):
