@@ -3,12 +3,10 @@ reconfigurable surfaces, with the structural scattering term kept in."""
 
 from .cascade import (
     CascadeChannels,
-    MultiSectorSpec,
     ScatteringStack,
     SideLinks,
-    SurfaceSectors,
+    assemble,
     assemble_full_physics,
-    assemble_multisector,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,

@@ -3,9 +3,9 @@
 Channels live here as per-hop matrices (transmitter to first surface, surface
 to surface, last surface to receiver), and each surface contributes a factor
 (Theta - I): the -I is the structural reflection of the surface itself, not a
-tunable quantity. The widely used simplification drops that -I; both
-assemblies are provided so the two conventions can be compared on identical
-draws.
+tunable quantity. The widely used simplification drops that -I. One assembly
+takes the choice per surface, so the two conventions, and sectored surfaces
+used reflectively or transmissively, are compared on identical draws.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiport
-from .errors import DimensionMismatch, MissingSideLinks, SectorIndexOutOfRange, is_int, shown
+from .errors import DimensionMismatch, MissingSideLinks, shown
 from .multiport import _as_finite
 
 DIAGONAL_UNIT_TOL = 1e-12
@@ -222,22 +222,31 @@ def sweep_folds(hops: list, thetas: list, offsets):
             right = hops[l - 1 - pos] @ factor_times(thetas[pos], offsets[pos], right)
 
 
-def _chain(hops: list, thetas, offsets) -> np.ndarray:
-    """The whole pure-cascade product h_ri_l (Th_{L-1} - d I) ... (Th_0 - d I) h_it_1."""
-    left, right = next(sweep_folds(hops, thetas, offsets))
+def assemble(ch: CascadeChannels, stack, offsets) -> np.ndarray:
+    """Pure-cascade channel h_ri_l (Theta_{l-1} - d_{l-1} I) ... (Theta_0 - d_0 I) h_it_1.
+
+    offsets holds one d per surface: 1 keeps the surface's structural term, as
+    in the physical model and for a sectored surface used reflectively (arrival
+    and departure sector coincide); 0 drops it, as in the widely used model and
+    for a sectored surface used transmissively, which contributes bare Theta.
+    Any other value, or a list of the wrong length, raises DimensionMismatch.
+    """
+    thetas = _theta_list(stack, ch)
+    if len(offsets) != ch.n_l or not set(offsets) <= {0, 1}:
+        raise DimensionMismatch(
+            f"{ch.n_l} surfaces need {ch.n_l} offsets, each 0 or 1, got {shown(offsets)}")
+    left, right = next(sweep_folds(ch.hops(), thetas, offsets))
     return times_factor(left, thetas[0], offsets[0]) @ right
 
 
 def assemble_physics_channel(ch: CascadeChannels, stack) -> np.ndarray:
     """Pure-cascade channel with structural scattering kept: factors (Theta - I)."""
-    thetas = _theta_list(stack, ch)
-    return _chain(ch.hops(), thetas, [1.0] * ch.n_l)
+    return assemble(ch, stack, [1.0] * ch.n_l)
 
 
 def assemble_widely_used(ch: CascadeChannels, stack) -> np.ndarray:
     """Pure-cascade channel in the widely used convention: bare Theta factors."""
-    thetas = _theta_list(stack, ch)
-    return _chain(ch.hops(), thetas, [0.0] * ch.n_l)
+    return assemble(ch, stack, [0.0] * ch.n_l)
 
 
 def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
@@ -261,72 +270,6 @@ def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
         reach = factor_times(thetas[k], 1.0, entering)
         h = h + out_links[k] @ reach
     return h
-
-
-@dataclass(frozen=True)
-class SurfaceSectors:
-    """Sector usage of one surface: how many sectors it has and which are used."""
-
-    count: int
-    arrival: int
-    departure: int
-
-    def __post_init__(self):
-        if not is_int(self.count) or self.count < 1:
-            raise DimensionMismatch(f"sector count must be a positive int, got {shown(self.count)}")
-        for name in ("arrival", "departure"):
-            v = getattr(self, name)
-            if not is_int(v) or not (1 <= v <= self.count):
-                raise SectorIndexOutOfRange(f"{name} sector {shown(v)} is outside 1..{self.count}")
-
-    @property
-    def reflective(self) -> bool:
-        return self.arrival == self.departure
-
-
-@dataclass(frozen=True)
-class MultiSectorSpec:
-    """Sector layout of a multi-sector cascade over surfaces of n_i elements."""
-
-    n_i: int
-    surfaces: tuple[SurfaceSectors, ...]
-
-    def __post_init__(self):
-        if not is_int(self.n_i) or self.n_i < 1:
-            raise DimensionMismatch(f"n_i must be a positive int, got {shown(self.n_i)}")
-        if len(self.surfaces) == 0:
-            raise DimensionMismatch("a multi-sector spec needs at least one surface")
-        for k, s in enumerate(self.surfaces):
-            if self.n_i % s.count != 0:
-                raise DimensionMismatch(
-                    f"surface {k}: {self.n_i} elements do not split into {s.count} sectors")
-
-    @property
-    def l(self) -> int:
-        return len(self.surfaces)
-
-    def reduced_width(self, k: int) -> int:
-        return self.n_i // self.surfaces[k].count
-
-
-def assemble_multisector(ch: CascadeChannels, stack, spec: MultiSectorSpec) -> np.ndarray:
-    """Channel through sectored surfaces, on the reduced per-sector blocks.
-
-    Each surface contributes (Theta - delta I) where delta is 1 when its
-    arrival and departure sectors coincide (reflective use, the structural
-    term survives) and 0 otherwise (transmissive use).
-    """
-    if spec.l != ch.n_l:
-        raise DimensionMismatch(
-            f"sector spec covers {spec.l} surfaces but the cascade has {ch.n_l}")
-    for k in range(spec.l):
-        if ch.width(k) != spec.reduced_width(k):
-            raise DimensionMismatch(
-                f"surface {k}: cascade width {ch.width(k)} != reduced sector width "
-                f"{spec.reduced_width(k)}")
-    thetas = _theta_list(stack, ch)
-    offsets = [1.0 if s.reflective else 0.0 for s in spec.surfaces]
-    return _chain(ch.hops(), thetas, offsets)
 
 
 # -- impedance-domain bridge -------------------------------------------------------

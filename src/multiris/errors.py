@@ -63,10 +63,6 @@ class MissingSideLinks(MultirisError):
     """The full multipath assembly needs side links the cascade does not carry."""
 
 
-class SectorIndexOutOfRange(MultirisError):
-    """An arrival or departure sector index is outside 1..sector_count."""
-
-
 class NotRankOne(MultirisError):
     """A link matrix is not a rank-1 steering product."""
 

@@ -107,8 +107,8 @@ def _max_abs(a: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class MultiportNetwork:
     """Impedance matrix z of the full link, n_ports x n_ports in the port order
-    of Dimensions.ports. assumptions holds the ids 1-6 of the module docstring
-    that its blocks satisfy.
+    of Dimensions.ports, held as a read-only copy so that assumptions, the ids
+    1-6 of the module docstring that its blocks satisfy, cannot go stale.
     """
 
     dims: Dimensions
@@ -118,10 +118,11 @@ class MultiportNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", _checked_z0(self.z0))
-        z = _as_finite(self.z, "z")
+        z = _as_finite(self.z, "z").copy()
         n = self.dims.n_ports
         if z.shape != (n, n):
             raise DimensionMismatch(f"z must have shape {(n, n)}, got {z.shape}")
+        z.flags.writeable = False
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "assumptions", self._held_assumptions())
 

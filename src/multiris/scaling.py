@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,11 +69,16 @@ def _in_range(context: str, value, exact_zero: bool = False) -> float:
 
 
 def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
-    """path_gain^2 * factor^l * n_r n_t for the per-surface factor of model."""
+    """path_gain^2 * factor^l * n_r n_t for the per-surface factor of model, formed
+    exactly and rounded once: path_gain^2 alone may underflow, or factor^l
+    overflow, where the gain itself is a normal double."""
     n_i, l, n_t, n_r, path_gain = _check_los_dims(n_i, l, n_t, n_r, path_gain)
-    factor = _per_surface(n_i)[model][0]
-    return _in_range(f"the expected {model} gain",
-                     lambda: path_gain ** 2 * factor ** l * n_r * n_t, path_gain == 0)
+    factor = _per_surface(n_i)[model][0] if l else 1.0
+    # the binary exponent first, so that no power is formed far outside the range
+    log2 = 2 * math.log2(path_gain or 1.0) + l * math.log2(factor) + math.log2(n_r * n_t)
+    return _in_range(f"the expected {model} gain", lambda: float(
+        Fraction(path_gain) ** 2 * Fraction(factor) ** l * (n_r * n_t)) if abs(log2) < 1100
+        else (math.inf if log2 > 0 else 0.0), path_gain == 0)
 
 
 def expected_gain_physics_los(n_i: int, l: int, n_t: int, n_r: int,

@@ -15,10 +15,8 @@ import numpy as np
 from . import multiport
 from .cascade import (
     CascadeChannels,
-    MultiSectorSpec,
     ScatteringStack,
-    SurfaceSectors,
-    assemble_multisector,
+    assemble,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
@@ -238,22 +236,23 @@ def _check_structural_null(stream: RandomStream) -> CheckResult:
 
 
 def _check_transmissive_equivalence(stream: RandomStream) -> CheckResult:
+    # a surface used transmissively (offset 0) contributes Theta, a reflective
+    # one (offset 1) Theta - I; the dense product multiplies out n x n matrices
     worst = 0.0
     rng = stream.generator()
     for trial in range(10):
         l = int(rng.integers(1, 4))
-        n_i = 6
-        spec = MultiSectorSpec(n_i, tuple(SurfaceSectors(3, 1, 2) for _ in range(l)))
-        widths = tuple(spec.reduced_width(k) for k in range(l))
-        dims_red = Dimensions(n_t=2, n_r=2, n_i=widths[0], l=l)
-        ch = gen_cascade(dims_red, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims_red.n_i)),
+        dims = Dimensions(n_t=2, n_r=2, n_i=2, l=l)
+        ch = gen_cascade(dims, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims.n_i)),
                          stream.child("ch", trial))
-        stack = random_phase_stack(widths, rng)
-        h_ms = assemble_multisector(ch, stack, spec)
-        h_widely = assemble_widely_used(ch, stack)
-        worst = max(worst, _rel_err(h_ms, h_widely))
-    return CheckResult("transmissive_matches_widely_used", worst < 1e-12, worst,
-                       "all-transmissive sector model vs bare-Theta cascade")
+        stack = random_phase_stack((dims.n_i,) * l, rng)
+        offsets = rng.integers(0, 2, l).tolist()
+        dense = ch.h_it_1
+        for theta, d, hop in zip(stack.thetas, offsets, (*ch.inter, ch.h_ri_l)):
+            dense = hop @ (np.diag(theta) - d * np.eye(dims.n_i)) @ dense
+        worst = max(worst, _rel_err(assemble(ch, stack, offsets), dense))
+    return CheckResult("transmissive_drops_structural_term", worst < 1e-12, worst,
+                       "random reflective/transmissive surfaces vs the dense product")
 
 
 def _check_inner_solvers(stream: RandomStream) -> CheckResult:

@@ -86,6 +86,16 @@ def fold(hops, thetas, offsets, pos: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+def dense_cascade(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
+    """h_ri_l (Th_{l-1} - d_{l-1} I) ... inter[0] (Th_0 - d_0 I) h_it_1 multiplied out
+    with every surface as a full n x n matrix: the oracle for cascade.assemble."""
+    h = ch.h_it_1
+    for theta, d, hop in zip(thetas, offsets, (*ch.inter, ch.h_ri_l)):
+        full = np.diag(theta) if theta.ndim == 1 else theta
+        h = hop @ (full - d * np.eye(len(full))) @ h
+    return h
+
+
 def full_physics_pairwise(ch: CascadeChannels, stack: ScatteringStack) -> np.ndarray:
     """The full multipath channel as the explicit sum over (entry, exit) surface
     pairs, l(l+1)/2 products: the oracle for cascade.assemble_full_physics."""

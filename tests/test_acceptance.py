@@ -10,11 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import best_of_restarts, gaussian_cascade, grid_search_gain_l2
+from conftest import best_of_restarts, dense_cascade, gaussian_cascade, grid_search_gain_l2
 from multiris.cascade import (
-    MultiSectorSpec,
-    SurfaceSectors,
-    assemble_multisector,
+    assemble,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
@@ -32,6 +30,7 @@ from multiris.multiport import (
 )
 from multiris.optimize import (
     OptimizerConfig,
+    alg1_batch,
     alg1_optimize,
     channel_gain,
     los_optimal_phases_physics,
@@ -239,19 +238,19 @@ def test_multipath_discrepancy_trends(report):
     dims = Dimensions(2, 2, 128, 4)
     trials = 100
     rho_band = (0.03, 0.15)
+    cfgs = (OptimizerConfig(model="widely_used", architecture="diagonal"),
+            OptimizerConfig(model="physics", architecture="diagonal"))
     phys, widely, cross = [], [], []
-    for t in range(trials):
-        sub = stream.child("trial", t)
-        ch = gen_cascade(dims, FadingSpec("rayleigh"), sub.child("ch"))
-        res_w = alg1_optimize(ch, OptimizerConfig(model="widely_used",
-                                                  architecture="diagonal"),
-                              sub.child("w"))
-        res_p = alg1_optimize(ch, OptimizerConfig(model="physics",
-                                                  architecture="diagonal"),
-                              sub.child("p"))
-        phys.append(res_p.gain)
-        widely.append(res_w.gain)
-        cross.append(channel_gain(assemble_physics_channel(ch, res_w.stack.thetas)))
+    # 32 trials per alg1 batch, each trial's widely used and physics runs side by side
+    for first in range(0, trials, 32):
+        subs = [stream.child("trial", t) for t in range(first, min(first + 32, trials))]
+        chs = [gen_cascade(dims, FadingSpec("rayleigh"), sub.child("ch")) for sub in subs]
+        runs = alg1_batch([ch for ch in chs for _ in cfgs], list(cfgs) * len(chs),
+                          [sub.child(name) for sub in subs for name in ("w", "p")])
+        for ch, res_w, res_p in zip(chs, runs[::2], runs[1::2]):
+            phys.append(res_p.gain)
+            widely.append(res_w.gain)
+            cross.append(channel_gain(assemble_physics_channel(ch, res_w.stack.thetas)))
     phys = np.array(phys)
     widely = np.array(widely)
     cross = np.array(cross)
@@ -261,8 +260,8 @@ def test_multipath_discrepancy_trends(report):
     se_x = cross.std(ddof=1) / np.sqrt(len(cross)) / cross.mean()
     dt = time.perf_counter() - t0
     ok = eta_hat > 5.0 and rho_band[0] <= rho_hat <= rho_band[1] and dt < 1800.0
-    report(7, ok, f"deep multipath discrepancy at n_i=128, l=4 ({trials} trials): eta {eta_hat:.2f} > 5, "
-                  f"rho {rho_hat:.3f} in [{rho_band[0]}, {rho_band[1]}] "
+    report(7, ok, f"deep multipath discrepancy at n_i=128, l=4 ({trials} trials): "
+                  f"eta {eta_hat:.2f} > 5, rho {rho_hat:.3f} in [{rho_band[0]}, {rho_band[1]}] "
                   f"(rel std err {100 * se_p:.1f}% / {100 * se_x:.1f}%, {dt:.0f} s < 1800 s)")
     assert eta_hat > 5.0
     assert rho_band[0] <= rho_hat <= rho_band[1]
@@ -315,12 +314,12 @@ def test_multisector_identities(report):
     worst_trans = 0.0
     for _ in range(10):
         l = int(rng.integers(1, 4))
-        spec = MultiSectorSpec(8, tuple(SurfaceSectors(4, 1, 2) for _ in range(l)))
-        widths = tuple(spec.reduced_width(k) for k in range(l))
+        # eight elements in four sectors, every surface used transmissively
+        widths = (8 // 4,) * l
         ch = gaussian_cascade(Dimensions(2, 2, widths[0], l), rng)
         stack = random_phase_stack(widths, rng)
-        worst_trans = max(worst_trans, _rel_err(assemble_multisector(ch, stack, spec),
-                                                assemble_widely_used(ch, stack)))
+        worst_trans = max(worst_trans, _rel_err(assemble(ch, stack, [0] * l),
+                                                dense_cascade(ch, stack.thetas, [0] * l)))
     ch = gaussian_cascade(Dimensions(2, 2, 4, 3), rng)
     h_null = assemble_physics_channel(ch, [np.eye(4)] * 3)
     null_max = float(np.abs(h_null).max())
@@ -329,9 +328,9 @@ def test_multisector_identities(report):
     s_hat = structural_scattering_strength(lam)
     s_err = abs(s_hat - 1.0 / 36.0) * 36.0
     ok = worst_trans < 1e-12 and null_max == 0.0 and s_err < 1e-9
-    report(9, ok, f"sector identities: all-transmissive vs bare cascade {worst_trans:.2e} "
-                  f"< 1e-12, identity surfaces null the channel exactly (max {null_max}), "
-                  f"rank-1 scattering strength off by {s_err:.2e}")
+    report(9, ok, f"sector identities: all-transmissive vs dense bare-Theta product "
+                  f"{worst_trans:.2e} < 1e-12, identity surfaces null the channel exactly "
+                  f"(max {null_max}), rank-1 scattering strength off by {s_err:.2e}")
     assert worst_trans < 1e-12
     assert null_max == 0.0
     assert s_err < 1e-9

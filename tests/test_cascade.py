@@ -1,17 +1,15 @@
-"""Scattering-domain assembly: both conventions, full multipath, sectors."""
+"""Scattering-domain assembly: both conventions, full multipath, per-surface offsets."""
 
 import numpy as np
 import pytest
 
-from conftest import fold, full_physics_pairwise, gaussian_cascade, ones_cascade
+from conftest import dense_cascade, fold, full_physics_pairwise, gaussian_cascade, ones_cascade
 from multiris.cascade import (
     CascadeChannels,
-    MultiSectorSpec,
     ScatteringStack,
     SideLinks,
-    SurfaceSectors,
+    assemble,
     assemble_full_physics,
-    assemble_multisector,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
@@ -21,7 +19,6 @@ from multiris.errors import (
     DimensionMismatch,
     MissingSideLinks,
     NonFiniteInput,
-    SectorIndexOutOfRange,
 )
 from multiris.fading import draw_los_link
 from multiris.multiport import (
@@ -313,57 +310,38 @@ class TestFullMultipath:
 
 
 class TestMultiSector:
-    def test_sector_index_validation(self):
-        with pytest.raises(SectorIndexOutOfRange):
-            SurfaceSectors(2, arrival=3, departure=1)
-        with pytest.raises(SectorIndexOutOfRange):
-            SurfaceSectors(2, arrival=0, departure=1)
-
-    def test_divisibility_checked(self):
-        with pytest.raises(DimensionMismatch):
-            MultiSectorSpec(7, (SurfaceSectors(2, 1, 1),))
-
-    def test_bool_and_huge_ints_rejected(self):
-        for count in (True, 2.0, -10 ** 5000):
-            with pytest.raises(DimensionMismatch, match="sector count"):
-                SurfaceSectors(count, 1, 1)
-        for arrival in (True, 1.0, -10 ** 5000):
-            with pytest.raises(SectorIndexOutOfRange, match="arrival"):
-                SurfaceSectors(2, arrival, 1)
-        for n_i in (True, 4.0, -10 ** 5000):
-            with pytest.raises(DimensionMismatch, match="n_i must be"):
-                MultiSectorSpec(n_i, (SurfaceSectors(1, 1, 1),))
+    """A sectored surface used reflectively keeps its structural term (offset 1),
+    one used transmissively contributes bare Theta (offset 0)."""
 
     def test_all_reflective_matches_physics(self):
         rng = np.random.default_rng(37)
-        spec = MultiSectorSpec(4, tuple(SurfaceSectors(1, 1, 1) for _ in range(3)))
         ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=3), rng)
         stack = random_phase_stack((4, 4, 4), rng)
-        assert rel_err(assemble_multisector(ch, stack, spec),
-                       assemble_physics_channel(ch, stack)) == 0.0
+        assert rel_err(assemble_physics_channel(ch, stack),
+                       dense_cascade(ch, stack.thetas, [1, 1, 1])) < 1e-13
 
     def test_all_transmissive_matches_widely_used(self):
         rng = np.random.default_rng(41)
-        spec = MultiSectorSpec(8, tuple(SurfaceSectors(2, 1, 2) for _ in range(2)))
-        widths = tuple(spec.reduced_width(k) for k in range(2))
-        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=widths[0], l=2), rng)
-        stack = random_phase_stack(widths, rng)
-        assert rel_err(assemble_multisector(ch, stack, spec),
-                       assemble_widely_used(ch, stack)) == 0.0
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=2), rng)
+        stack = random_phase_stack((4, 4), rng)
+        assert rel_err(assemble_widely_used(ch, stack),
+                       dense_cascade(ch, stack.thetas, [0, 0])) < 1e-13
 
     def test_mixed_uses_hand_formula(self):
-        # surface 1 reflective (delta 1), surface 2 transmissive (delta 0)
+        # surface 1 reflective (offset 1), surface 2 transmissive (offset 0)
         rng = np.random.default_rng(43)
-        spec = MultiSectorSpec(4, (SurfaceSectors(2, 2, 2), SurfaceSectors(2, 1, 2)))
         ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=2, l=2), rng)
         stack = random_phase_stack((2, 2), rng)
         t1, t2 = (np.diag(t) for t in stack.thetas)
         expect = ch.h_ri_l @ t2 @ ch.inter[0] @ (t1 - np.eye(2)) @ ch.h_it_1
-        assert rel_err(assemble_multisector(ch, stack, spec), expect) < 1e-13
+        assert rel_err(assemble(ch, stack, [1, 0]), expect) < 1e-13
+        assert rel_err(dense_cascade(ch, stack.thetas, [1, 0]), expect) < 1e-13
 
     def test_reduced_width_mismatch_rejected(self):
+        # one offset per surface, each exactly 0 or 1
         rng = np.random.default_rng(47)
-        spec = MultiSectorSpec(8, (SurfaceSectors(2, 1, 1),))
-        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=1), rng)
-        with pytest.raises(DimensionMismatch):
-            assemble_multisector(ch, random_phase_stack((3,), rng), spec)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=3, l=2), rng)
+        stack = random_phase_stack((3, 3), rng)
+        for offsets in ([1], [1, 0, 1], [1, 0.5], [np.nan, 1]):
+            with pytest.raises(DimensionMismatch, match="offsets"):
+                assemble(ch, stack, offsets)

@@ -193,6 +193,23 @@ class TestChannelModels:
         # a break within the tolerance, 1e-10 z0, still counts as zero
         assert moved(broken_network(()), "r", "t", by=1e-9).assumptions == everything
 
+    def test_impedance_matrix_is_a_read_only_copy(self):
+        # assumptions are read once, so z must not change under them
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=2, l=2), np.random.default_rng(73))
+        net = network_from_cascade(ch)
+        ports = net.dims.ports
+        with pytest.raises(ValueError, match="read-only"):
+            net.z[ports("r"), ports("t")] += 100.0
+        # the caller's array stays theirs: writing into it leaves the network as it was
+        z = net.z.copy()
+        copied = MultiportNetwork(net.dims, z, net.z0)
+        loads = random_diagonal_lossless_loads(2, 2, np.random.default_rng(79))
+        h = channel_z_pure_cascade(copied, loads)
+        z[ports("r"), ports("t")] += 100.0
+        assert 6 in copied.assumptions
+        assert np.array_equal(channel_z_pure_cascade(copied, loads), h)
+        assert rel_err(channel_z_general(copied, loads), h) < 1e-12
+
     @pytest.mark.parametrize("include_sides", [False, True])
     def test_cascade_round_trips_through_its_network(self, include_sides):
         # side links come back exactly when the cascade had them

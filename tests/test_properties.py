@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from multiris.cascade import _chain, assemble_physics_channel
+from conftest import dense_cascade
+from multiris.cascade import ScatteringStack, assemble, assemble_physics_channel
 from multiris.fading import FadingSpec, gen_cascade
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -13,6 +14,7 @@ from multiris.optimize import (
     upper_bound_widely,
 )
 from multiris.rng import RandomStream
+from multiris.validation import random_phase_stack
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
@@ -65,4 +67,22 @@ def test_identity_surfaces_null_physical_channel(ch):
     assert not assemble_physics_channel(ch, eyes).any()
     # the phase-vector form of the same surfaces
     ones = [np.ones(w, dtype=complex) for w in ch.widths()]
-    assert not _chain(ch.hops(), ones, [1.0] * ch.n_l).any()
+    assert not assemble(ch, ones, [1] * ch.n_l).any()
+
+
+def _random_stack(widths, architecture, rng):
+    if architecture == "diagonal":
+        return random_phase_stack(widths, rng)
+    # the Q of a complex Gaussian matrix is unitary
+    return ScatteringStack("unitary", tuple(
+        np.linalg.qr(rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w)))[0]
+        for w in widths))
+
+
+@given(cascades, st.sampled_from(("diagonal", "unitary")), st.data(), seeds)
+def test_assemble_matches_dense_product(ch, architecture, data, seed):
+    offsets = data.draw(st.lists(st.sampled_from((0, 1)), min_size=ch.n_l, max_size=ch.n_l))
+    stack = _random_stack(ch.widths(), architecture, np.random.default_rng(seed))
+    h = assemble(ch, stack, offsets)
+    expect = dense_cascade(ch, stack.thetas, offsets)
+    assert np.linalg.norm(h - expect) <= 1e-12 * max(np.linalg.norm(expect), 1e-300)

@@ -154,6 +154,16 @@ class TestClosedForms:
         assert relative_difference_los(4, 0) == 0.0
         assert expected_gain_widely_los(1, 1, 1, 1, path_gain=2e-154) == pytest.approx(4e-308)
 
+    @pytest.mark.parametrize("n_i, path_gain", [(10 ** 10, 1e-200), (10 ** 20, 1e-190)])
+    def test_gains_whose_factors_leave_the_range_are_returned(self, n_i, path_gain):
+        # path_gain^2 underflows (1e-400), or n_i^(2l) overflows (1e400), but the
+        # gain, about 1e-200 or 1e20, is a normal double
+        with decimal.localcontext() as ctx:
+            ctx.prec = 400
+            exact = decimal.Decimal(path_gain) ** 2 * decimal.Decimal(n_i) ** 20
+        assert expected_gain_widely_los(n_i, 10, 1, 1, path_gain=path_gain) == pytest.approx(
+            float(exact), rel=1e-12)
+
     @pytest.mark.parametrize("n_i, l", [(128, 150), (10 ** 9, 40), (10 ** 200, 1), (16, 4),
                                         (1, 5), (128, 4)])
     def test_eta_matches_a_decimal_evaluation(self, n_i, l):
