@@ -225,16 +225,18 @@ def _check_unit_pairs(u: np.ndarray, v: np.ndarray):
 def _phase_angles(g_rt) -> np.ndarray:
     """arg g_rt elementwise, taken as 0 for either signed zero.
 
-    np.angle reads -0.0 as pi; adding +0.0 first turns every signed zero into
-    +0.0, whose angle is 0, and changes no other value.
+    The angle of -0.0 is pi; adding +0.0 first turns every signed zero into
+    +0.0, whose angle is 0, and changes no other value. arctan2 of the parts is
+    np.angle without its wrapper, bit for bit.
     """
-    return np.angle(np.add(g_rt, 0.0))
+    z = np.add(g_rt, 0.0)
+    return np.arctan2(z.imag, z.real)
 
 
 def _diagonal_phases(g_rt, terms: np.ndarray) -> np.ndarray:
     """The phase vectors of inner_solve_diagonal, over any leading batch axes;
     terms holds the products g_ri[n] g_it[n]."""
-    return np.exp(1j * (_phase_angles(g_rt)[..., None] - np.angle(terms)))
+    return np.exp(1j * (_phase_angles(g_rt)[..., None] - np.arctan2(terms.imag, terms.real)))
 
 
 def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
@@ -362,31 +364,55 @@ def _top_pairs(h: np.ndarray):
 
 
 def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
-                  offsets: np.ndarray, cfg: OptimizerConfig):
+                  offsets: np.ndarray, pair: tuple | None, cfg: OptimizerConfig):
     """Alternate the pair (u, v) and one surface's inner solution, member by member.
 
     left (A, n_r, n) and right (A, n, n_t) are the surface's end links, theta its
     stack (phase vectors (A, n) or matrices (A, n, n)), offsets the d of each
-    member. A member stops once a step gains at most rel_tol of its fold gain;
-    stopped members leave the working arrays. Returns the tuned stack and the fold
-    gains.
+    member, and pair the (gain, u, v) of each member's whole channel as it stands.
+    The last step of the previous visit computed that pair for the same channel,
+    so only a run's first visit passes None and takes an initial pair here.
+
+    A diagonal surface is folded through its coefficient products, built once per
+    visit: coef[b, k] = vec(left[b, :, k] (x) right[b, k, :]). A step then reads its
+    terms g_ri[k] g_it[k] as coef @ vec(conj(u) (x) v) and its fold as
+    (theta - d) @ coef, one stacked matmul each. A unitary surface is solved from
+    g_ri and g_it and folded through left and right.
+
+    A member stops once a step gains at most rel_tol of its fold gain; stopped
+    members leave the working arrays. Every (u, v) pair the visit consumed is
+    checked for unit norm once, at its end. Returns the tuned stack and each
+    member's final (gain, u, v).
     """
-    gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
-    if cfg.architecture == "unitary" and theta.ndim == 2:
-        theta = theta[:, :, None] * np.eye(theta.shape[1])
-    # the unitary step writes into theta, so it works on a copy of its own
-    theta, out_theta, out_gain = theta.copy(), theta.copy(), gain.copy()
-    rows = np.arange(len(gain))
+    gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right) if pair is None \
+        else pair
+    count, n_r, n = left.shape
+    diagonal = cfg.architecture == "diagonal"
+    if diagonal:
+        coef = (left.transpose(0, 2, 1)[:, :, :, None] * right[:, :, None, :]).reshape(
+            count, n, -1)
+    else:
+        if theta.ndim == 2:
+            theta = theta[:, :, None] * np.eye(n)
+        # the unitary step writes into theta, so it works on a copy of its own
+        theta = theta.copy()
+    out = [theta.copy(), gain.copy(), u.copy(), v.copy()]
+    rows = np.arange(count)
+    used_u, used_v = [], []
     for _ in range(cfg.max_inner_iters):
-        _check_unit_pairs(u, v)
-        g_ri = (u.conj()[:, None, :] @ left)[:, 0]
-        g_it = (right @ v[:, :, None])[:, :, 0]
-        terms = g_ri * g_it
-        # the structural path -d left right seen through (u, v)
-        g_rt = -offsets * terms.sum(axis=1)
-        if cfg.architecture == "diagonal":
+        used_u.append(u)
+        used_v.append(v)
+        if diagonal:
+            uv = (u.conj()[:, :, None] * v[:, None, :]).reshape(len(rows), -1, 1)
+            terms = (coef @ uv)[:, :, 0]
+            # the structural path -d left right seen through (u, v)
+            g_rt = -offsets * terms.sum(axis=1)
             theta = _diagonal_phases(g_rt, terms)
+            h = ((theta - offsets[:, None])[:, None, :] @ coef).reshape(len(rows), n_r, -1)
         else:
+            g_ri = (u.conj()[:, None, :] @ left)[:, 0]
+            g_it = (right @ v[:, :, None])[:, :, 0]
+            g_rt = -offsets * (g_ri * g_it).sum(axis=1)
             norm_ri = np.linalg.norm(g_ri, axis=1)
             norm_it = np.linalg.norm(g_it, axis=1)
             # a member whose fold through this surface is identically zero keeps its
@@ -394,19 +420,27 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
             live = (norm_ri > _TINY) & (norm_it > _TINY)
             theta[live] = _unitary_solutions(g_rt[live], g_ri[live], g_it[live],
                                              norm_ri[live], norm_it[live])
-        value, u, v = _top_pairs(times_factor(left, theta, offsets) @ right)
+            h = times_factor(left, theta, offsets) @ right
+        value, u, v = _top_pairs(h)
         going = value - gain > cfg.rel_tol * np.maximum(value, _TINY)
         gain = value
         if not going.all():
-            out_theta[rows[~going]] = theta[~going]
-            out_gain[rows[~going]] = gain[~going]
-            rows, left, right, theta, offsets, gain, u, v = (
-                a[going] for a in (rows, left, right, theta, offsets, gain, u, v))
+            stop = ~going
+            done = rows[stop]
+            for kept, now in zip(out, (theta, gain, u, v)):
+                kept[done] = now[stop]
+            rows, theta, offsets, gain, u, v = (
+                a[going] for a in (rows, theta, offsets, gain, u, v))
+            if diagonal:
+                coef = coef[going]
+            else:
+                left, right = left[going], right[going]
             if not rows.size:
-                return out_theta, out_gain
-    out_theta[rows] = theta
-    out_gain[rows] = gain
-    return out_theta, out_gain
+                break
+    for kept, now in zip(out, (theta, gain, u, v)):
+        kept[rows] = now
+    _check_unit_pairs(np.concatenate(used_u), np.concatenate(used_v))
+    return out[0], tuple(out[1:])
 
 
 def _shared_config(cfgs) -> OptimizerConfig:
@@ -443,7 +477,11 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     up to rounding. Links are stacked on a leading axis, singular pairs come
     from one stacked LAPACK SVD per step, and each member leaves the working
     arrays as soon as it stops: the inner loop when its step gain stalls, the
-    sweep loop when it converges.
+    sweep loop when it converges. Each member's (gain, u, v) is carried from the
+    last step of one surface visit into the next, across sweeps too, and compacted
+    with the members, so only the first visit computes an initial pair; see
+    _tune_surface for the coefficient products of a diagonal step and the unit
+    check once per visit.
     """
     count = len(chs)
     streams = [None] * count if streams is None else list(streams)
@@ -462,10 +500,11 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     traces: list[list[float]] = [[] for _ in range(count)]
     # (surfaces, converged, sweeps) of each member once it stops
     finals: list[tuple | None] = [None] * count
-    previous = None
+    previous = pair = None
     for sweeps in range(1, cfg.max_outer_iters + 1):
         for pos, (left, right) in enumerate(sweep_folds(links, thetas, [offsets] * len(thetas))):
-            thetas[pos], gain = _tune_surface(left, right, thetas[pos], offsets, cfg)
+            thetas[pos], pair = _tune_surface(left, right, thetas[pos], offsets, pair, cfg)
+        gain = pair[0]
         for m, g in zip(members, gain.tolist()):
             traces[m].append(g)
         converged = np.zeros(len(members), dtype=bool) if previous is None else \
@@ -477,10 +516,11 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
             break
         if stop.any():
             keep = ~stop
-            members, offsets, gain = members[keep], offsets[keep], gain[keep]
+            members, offsets = members[keep], offsets[keep]
+            pair = tuple(a[keep] for a in pair)
             links = _compact(links, keep)
             thetas = [t[keep] for t in thetas]
-        previous = gain
+        previous = pair[0]
     return [OptimizationResult(ScatteringStack(cfg.architecture, tuple(surfaces)),
                                tuple(trace), converged, sweeps)
             for (surfaces, converged, sweeps), trace in zip(finals, traces)]

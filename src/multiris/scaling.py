@@ -44,14 +44,13 @@ def _check_los_dims(n_i, l, n_t=1, n_r=1, path_gain=1.0):
     return (*(int(v) for v in dims), float(path_gain))
 
 
-def _per_surface(n_i: int) -> dict[str, tuple[float, float]]:
-    """Per-surface factor of each closed form and its excess over n_i^2, so that
-    factor = n_i^2 (1 + excess); the excess is formed directly, not by subtraction."""
+def _per_surface(n_i: int) -> dict[str, float]:
+    """Per-surface factor of each closed form as its excess over n_i^2, so that
+    factor = n_i^2 (1 + excess). The excess is formed directly, not by subtraction,
+    and leaves n_i^2, which overflows a double above n_i ~ 1.3e154, to exact arithmetic."""
     n = float(n_i)
     s = math.sqrt(math.pi) * math.sqrt(n_i)  # sqrt(pi n_i): pi * n_i overflows above ~5.7e307
-    return {"physics": (n * n + s * n + n, (s + 1.0) / n),
-            "widely_used": (n * n, 0.0),
-            "suboptimal_cross": (n * n + n, 1.0 / n)}
+    return {"physics": (s + 1.0) / n, "widely_used": 0.0, "suboptimal_cross": 1.0 / n}
 
 
 def _in_range(context: str, value, exact_zero: bool = False) -> float:
@@ -69,16 +68,18 @@ def _in_range(context: str, value, exact_zero: bool = False) -> float:
 
 
 def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
-    """path_gain^2 * factor^l * n_r n_t for the per-surface factor of model, formed
-    exactly and rounded once: path_gain^2 alone may underflow, or factor^l
-    overflow, where the gain itself is a normal double."""
+    """path_gain^2 * (n_i^2 (1 + excess))^l * n_r n_t for the per-surface excess of
+    model, formed exactly and rounded once: path_gain^2 or n_i^2 alone may leave the
+    double range, or factor^l overflow, where the gain itself is a normal double."""
     n_i, l, n_t, n_r, path_gain = _check_los_dims(n_i, l, n_t, n_r, path_gain)
-    factor = _per_surface(n_i)[model][0] if l else 1.0
+    excess = _per_surface(n_i)[model]
     # the binary exponent first, so that no power is formed far outside the range
-    log2 = 2 * math.log2(path_gain or 1.0) + l * math.log2(factor) + math.log2(n_r * n_t)
+    log2 = 2 * math.log2(path_gain or 1.0) + math.log2(n_r * n_t) + \
+        l * (2 * math.log2(n_i) + math.log1p(excess) / math.log(2))
     return _in_range(f"the expected {model} gain", lambda: float(
-        Fraction(path_gain) ** 2 * Fraction(factor) ** l * (n_r * n_t)) if abs(log2) < 1100
-        else (math.inf if log2 > 0 else 0.0), path_gain == 0)
+        Fraction(path_gain) ** 2 * (Fraction(n_i) ** 2 * (1 + Fraction(excess))) ** l
+        * (n_r * n_t)) if abs(log2) < 1100 else (math.inf if log2 > 0 else 0.0),
+        path_gain == 0)
 
 
 def expected_gain_physics_los(n_i: int, l: int, n_t: int, n_r: int,
@@ -110,7 +111,7 @@ def relative_difference_los(n_i: int, l: int) -> float:
     """Closed-form eta: ((n_i + sqrt(pi n_i) + 1)^l - n_i^l) / n_i^l, formed as
     (1 + excess)^l - 1 so that it neither cancels nor overflows before eta does."""
     n_i, l = _check_los_dims(n_i, l)[:2]
-    excess = _per_surface(n_i)["physics"][1]
+    excess = _per_surface(n_i)["physics"]
     return _in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)),
                      l == 0)
 
@@ -120,7 +121,7 @@ def normalized_gain_los(n_i: int, l: int) -> float:
     n_i, l = _check_los_dims(n_i, l)[:2]
     table = _per_surface(n_i)
     return _in_range("normalized_gain_los", lambda: (
-        (1.0 + table["suboptimal_cross"][1]) / (1.0 + table["physics"][1])) ** l)
+        (1.0 + table["suboptimal_cross"]) / (1.0 + table["physics"])) ** l)
 
 
 # -- Monte Carlo counterparts -------------------------------------------------------

@@ -687,6 +687,27 @@ class TestAlg1MatchesDenseReference:
         assert capped > 0
         assert zero_folds == 2 * 8
 
+    @pytest.mark.parametrize("n_r, n_t", [(1, 3), (3, 2)])
+    def test_folds_that_are_not_two_by_two(self, n_r, n_t):
+        """The diagonal step reshapes its coefficient products to n_r x n_t folds; a
+        receive or transmit side of one or three antennas must match the dense
+        reference too, for both architectures and both models."""
+        stream = RandomStream(113, ("batch-reference-shapes", n_r, n_t))
+        dims = [Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l) for l in (1, 2, 3) for n_i in (4, 8)]
+        for d in dims:
+            draws = [gen_cascade(d, FadingSpec("rayleigh"), stream.child("ch", d.l, d.n_i, s))
+                     for s in range(2)]
+            for arch in ("diagonal", "unitary"):
+                members = [(ch, OptimizerConfig(model=model, architecture=arch),
+                            stream.child("opt", d.l, d.n_i, arch, k, model))
+                           for k, ch in enumerate(draws)
+                           for model in ("physics", "widely_used")]
+                runs = alg1_batch(*zip(*members))
+                for (ch, cfg, opt), run in zip(members, runs):
+                    ref = alg1_dense_reference(ch, cfg, opt)
+                    assert (run.converged, run.iterations) == (ref.converged, ref.iterations)
+                    assert abs(run.gain - ref.gain) <= 1e-9 * ref.gain
+
 
 def _rayleigh(stream, l, n_i):
     return gen_cascade(Dimensions(n_t=2, n_r=2, n_i=n_i, l=l), FadingSpec("rayleigh"), stream)
@@ -722,3 +743,52 @@ class TestAlg1Batch:
         want = alone[int(np.argmax(gains))]
         assert best.gain == pytest.approx(want.gain, rel=1e-12)
         assert best.gain_trace == pytest.approx(want.gain_trace, rel=1e-12)
+
+    def test_each_visit_reuses_the_pair_of_the_last(self, monkeypatch):
+        """A surface visit starts from the pair the previous visit's last step took, so a
+        batch takes one initial pair, then one per step: l + 1 stacked pairs for one
+        sweep of one step per surface, where restarting every visit would take 2l."""
+        l = 3
+        stream = RandomStream(127, ("carried-pair",))
+        draws = [_rayleigh(stream.child("ch", s), l, 4) for s in range(2)]
+        members = [(ch, OptimizerConfig(model=model, architecture=arch, max_outer_iters=1,
+                                        max_inner_iters=1),
+                    stream.child("opt", s, model))
+                   for arch in ("diagonal", "unitary")
+                   for s, ch in enumerate(draws) for model in ("physics", "widely_used")]
+        top_pairs = optimize._top_pairs
+        calls = []
+
+        def counted(h):
+            calls.append(len(h))
+            return top_pairs(h)
+
+        monkeypatch.setattr(optimize, "_top_pairs", counted)
+        for batch in (members[:4], members[4:]):
+            calls.clear()
+            alg1_batch(*zip(*batch))
+            # every call stacks all four members
+            assert calls == [4] * (l + 1)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    def test_every_consumed_pair_is_checked(self, monkeypatch, bad):
+        """The unit check runs once per visit, on every pair the visit consumed: the
+        initial pair and the pairs carried into later visits. The pair of the run's
+        last step is consumed by no step."""
+        ch = _rayleigh(RandomStream(131, ("checked-pair",)), 3, 4)
+        cfg = OptimizerConfig(max_outer_iters=1, max_inner_iters=1)
+        top_pairs = optimize._top_pairs
+        calls = []
+
+        def stretched(h):
+            gain, u, v = top_pairs(h)
+            calls.append(None)
+            return (gain, 2.0 * u, v) if len(calls) == bad + 1 else (gain, u, v)
+
+        monkeypatch.setattr(optimize, "_top_pairs", stretched)
+        if bad < 3:
+            with pytest.raises(DimensionMismatch, match="unit norm"):
+                alg1_optimize(ch, cfg, RandomStream(1, ("opt",)))
+        else:
+            assert alg1_optimize(ch, cfg, RandomStream(1, ("opt",))).gain > 0.0
+            assert len(calls) == 4

@@ -1,5 +1,7 @@
 """Invariants of the optimizer and the assemblies on small random cascades."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from multiris.multiport import Dimensions
 from multiris.optimize import (
     OptimizerConfig,
     alg1_optimize,
+    channel_gain,
     upper_bound_physics,
     upper_bound_widely,
 )
@@ -43,6 +46,18 @@ def test_gain_within_bound(ch, cfg, seed):
 def test_gain_trace_never_falls(ch, cfg, seed):
     res = _run(ch, cfg, seed)
     assert np.all(np.diff(res.gain_trace) >= -1e-9 * res.gain)
+
+
+@given(cascades, configs, st.integers(1, 3), seeds)
+def test_gain_is_the_gain_of_the_returned_stack(ch, cfg, cap, seed):
+    # the gain comes from the pair carried through the run, not from the stack it
+    # returns; caps of 1-3 steps and sweeps stop most runs early, the defaults let
+    # them converge
+    for c in (cfg, replace(cfg, max_outer_iters=cap, max_inner_iters=cap)):
+        run = _run(ch, c, seed)
+        offset = 1 if c.model == "physics" else 0
+        expect = channel_gain(assemble(ch, run.stack, [offset] * ch.n_l))
+        assert abs(run.gain - expect) <= 1e-12 * expect
 
 
 @given(cascades, seeds)

@@ -164,6 +164,14 @@ class TestClosedForms:
         assert expected_gain_widely_los(n_i, 10, 1, 1, path_gain=path_gain) == pytest.approx(
             float(exact), rel=1e-12)
 
+    @pytest.mark.parametrize("fn, model", [(expected_gain_widely_los, "widely_used"),
+                                           (expected_gain_physics_los, "physics"),
+                                           (expected_gain_suboptimal_los, "suboptimal_cross")])
+    def test_gains_whose_n_i_squared_overflows_are_returned(self, fn, model):
+        # n_i^2 = 1e400 is inf as a double, but path_gain^2 n_i^2, about 1e-100, is not
+        assert fn(10 ** 200, 1, 1, 1, path_gain=1e-250) == pytest.approx(
+            _decimal_gain(model, 10 ** 200, 1, 1e-250), rel=1e-12)
+
     @pytest.mark.parametrize("n_i, l", [(128, 150), (10 ** 9, 40), (10 ** 200, 1), (16, 4),
                                         (1, 5), (128, 4)])
     def test_eta_matches_a_decimal_evaluation(self, n_i, l):
@@ -176,13 +184,26 @@ class TestClosedForms:
         assert val == expected_gain_physics_los(4, 2, 2, 2)
 
 
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
 def _decimal_eta(n_i, l):
     """(1 + (sqrt(pi n_i) + 1) / n_i)^l - 1 in 400-digit decimal arithmetic."""
     with decimal.localcontext() as ctx:
         ctx.prec = 400
         n = decimal.Decimal(n_i)
-        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-        return float((1 + ((pi * n).sqrt() + 1) / n) ** l - 1)
+        return float((1 + ((_PI * n).sqrt() + 1) / n) ** l - 1)
+
+
+def _decimal_gain(model, n_i, l, path_gain):
+    """path_gain^2 times the per-surface factor of model to the l in 400-digit decimal
+    arithmetic, with n_t = n_r = 1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        n = decimal.Decimal(n_i)
+        factor = {"physics": n * n + (_PI * n).sqrt() * n + n, "widely_used": n * n,
+                  "suboptimal_cross": n * n + n}[model]
+        return float(decimal.Decimal(path_gain) ** 2 * factor ** l)
 
 
 _GAINS = (expected_gain_physics_los, expected_gain_widely_los, expected_gain_suboptimal_los)
