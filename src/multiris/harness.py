@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +50,9 @@ SCENARIOS = ("los", "rayleigh", "rician")
 MODELS = ("physics", "widely_used", "suboptimal_cross")
 ARCHITECTURES = ("diagonal", "unitary")
 
-# trials per unit of work: the trials of one block of a grid point are optimized
-# as one alg1 batch per architecture, and sequential and parallel runs execute
-# the same blocks
+# (grid point, trial) pairs per unit of work: the pairs of one block, cut from the
+# K grid of one (l, n_i), are optimized as one alg1 batch per architecture, and
+# sequential and parallel runs execute the same blocks
 BLOCK_TRIALS = 32
 
 
@@ -312,7 +313,8 @@ def _point_label(point: _GridPoint) -> tuple:
 
 
 def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
-    """Bounds per trial, then one alg1 batch per architecture over every (trial, model)."""
+    """Bounds per trial, then one alg1 batch per architecture over every (trial, model)
+    of the block; the trials may come from several K points of one (l, n_i)."""
     columns = {}
     if "physics" in spec.models:
         columns[("bound", "physics")] = [upper_bound_physics(ch) for ch in chs]
@@ -349,24 +351,27 @@ def _closed_forms(spec: ExperimentSpec, ch) -> dict:
     return gains
 
 
-def _run_block(spec: ExperimentSpec, point: _GridPoint, first: int, count: int) -> dict:
-    """Trials first .. first+count-1 of one grid point, paired: every model and
-    architecture of a trial sees the same channel draw, drawn from the trial's
-    own stream. Returns columns in trial order: (model, architecture) maps to one
-    (gain, converged) per trial, ("bound", model) to one upper bound per trial."""
-    dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=point.n_i, l=point.l)
-    point_root = RandomStream(spec.seed, _point_label(point))
-    roots = [point_root.child("trial", t) for t in range(first, first + count)]
+def _draws(spec: ExperimentSpec, pairs: tuple):
+    """(channel, trial stream) of every (grid point, trial) pair of a block, in block
+    order; each channel is drawn from its own trial's stream."""
+    for point, t in pairs:
+        dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=point.n_i, l=point.l)
+        root = RandomStream(spec.seed, _point_label(point)).child("trial", t)
+        yield gen_cascade(dims, _fading_for(spec, point), root.child("channel")), root
 
-    def draw(root):
-        return gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
 
+def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
+    """One block: pairs holds (grid point, trial) pairs that share (l, n_i). Paired:
+    every model and architecture of a trial sees the same channel draw. Returns
+    columns in pair order: (model, architecture) maps to one (gain, converged) per
+    pair, ("bound", model) to one upper bound per pair."""
     if spec.scenario != "los":
-        return _optimize_block(spec, [draw(root) for root in roots], roots)
+        chs, roots = zip(*_draws(spec, pairs))
+        return _optimize_block(spec, chs, roots)
     # closed forms need no batch: hold one channel at a time
     columns = {(m, arch): [] for m in spec.models for arch in spec.architectures}
-    for root in roots:
-        gains = _closed_forms(spec, draw(root))
+    for ch, _ in _draws(spec, pairs):
+        gains = _closed_forms(spec, ch)
         for (m, _), column in columns.items():
             column.append((gains[m], True))
     return columns
@@ -376,49 +381,63 @@ def _block_task(args):
     return _run_block(*args)
 
 
-def _blocks(spec: ExperimentSpec, point: _GridPoint) -> list[tuple]:
-    """The (spec, point, first trial, trial count) units of work of one grid point."""
-    n_trials = spec.trials_for(point.n_i)
-    return [(spec, point, first, min(BLOCK_TRIALS, n_trials - first))
-            for first in range(0, n_trials, BLOCK_TRIALS)]
+def _blocks(spec: ExperimentSpec) -> list[tuple]:
+    """The (spec, pairs) units of work of the grid, in grid order.
+
+    The (grid point, trial) pairs of each run of consecutive grid points that share
+    (l, n_i) are cut, in grid order, into blocks of up to BLOCK_TRIALS pairs. _grid
+    puts K innermost, so such a run is the K grid of one (l, n_i), whose points
+    share the cascade shape; without a K axis a block holds trials of one point.
+    """
+    blocks = []
+    for _, points in groupby(_grid(spec), key=lambda p: (p.l, p.n_i)):
+        pairs = [(point, t) for point in points for t in range(spec.trials_for(point.n_i))]
+        blocks.extend((spec, tuple(pairs[start:start + BLOCK_TRIALS]))
+                      for start in range(0, len(pairs), BLOCK_TRIALS))
+    return blocks
 
 
 def _block_cost(block: tuple) -> int:
-    """A block's relative cost, read from its own shape: trials * l * n_i^2."""
-    _, point, _, count = block
-    return count * point.l * point.n_i ** 2
+    """A block's relative cost, read from its own shape: l * n_i^2 summed over its pairs."""
+    _, pairs = block
+    return sum(point.l * point.n_i ** 2 for point, _ in pairs)
 
 
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     """Run the full grid and aggregate per-point statistics.
 
-    The unit of work is a block of BLOCK_TRIALS consecutive trials of one grid
-    point, whatever parallel is. parallel > 1 hands every block of the grid to
-    a pool of worker processes, the costliest first, so that the heaviest block
-    does not start last; results are put back in grid order and reduced in
-    trial order either way, so the output is identical.
+    The unit of work is a block of up to BLOCK_TRIALS (grid point, trial) pairs,
+    cut in grid order from the K grid of one (l, n_i), whatever parallel is: a
+    block runs one alg1 batch per architecture over all of its pairs and models.
+    Packing pays only where a K grid has far fewer than BLOCK_TRIALS trials per
+    point: without a K axis a block holds trials of one point, and at BLOCK_TRIALS
+    trials per point or more nearly every batch is full either way.
+
+    parallel > 1 hands every block of the grid to a pool of worker processes, the
+    costliest first, so that the heaviest block does not start last; results are
+    put back in grid order and each point is reduced in trial order either way,
+    so the output is identical.
     """
     if not is_int(parallel) or parallel < 1:
         raise DimensionMismatch(f"parallel must be an integer >= 1, got {shown(parallel)}")
-    per_point = [_blocks(spec, point) for point in _grid(spec)]
-    tasks = [block for blocks in per_point for block in blocks]
+    tasks = _blocks(spec)
     # the pool starts every worker it is given, so never more than there are blocks
     workers = min(parallel, len(tasks))
     if workers <= 1:
-        done = iter([_run_block(*task) for task in tasks])
+        done = [_run_block(*task) for task in tasks]
     else:
         # a stable sort keeps blocks of equal cost in grid order
         order = sorted(range(len(tasks)), key=lambda i: -_block_cost(tasks[i]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_index = dict(zip(order, pool.map(_block_task, [tasks[i] for i in order])))
-        done = (by_index[i] for i in range(len(tasks)))
-    rows: list[GainStats] = []
-    for blocks in per_point:
-        columns: dict = {}
-        for _ in blocks:
-            for key, column in next(done).items():
-                columns.setdefault(key, []).extend(column)
-        rows.extend(_aggregate(spec, blocks[0][1], columns))
+        done = [by_index[i] for i in range(len(tasks))]
+    grid = _grid(spec)
+    columns: dict = {point: {} for point in grid}
+    for (_, pairs), block_columns in zip(tasks, done):
+        for key, column in block_columns.items():
+            for (point, _), value in zip(pairs, column):
+                columns[point].setdefault(key, []).append(value)
+    rows = [row for point in grid for row in _aggregate(spec, point, columns[point])]
     return GainTable(spec, tuple(rows))
 
 

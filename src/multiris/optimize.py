@@ -474,7 +474,11 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     Members share cascade shapes, architecture, iteration caps and rel_tol
     (DimensionMismatch otherwise); each has its own model and draws its initial
     phases from its own stream, so each member's result is that of its own run,
-    up to rounding. Links are stacked on a leading axis, singular pairs come
+    up to rounding. It does not depend on the batch it runs in: alone, inside a
+    larger batch or with the batch permuted, a member's gain trace, stop and
+    stack are the same bit for bit, because every stacked operation works per
+    member (the harness packs blocks by cascade shape on this, and
+    test_batch_composition_does_not_change_results pins it). Links are stacked on a leading axis, singular pairs come
     from one stacked LAPACK SVD per step, and each member leaves the working
     arrays as soon as it stops: the inner loop when its step gain stalls, the
     sweep loop when it converges. Each member's (gain, u, v) is carried from the

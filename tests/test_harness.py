@@ -21,7 +21,7 @@ from multiris.harness import (
     preset_names,
     run_experiment,
 )
-from multiris.harness import _GridPoint, _point_label
+from multiris.harness import _block_cost, _blocks, _GridPoint, _point_label
 from multiris.scaling import expected_gain_physics_los, expected_gain_widely_los
 
 
@@ -384,8 +384,12 @@ class TestRunExperiment:
     def test_pool_gets_costliest_blocks_first(self, inline_pool):
         spec = replace(figure_preset("los-diff"), trials=BLOCK_TRIALS + 8)
         parallel = format_table(run_experiment(spec, parallel=2), "csv")
-        dispatched = [(point.l, point.n_i, first, count)
-                      for _, point, first, count in inline_pool.tasks]
+        # no K axis: every block holds consecutive trials of one grid point
+        dispatched = []
+        for _, pairs in inline_pool.tasks:
+            (point, first), count = pairs[0], len(pairs)
+            assert pairs == tuple((point, t) for t in range(first, first + count))
+            dispatched.append((point.l, point.n_i, first, count))
         costs = [count * l * n_i ** 2 for l, n_i, _, count in dispatched]
         assert len(dispatched) == 2 * len(spec.l) * len(spec.n_i_grid)
         assert dispatched[0] == (4, 128, 0, BLOCK_TRIALS)
@@ -425,11 +429,56 @@ class TestRunExperiment:
         (replace(figure_preset("smoke"), trials=2), 3, None),  # one block: no pool at all
         (tiny_los_spec(), 3, 3),
         (tiny_los_spec(), 8, 4),  # four blocks, so four workers
+        # 2 trials x 5 K of one (l, n_i) are 10 pairs: one block, so no pool
+        (replace(figure_preset("rician-k"), trials=2), 2, None),
     ])
     def test_pool_never_gets_more_workers_than_blocks(self, inline_pool, spec, parallel, workers):
         table = format_table(run_experiment(spec, parallel=parallel), "csv")
         assert inline_pool.workers == ([] if workers is None else [workers])
         assert table == format_table(run_experiment(spec), "csv")
+
+    def test_k_grid_packs_into_blocks_of_pairs(self, tmp_path, monkeypatch):
+        """13 trials x 3 K are 39 (grid point, trial) pairs, cut into one block of 32
+        and one of 7, so the second block starts inside K = 30. Each K's rows must be
+        the bytes of a single-K run of that K, and the table the bytes of a real
+        2-process run."""
+        import multiris.harness as harness
+
+        spec = ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=19, trials=13,
+                              rician_k=(0.0, 1.0, 30.0),
+                              models=("physics", "widely_used", "suboptimal_cross"),
+                              architectures=("diagonal", "unitary"),
+                              optimizer={"max_outer_iters": 30})
+        k0, k1, k30 = (_GridPoint(2, 4, k) for k in spec.rician_k)
+        blocks = _blocks(spec)
+        pairs = [(point, t) for point in (k0, k1, k30) for t in range(13)]
+        assert [block_pairs for _, block_pairs in blocks] == [tuple(pairs[:32]), tuple(pairs[32:])]
+        assert [_block_cost(block) for block in blocks] == [32 * 2 * 16, 7 * 2 * 16]
+
+        batch_sizes = []
+        alg1_batch = harness.alg1_batch
+
+        def counted(chs, *args):
+            batch_sizes.append(len(chs))
+            return alg1_batch(chs, *args)
+
+        monkeypatch.setattr(harness, "alg1_batch", counted)
+        table = run_experiment(spec)
+        # one batch per architecture and block over every (pair, model) member
+        assert batch_sizes == [32 * 2, 32 * 2, 7 * 2, 7 * 2]
+        monkeypatch.undo()
+
+        def rows(text):
+            header, *lines = text.splitlines()[1:]
+            column = header.split(",").index("rician_k")
+            return lines, column
+
+        lines, column = rows(format_table(table, "csv"))
+        for k in spec.rician_k:
+            alone, _ = rows(format_table(run_experiment(replace(spec, rician_k=(k,))), "csv"))
+            assert [line for line in lines if line.split(",")[column] == repr(k)] == alone
+        parallel = emit(run_experiment(spec, parallel=2), "csv", tmp_path / "par.csv")
+        assert parallel.read_text() == format_table(table, "csv")
 
     def test_point_label_ignores_rician_k(self):
         # the pairing contract: one channel draw is shared across the K grid

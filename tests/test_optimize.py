@@ -732,6 +732,39 @@ class TestAlg1Batch:
         with pytest.raises(DimensionMismatch):
             alg1_batch([], [])
 
+    @pytest.mark.parametrize("arch", ["diagonal", "unitary"])
+    def test_batch_composition_does_not_change_results(self, arch):
+        """A member's run is bit for bit the same alone, inside a larger batch and
+        with that batch permuted: the harness packs the K grid of one (l, n_i) into
+        one batch and relies on this for its bytes. The batch mixes both models,
+        Rician draws of several K, members that stop at different sweeps and steps,
+        and for the unitary architecture a member whose fold is identically zero."""
+        stream = RandomStream(137, ("batch-composition",))
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        chs = [gen_cascade(dims, FadingSpec("rician", 1.0, k), stream.child("ch", s))
+               for s, k in enumerate((0.0, 0.0, 1.0, 3.0, 30.0))]
+        if arch == "unitary":
+            chs.append(CascadeChannels(np.zeros_like(chs[0].h_it_1), chs[0].inter,
+                                       chs[0].h_ri_l))
+        members = [(ch, OptimizerConfig(model=model, architecture=arch, max_outer_iters=8),
+                    stream.child("opt", s, model))
+                   for s, ch in enumerate(chs) for model in ("physics", "widely_used")]
+        whole = alg1_batch(*zip(*members))
+        order = np.random.default_rng(3).permutation(len(members))
+        permuted = alg1_batch(*zip(*(members[i] for i in order)))
+        by_member = {int(i): run for i, run in zip(order, permuted)}
+        for i, member in enumerate(members):
+            alone = alg1_batch(*zip(member))[0]
+            for run in (whole[i], by_member[i]):
+                assert run.gain_trace == alone.gain_trace
+                assert (run.converged, run.iterations) == (alone.converged, alone.iterations)
+                assert run.stack.architecture == alone.stack.architecture == arch
+                for mine, theirs in zip(run.stack.thetas, alone.stack.thetas, strict=True):
+                    assert np.array_equal(mine, theirs)
+        # members leave the batch at different sweeps, and some hit the cap
+        assert len({run.iterations for run in whole}) >= 3
+        assert not all(run.converged for run in whole)
+
     def test_best_of_restarts_keeps_the_best_run(self):
         stream = RandomStream(109, ("restarts",))
         ch = _rayleigh(stream.child("ch"), 2, 4)
