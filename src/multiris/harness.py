@@ -32,16 +32,17 @@ from .errors import (
 )
 from .fading import FadingSpec, gen_cascade
 from .multiport import Dimensions
-from .optimize import (  # noqa: F401  the benchmark tracer binds two names here
+from .optimize import (  # noqa: F401  the benchmark tracer binds four names here
     OptimizerConfig,
     _physics_from_widely,
+    _upper_bounds,
     alg1_batch,
     alg1_optimize,  # for the tracer only
     channel_gain,
     los_optimal_phases_physics,  # for the tracer only
     los_optimal_phases_widely,
-    upper_bound_physics,
-    upper_bound_widely,
+    upper_bound_physics,  # for the tracer only
+    upper_bound_widely,  # for the tracer only
 )
 from .rng import RandomStream
 from .scaling import mc_normalized_gain, mc_relative_difference
@@ -313,13 +314,13 @@ def _point_label(point: _GridPoint) -> tuple:
 
 
 def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
-    """Bounds per trial, then one alg1 batch per architecture over every (trial, model)
-    of the block; the trials may come from several K points of one (l, n_i)."""
+    """The bounds of every trial from one stacked pass, then one alg1 batch per
+    architecture over every (trial, model) of the block; the trials may come from
+    several K points of one (l, n_i)."""
     columns = {}
-    if "physics" in spec.models:
-        columns[("bound", "physics")] = [upper_bound_physics(ch) for ch in chs]
-    if "widely_used" in spec.models:
-        columns[("bound", "widely_used")] = [upper_bound_widely(ch) for ch in chs]
+    for m, bounds in zip(("physics", "widely_used"), _upper_bounds(chs)):
+        if m in spec.models:
+            columns[("bound", m)] = bounds
     models = [m for m in ("widely_used", "physics") if m in spec.models]
     members = [(t, m) for t in range(len(chs)) for m in models]
     for arch in spec.architectures:

@@ -377,11 +377,17 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
     visit: coef[b, k] = vec(left[b, :, k] (x) right[b, k, :]). A step then reads its
     terms g_ri[k] g_it[k] as coef @ vec(conj(u) (x) v) and its fold as
     (theta - d) @ coef, one stacked matmul each. A unitary surface is solved from
-    g_ri and g_it and folded through left and right.
+    g_ri and g_it, for every member in one stacked call unless some member's fold
+    is identically zero (then only the others are gathered and solved), and folded
+    through left and right.
 
-    A member stops once a step gains at most rel_tol of its fold gain; stopped
-    members leave the working arrays. Every (u, v) pair the visit consumed is
-    checked for unit norm once, at its end. Returns the tuned stack and each
+    A member stops once a step gains at most rel_tol of its fold gain. While every
+    member stops on the same step (a lone member always does), the visit works on
+    its arrays alone and returns them as they stand. Once members stop on different
+    steps, the output stacks are allocated, the stopped members are written there
+    and leave the working arrays, and the rest are written at the end. The returned
+    arrays never share memory with the inputs. Every (u, v) pair the visit consumed
+    is checked for unit norm once, at its end. Returns the tuned stack and each
     member's final (gain, u, v).
     """
     gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right) if pair is None \
@@ -391,12 +397,9 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
     if diagonal:
         coef = (left.transpose(0, 2, 1)[:, :, :, None] * right[:, :, None, :]).reshape(
             count, n, -1)
-    else:
-        if theta.ndim == 2:
-            theta = theta[:, :, None] * np.eye(n)
-        # the unitary step writes into theta, so it works on a copy of its own
-        theta = theta.copy()
-    out = [theta.copy(), gain.copy(), u.copy(), v.copy()]
+    elif theta.ndim == 2:
+        theta = theta[:, :, None] * np.eye(n)
+    out = None
     rows = np.arange(count)
     used_u, used_v = [], []
     for _ in range(cfg.max_inner_iters):
@@ -415,32 +418,41 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
             g_rt = -offsets * (g_ri * g_it).sum(axis=1)
             norm_ri = np.linalg.norm(g_ri, axis=1)
             norm_it = np.linalg.norm(g_it, axis=1)
-            # a member whose fold through this surface is identically zero keeps its
-            # surface, so its gain does not move and it stops below
             live = (norm_ri > _TINY) & (norm_it > _TINY)
-            theta[live] = _unitary_solutions(g_rt[live], g_ri[live], g_it[live],
-                                             norm_ri[live], norm_it[live])
+            if live.all():
+                theta = _unitary_solutions(g_rt, g_ri, g_it, norm_ri, norm_it)
+            else:
+                # a member whose fold through this surface is identically zero keeps
+                # its surface, so its gain does not move and it stops below
+                theta = theta.copy()
+                theta[live] = _unitary_solutions(g_rt[live], g_ri[live], g_it[live],
+                                                 norm_ri[live], norm_it[live])
             h = times_factor(left, theta, offsets) @ right
         value, u, v = _top_pairs(h)
         going = value - gain > cfg.rel_tol * np.maximum(value, _TINY)
         gain = value
-        if not going.all():
-            stop = ~going
-            done = rows[stop]
-            for kept, now in zip(out, (theta, gain, u, v)):
-                kept[done] = now[stop]
-            rows, theta, offsets, gain, u, v = (
-                a[going] for a in (rows, theta, offsets, gain, u, v))
-            if diagonal:
-                coef = coef[going]
-            else:
-                left, right = left[going], right[going]
-            if not rows.size:
-                break
-    for kept, now in zip(out, (theta, gain, u, v)):
-        kept[rows] = now
+        if going.all():
+            continue
+        if not going.any():
+            break
+        stop = ~going
+        if out is None:
+            out = [np.empty((count, *now.shape[1:]), now.dtype) for now in (theta, gain, u, v)]
+        done = rows[stop]
+        for kept, now in zip(out, (theta, gain, u, v)):
+            kept[done] = now[stop]
+        rows, theta, offsets, gain, u, v = (
+            a[going] for a in (rows, theta, offsets, gain, u, v))
+        if diagonal:
+            coef = coef[going]
+        else:
+            left, right = left[going], right[going]
+    if out is not None:
+        for kept, now in zip(out, (theta, gain, u, v)):
+            kept[rows] = now
+        theta, gain, u, v = out
     _check_unit_pairs(np.concatenate(used_u), np.concatenate(used_v))
-    return out[0], tuple(out[1:])
+    return theta, (gain, u, v)
 
 
 def _shared_config(cfgs) -> OptimizerConfig:
@@ -478,13 +490,15 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     larger batch or with the batch permuted, a member's gain trace, stop and
     stack are the same bit for bit, because every stacked operation works per
     member (the harness packs blocks by cascade shape on this, and
-    test_batch_composition_does_not_change_results pins it). Links are stacked on a leading axis, singular pairs come
-    from one stacked LAPACK SVD per step, and each member leaves the working
-    arrays as soon as it stops: the inner loop when its step gain stalls, the
-    sweep loop when it converges. Each member's (gain, u, v) is carried from the
-    last step of one surface visit into the next, across sweeps too, and compacted
-    with the members, so only the first visit computes an initial pair; see
-    _tune_surface for the coefficient products of a diagonal step and the unit
+    test_batch_composition_does_not_change_results pins it). Links are stacked on
+    a leading axis and singular pairs come from one stacked LAPACK SVD per step.
+    A member leaves the sweep loop's arrays at the end of the sweep in which it
+    converges; inside a surface visit it leaves the working arrays when its step
+    gain stalls, unless every member still in the visit stalls on that same step,
+    which ends the visit with no copy. Each member's (gain, u, v) is carried from
+    the last step of one surface visit into the next, across sweeps too, and
+    compacted with the members, so only the first visit computes an initial pair;
+    see _tune_surface for the coefficient products of a diagonal step and the unit
     check once per visit.
     """
     count = len(chs)
@@ -576,3 +590,31 @@ def upper_bound_physics(ch: CascadeChannels) -> float:
 def upper_bound_widely(ch: CascadeChannels) -> float:
     """Gain ceiling for the widely used model: product of squared link norms."""
     return float(np.prod([channel_gain(m) for m in ch.hops()]))
+
+
+def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[float]]:
+    """upper_bound_physics and upper_bound_widely of every cascade of a batch that
+    shares one cascade shape, bit for bit, from one stacked pass over the segments.
+
+    Each segment F_i ... F_{j-1} of every member is one stacked product and its
+    norms one stacked LAPACK call, which works matrix by matrix as the scalar
+    bounds do. The widely used bound takes its squared link norms from the
+    length-1 segments of the physics path sum, so no link is decomposed twice.
+    """
+    factors = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
+    count = len(factors)
+    paths = [np.ones(len(chs))] + [np.zeros(len(chs)) for _ in range(count)]
+    links = []
+    for i in range(count):
+        segment = factors[i]
+        for j in range(i + 1, count + 1):
+            if j > i + 1:
+                segment = segment @ factors[j - 1]
+            norms = np.linalg.svd(segment, compute_uv=False)[:, 0]
+            if j == i + 1:
+                links.append(norms.tolist())
+            paths[j] += paths[i] * norms
+    # the last steps in Python floats, as the scalar bounds take them
+    physics = [p ** 2 for p in paths[count].tolist()]
+    widely = [float(np.prod([s ** 2 for s in member])) for member in zip(*links)]
+    return physics, widely

@@ -494,6 +494,23 @@ class TestRunExperiment:
         ks = sorted({row.rician_k for row in table})
         assert ks == [0.0, 5.0]
 
+    @pytest.mark.parametrize("model", ["physics", "widely_used"])
+    def test_single_model_spec_matches_its_rows_of_both(self, model):
+        # a block takes both bounds in one pass whichever models the spec names, and
+        # an alg1 member's result does not depend on its batch, so bit for bit
+        def key(row):
+            return (row.architecture, row.l, row.n_i, row.mean_gain, row.std_err,
+                    row.bound_mean, row.converged_frac)
+
+        both = run_experiment(tiny_rayleigh_spec(models=("physics", "widely_used"),
+                                                 architectures=("diagonal", "unitary")))
+        alone = run_experiment(tiny_rayleigh_spec(models=(model,),
+                                                  architectures=("diagonal", "unitary")))
+        assert [key(row) for row in alone] == [key(row) for row in both if row.model == model]
+        # the physics path sum holds the widely used product as one of its terms
+        bound = {row.model: row.bound_mean for row in both if row.architecture == "diagonal"}
+        assert bound["physics"] > bound["widely_used"] > 0.0
+
 
 class TestEmit:
     def test_csv_layout_and_round_trip(self, tmp_path):
@@ -687,10 +704,10 @@ class TestCli:
     def test_runtime_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         import multiris.harness as harness
 
-        def failing_bound(ch):
+        def failing_bounds(chs):
             raise ZeroVector("injected runtime failure")
 
-        monkeypatch.setattr(harness, "upper_bound_physics", failing_bound)
+        monkeypatch.setattr(harness, "_upper_bounds", failing_bounds)
         spec_path = tmp_path / "fail.json"
         spec_path.write_text(json.dumps({
             "scenario": "rayleigh", "l": 2, "n_i_grid": [2], "trials": 1, "seed": 1,

@@ -22,6 +22,7 @@ from multiris.cascade import (
     assemble_physics_channel,
     assemble_widely_used,
     sweep_folds,
+    times_factor,
 )
 from multiris.errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
 from multiris.fading import FadingSpec, draw_los_link, gen_cascade
@@ -42,7 +43,13 @@ from multiris.optimize import (
     upper_bound_physics,
     upper_bound_widely,
 )
-from multiris.optimize import _physics_from_widely, _rank_one_factors
+from multiris.optimize import (
+    _physics_from_widely,
+    _rank_one_factors,
+    _top_pairs,
+    _tune_surface,
+    _upper_bounds,
+)
 from multiris.rng import RandomStream
 
 
@@ -479,6 +486,32 @@ class TestUpperBounds:
             assert channel_gain(assemble_physics_channel(ch, thetas)) <= ub_p * (1 + 1e-9)
             assert channel_gain(assemble_widely_used(ch, thetas)) <= ub_w * (1 + 1e-9)
 
+    def test_block_pass_matches_scalar_bounds(self):
+        """_upper_bounds over a block is, bit for bit, the scalar bounds of each of its
+        cascades: stacked products and stacked norms work member by member, and the
+        widely used bound reads the physics pass's own link norms."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.given(st.integers(1, 6), st.integers(1, 12), st.sampled_from((1, 2, 3)),
+                   st.sampled_from((1, 2, 3)), st.integers(1, 4), st.data())
+        def check(l, n_i, n_t, n_r, size, data):
+            dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
+            stream = RandomStream(data.draw(st.integers(0, 2 ** 32 - 1)), ("block-bounds",))
+            chs = [gen_cascade(dims, FadingSpec("rayleigh"), stream.child(b))
+                   for b in range(size)]
+            # one member has a zero link, so both of its bounds are 0
+            member, link = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, l))
+            hops = chs[member].hops()
+            hops[link] = np.zeros_like(hops[link])
+            chs[member] = CascadeChannels(hops[-1], tuple(reversed(hops[1:-1])), hops[0])
+            physics, widely = _upper_bounds(chs)
+            assert physics == [upper_bound_physics(ch) for ch in chs]
+            assert widely == [upper_bound_widely(ch) for ch in chs]
+            assert physics[member] == widely[member] == 0.0
+
+        check()
+
 
 class TestOptimizerConfig:
     @pytest.mark.parametrize("change", [
@@ -825,3 +858,53 @@ class TestAlg1Batch:
         else:
             assert alg1_optimize(ch, cfg, RandomStream(1, ("opt",))).gain > 0.0
             assert len(calls) == 4
+
+    @pytest.mark.parametrize("arch", ["diagonal", "unitary"])
+    @pytest.mark.parametrize("visit", ["together", "apart", "cap"])
+    def test_tune_surface_never_aliases_its_inputs(self, arch, visit):
+        """A visit may return its working arrays as they stand, so none of them may be
+        an input: the returned stack and pair share no memory with left, right, theta,
+        offsets or the carried pair, and none of those is written. Covers a visit whose
+        members all stop on the same step (two copies of one member), one whose members
+        stop apart (a member with a zero end link stops at once) and one the inner cap
+        ends."""
+        stream = RandomStream(139, ("no-alias",))
+        ch = _rayleigh(stream.child("ch"), 2, 4)
+        left, right = ch.h_ri_l @ ch.inter[0], ch.h_it_1
+        if visit == "together":
+            lefts, cap = [left, left], 50
+        elif visit == "apart":
+            lefts, cap = [left, np.zeros_like(left)], 50
+        else:
+            lefts, cap = [left, 2.0 * left], 1
+        left, right = np.stack(lefts), np.stack([right, right])
+        offsets = np.array([1.0, 1.0]) if visit == "together" else np.array([1.0, 0.0])
+        phases = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (2, 4)))
+        if visit == "together":
+            phases[1] = phases[0]
+        theta = phases if arch == "diagonal" else phases[:, :, None] * np.eye(4)
+        pair = _top_pairs(times_factor(left, theta, offsets) @ right)
+        inputs = (left, right, theta, offsets, *pair)
+        before = [a.copy() for a in inputs]
+        steps = []
+
+        def counted(h):
+            steps.append(None)
+            return _top_pairs(h)
+
+        cfg = OptimizerConfig(architecture=arch, max_inner_iters=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_top_pairs", counted)
+            out, out_pair = _tune_surface(left, right, theta, offsets, pair, cfg)
+        assert {"together": 1 < len(steps) < cap, "apart": 1 < len(steps) < cap,
+                "cap": len(steps) == cap}[visit]
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        for returned in (out, *out_pair):
+            assert len(returned) == 2
+            for a in inputs:
+                assert not np.shares_memory(returned, a)
+        if visit == "together":
+            assert np.array_equal(out[0], out[1]) and out_pair[0][0] == out_pair[0][1]
+        if visit == "apart":
+            assert out_pair[0][1] == 0.0
