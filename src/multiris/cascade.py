@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiport
-from .errors import DimensionMismatch, MissingSideLinks, shown
-from .multiport import _as_finite
+from .errors import DimensionMismatch, MissingSideLinks, as_finite, shown
 
 DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -36,10 +35,10 @@ class SideLinks:
     h_it: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "h_rt", _as_finite(self.h_rt, "h_rt"))
-        object.__setattr__(self, "h_ri", tuple(_as_finite(m, f"side h_ri[{k}]")
+        object.__setattr__(self, "h_rt", as_finite(self.h_rt, "h_rt"))
+        object.__setattr__(self, "h_ri", tuple(as_finite(m, f"side h_ri[{k}]")
                                                for k, m in enumerate(self.h_ri)))
-        object.__setattr__(self, "h_it", tuple(_as_finite(m, f"side h_it[{k}]")
+        object.__setattr__(self, "h_it", tuple(as_finite(m, f"side h_it[{k}]")
                                                for k, m in enumerate(self.h_it)))
 
 
@@ -58,10 +57,10 @@ class CascadeChannels:
     sides: SideLinks | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "h_it_1", _as_finite(self.h_it_1, "h_it_1"))
-        object.__setattr__(self, "inter", tuple(_as_finite(m, f"inter[{k}]")
+        object.__setattr__(self, "h_it_1", as_finite(self.h_it_1, "h_it_1"))
+        object.__setattr__(self, "inter", tuple(as_finite(m, f"inter[{k}]")
                                                 for k, m in enumerate(self.inter)))
-        object.__setattr__(self, "h_ri_l", _as_finite(self.h_ri_l, "h_ri_l"))
+        object.__setattr__(self, "h_ri_l", as_finite(self.h_ri_l, "h_ri_l"))
         width = self.h_it_1.shape[0]
         for k, m in enumerate(self.inter):
             if m.shape[1] != width:
@@ -136,7 +135,7 @@ class ScatteringStack:
         diagonal = self.architecture == "diagonal"
         fixed = []
         for k, th in enumerate(self.thetas):
-            arr = _as_finite(th, f"theta[{k}]", (1, 2) if diagonal else (2,))
+            arr = as_finite(th, f"theta[{k}]", (1, 2) if diagonal else (2,))
             if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatch(f"theta[{k}] must be square, got shape {arr.shape}")
             if diagonal:
@@ -161,7 +160,7 @@ def _theta_list(stack, ch: CascadeChannels) -> list[np.ndarray]:
     """The surfaces of a ScatteringStack or of a sequence of finite (w,) phase
     vectors and (w, w) matrices, checked against the widths of ch."""
     thetas = list(stack.thetas) if isinstance(stack, ScatteringStack) else \
-        [_as_finite(t, f"theta[{k}]", (1, 2)) for k, t in enumerate(stack)]
+        [as_finite(t, f"theta[{k}]", (1, 2)) for k, t in enumerate(stack)]
     if len(thetas) != ch.n_l:
         raise DimensionMismatch(
             f"{ch.n_l} surfaces need {ch.n_l} scattering matrices, got {len(thetas)}")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the scalar checks every module uses."""
+"""Exception hierarchy shared across the package, and the input checks every module uses."""
 
 from __future__ import annotations
 
@@ -23,6 +23,23 @@ def shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+
+
+def as_finite(a, name: str, ndims=(2,), dtype=complex) -> np.ndarray:
+    """a as a finite numeric array of dtype (None keeps a's own) with one of the
+    allowed ndims. Ragged or non-numeric input and a wrong ndim raise
+    DimensionMismatch, a NaN or infinite entry NonFiniteInput."""
+    try:
+        arr = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} is not a numeric array") from None
+    if arr.dtype.kind not in "biufc":
+        raise DimensionMismatch(f"{name} is not a numeric array, got dtype {arr.dtype}")
+    if arr.ndim not in ndims:
+        raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} has NaN or infinite entries")
+    return arr
 
 
 class MultirisError(Exception):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeChannels, SideLinks
-from .errors import DimensionMismatch, is_finite_real, shown
+from .errors import DimensionMismatch, is_finite_real, is_int, shown
 from .multiport import Dimensions
 from .rng import RandomStream
 
@@ -50,8 +50,15 @@ class FadingSpec:
                 raise DimensionMismatch(f"{name} must be a finite number >= 0, got {shown(value)}")
 
 
+def _check_link_size(rows, cols):
+    if not (is_int(rows) and rows >= 1 and is_int(cols) and cols >= 1):
+        raise DimensionMismatch(
+            f"link rows and cols must be integers >= 1, got {shown(rows)} x {shown(cols)}")
+
+
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
     """Draw a rank-1 link with i.i.d. uniform phases on both sides."""
+    _check_link_size(rows, cols)
     rng = stream.generator()
     a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rows))
     b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cols))
@@ -64,6 +71,7 @@ def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -
 
 def gen_rayleigh_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian entries, per-entry std path_gain."""
+    _check_link_size(rows, cols)
     rng = stream.generator()
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))

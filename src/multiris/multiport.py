@@ -32,10 +32,10 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
-    NonFiniteInput,
     OpenCircuitSingularity,
     SingularDiagonalBlock,
     SingularMatrix,
+    as_finite,
     is_finite_real,
     is_int,
     shown,
@@ -90,16 +90,6 @@ def _checked_z0(z0) -> float:
     return float(z0)
 
 
-def _as_finite(a, name: str, ndims=(2,)) -> np.ndarray:
-    """a as a finite complex array with one of the allowed ndims."""
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim not in ndims:
-        raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} has NaN or infinite entries")
-    return arr
-
-
 def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
@@ -118,7 +108,7 @@ class MultiportNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", _checked_z0(self.z0))
-        z = _as_finite(self.z, "z").copy()
+        z = as_finite(self.z, "z").copy()
         n = self.dims.n_ports
         if z.shape != (n, n):
             raise DimensionMismatch(f"z must have shape {(n, n)}, got {z.shape}")
@@ -172,7 +162,7 @@ class RisLoadStack:
     def __post_init__(self):
         if len(self.loads) == 0:
             raise DimensionMismatch("a load stack needs at least one surface")
-        loads = tuple(_as_finite(z, f"load {k}") for k, z in enumerate(self.loads))
+        loads = tuple(as_finite(z, f"load {k}") for k, z in enumerate(self.loads))
         n = loads[0].shape[0]
         for k, z in enumerate(loads):
             if z.shape != (n, n):
@@ -226,8 +216,8 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[
     N[i][j] for i < j exactly the zero matrix. Returns the inverse as a list
     of lists of blocks.
     """
-    d = [_as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
-    s = [_as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
+    d = [as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
+    s = [as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
     l = len(d)
     if l == 0:
         raise DimensionMismatch("need at least one diagonal block")
@@ -347,7 +337,7 @@ def channel_z_pure_cascade(net: MultiportNetwork, loads) -> np.ndarray:
 
 
 def _square(a, name: str) -> np.ndarray:
-    arr = _as_finite(a, name)
+    arr = as_finite(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     return arr
@@ -378,4 +368,4 @@ def scattering_to_z(theta: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
 
 def normalize_z_to_channel(z_block: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
     """Convert a transfer impedance block to its channel-matrix normalization."""
-    return _as_finite(z_block, "z_block") / (2.0 * _checked_z0(z0))
+    return as_finite(z_block, "z_block") / (2.0 * _checked_z0(z0))

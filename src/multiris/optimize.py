@@ -16,9 +16,9 @@ import numpy as np
 from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import (
     DimensionMismatch,
-    NonFiniteInput,
     NotRankOne,
     ZeroVector,
+    as_finite,
     is_finite_real,
     is_int,
     shown,
@@ -87,15 +87,14 @@ def dominant_singular_pair(h):
 
 
 def spectral_norm(h) -> float:
-    """Largest singular value of h, from LAPACK.
+    """Largest singular value of a finite 2-D h, from LAPACK, in h's own dtype.
 
     The first of the descending singular values that np.linalg.svd returns is the
     value np.linalg.norm(h, 2) reads from the same call, bit for bit, without its
-    axis and reduction wrapper.
+    axis and reduction wrapper. A NaN or infinite entry raises NonFiniteInput
+    instead of LAPACK's error or its silent NaN.
     """
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
+    h = as_finite(h, "h", dtype=None)
     return float(np.linalg.svd(h, compute_uv=False)[0])
 
 
@@ -181,7 +180,8 @@ class InnerProblemData:
     """Coefficients of one surface's subproblem: maximize |g_rt + g_ri Theta g_it|^2.
 
     u and v are the unit-norm receive/transmit directions the coefficients
-    were folded against. Raises NonFiniteInput on any NaN or infinite entry.
+    were folded against. Raises NonFiniteInput on any NaN or infinite entry and
+    DimensionMismatch unless g_rt is a scalar and the rest are 1-D arrays.
     """
 
     g_rt: complex
@@ -191,21 +191,12 @@ class InnerProblemData:
     v: np.ndarray
 
     def __post_init__(self):
-        g_rt = complex(self.g_rt)
-        g_ri = np.asarray(self.g_ri, dtype=complex)
-        g_it = np.asarray(self.g_it, dtype=complex)
-        u = np.asarray(self.u, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        if not all(np.isfinite(a).all() for a in (g_rt, g_ri, g_it, u, v)):
-            raise NonFiniteInput("inner problem data has NaN or infinite entries")
-        if g_ri.ndim != 1 or g_it.ndim != 1 or g_ri.shape != g_it.shape:
-            raise DimensionMismatch("g_ri and g_it must be 1-D and equally long")
-        _check_unit_pairs(u, v)
-        object.__setattr__(self, "g_rt", g_rt)
-        object.__setattr__(self, "g_ri", g_ri)
-        object.__setattr__(self, "g_it", g_it)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "g_rt", complex(as_finite(self.g_rt, "g_rt", (0,))))
+        for name in ("g_ri", "g_it", "u", "v"):
+            object.__setattr__(self, name, as_finite(getattr(self, name), name, (1,)))
+        if self.g_ri.shape != self.g_it.shape:
+            raise DimensionMismatch("g_ri and g_it must be equally long")
+        _check_unit_pairs(self.u, self.v)
 
 
 def inner_objective(data: InnerProblemData, theta) -> float:
@@ -566,7 +557,8 @@ def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
 
 
 def upper_bound_physics(ch: CascadeChannels) -> float:
-    """Architecture-independent gain ceiling for the physical pure-cascade model.
+    """Architecture-independent gain ceiling for the physical pure-cascade model,
+    from the block pass _upper_bounds over ch alone.
 
     Expanding prod (Theta_k - I) gives one signed term per set of kept Theta
     factors; each term is bounded by the spectral norms of the contiguous link
@@ -574,17 +566,7 @@ def upper_bound_physics(ch: CascadeChannels) -> float:
     bounds over all 2^l sets is a path sum over cut points, computed in O(l^2)
     segment norms: paths[0] = 1, paths[j] = sum_{i<j} paths[i] ||F_i ... F_{j-1}||.
     """
-    # a surface sits between each neighbouring pair of hops
-    factors = ch.hops()
-    count = len(factors)
-    paths = [1.0] + [0.0] * count
-    for i in range(count):
-        segment = factors[i]
-        for j in range(i + 1, count + 1):
-            if j > i + 1:
-                segment = segment @ factors[j - 1]
-            paths[j] += paths[i] * spectral_norm(segment)
-    return float(paths[count] ** 2)
+    return _upper_bounds([ch])[0][0]
 
 
 def upper_bound_widely(ch: CascadeChannels) -> float:
@@ -597,9 +579,9 @@ def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[flo
     shares one cascade shape, bit for bit, from one stacked pass over the segments.
 
     Each segment F_i ... F_{j-1} of every member is one stacked product and its
-    norms one stacked LAPACK call, which works matrix by matrix as the scalar
-    bounds do. The widely used bound takes its squared link norms from the
-    length-1 segments of the physics path sum, so no link is decomposed twice.
+    norms one stacked LAPACK call, which works matrix by matrix, so no member's
+    bounds depend on its batch. The widely used bound takes its squared link norms
+    from the length-1 segments of the physics path sum, so no link is decomposed twice.
     """
     factors = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
     count = len(factors)

@@ -23,6 +23,7 @@ from .errors import (
     EmptySequence,
     NonFiniteInput,
     RangeExceeded,
+    as_finite,
     is_finite_real,
     is_int,
     shown,
@@ -165,9 +166,7 @@ def structural_scattering_strength(mean_sq_singular_values) -> float:
     """s = (1 + sum_{n>=2} lam_n / lam_1) / n^2 for a link's average squared
     singular values, sorted descending. 1/n^2 for rank-1 links, 1/n when all
     directions are equally strong."""
-    lam = np.asarray(mean_sq_singular_values, dtype=float)
-    if not np.isfinite(lam).all():
-        raise NonFiniteInput("mean squared singular values must be finite")
+    lam = as_finite(mean_sq_singular_values, "mean squared singular values", (1,), float)
     if lam.size == 0:
         raise EmptySequence("need at least one mean squared singular value")
     if lam[0] <= 0.0:

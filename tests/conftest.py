@@ -141,6 +141,25 @@ def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:
     return (t + np.sqrt(disc)) / 2.0
 
 
+def upper_bound_physics_path_sum(ch: CascadeChannels) -> float:
+    """The physical-model bound as the O(l^2) path sum over cut points, one cascade
+    at a time in Python floats: paths[0] = 1 and
+    paths[j] = sum_{i<j} paths[i] ||F_i ... F_{j-1}|| over the links F in
+    ch.hops() order, squared at the end. The bit-exact oracle for the stacked
+    block pass, which forms the same products and norms member by member.
+    """
+    factors = ch.hops()
+    count = len(factors)
+    paths = [1.0] + [0.0] * count
+    for i in range(count):
+        segment = factors[i]
+        for j in range(i + 1, count + 1):
+            if j > i + 1:
+                segment = segment @ factors[j - 1]
+            paths[j] += paths[i] * float(np.linalg.svd(segment, compute_uv=False)[0])
+    return paths[count] ** 2
+
+
 def upper_bound_physics_expansion(ch: CascadeChannels) -> float:
     """The physical-model bound by explicit 2^l expansion of prod (Theta_k - I).
 

@@ -205,6 +205,16 @@ class TestFadingSpec:
             FadingSpec("rician", **{field: value})
 
 
+class TestLinkSize:
+    @pytest.mark.parametrize("size", [(0, 2), (2, 0), (-1, 2), (2.0, 2), (True, 2), ("2", 2)])
+    @pytest.mark.parametrize("gen", [draw_los_link, gen_rayleigh_link])
+    def test_bad_rows_or_cols_rejected(self, gen, size):
+        """The two leaf generators refuse a count that is not an int >= 1, instead of
+        numpy's negative-dimension error or an empty link."""
+        with pytest.raises(DimensionMismatch, match="rows and cols"):
+            gen(*size, 1.0, RandomStream(59))
+
+
 class TestGenCascade:
     def test_shapes_and_determinism(self):
         dims = Dimensions(n_t=2, n_r=3, n_i=5, l=4)

@@ -14,6 +14,7 @@ from conftest import (
     unitaries_with_first_columns_qr,
     unitary_with_first_column_exact,
     upper_bound_physics_expansion,
+    upper_bound_physics_path_sum,
 )
 from multiris import optimize
 from multiris.cascade import (
@@ -487,9 +488,10 @@ class TestUpperBounds:
             assert channel_gain(assemble_widely_used(ch, thetas)) <= ub_w * (1 + 1e-9)
 
     def test_block_pass_matches_scalar_bounds(self):
-        """_upper_bounds over a block is, bit for bit, the scalar bounds of each of its
-        cascades: stacked products and stacked norms work member by member, and the
-        widely used bound reads the physics pass's own link norms."""
+        """_upper_bounds over a block is, bit for bit and member by member, the
+        path-sum oracle, upper_bound_widely and the member's own block of one: stacked
+        products and stacked norms work member by member, and the widely used bound
+        reads the physics pass's own link norms."""
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
 
@@ -506,8 +508,11 @@ class TestUpperBounds:
             hops[link] = np.zeros_like(hops[link])
             chs[member] = CascadeChannels(hops[-1], tuple(reversed(hops[1:-1])), hops[0])
             physics, widely = _upper_bounds(chs)
-            assert physics == [upper_bound_physics(ch) for ch in chs]
-            assert widely == [upper_bound_widely(ch) for ch in chs]
+            for ch, p, w in zip(chs, physics, widely):
+                assert p == upper_bound_physics_path_sum(ch)
+                assert w == upper_bound_widely(ch)
+                assert _upper_bounds([ch]) == ([p], [w])
+                assert upper_bound_physics(ch) == p
             assert physics[member] == widely[member] == 0.0
 
         check()

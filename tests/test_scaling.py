@@ -333,6 +333,10 @@ class TestScatteringStrength:
         with pytest.raises(NonFiniteInput):
             structural_scattering_strength([math.nan, 1.0])
 
+    def test_estimate_rejects_empty_links(self):
+        with pytest.raises(DimensionMismatch, match="rows and cols"):
+            estimate_mean_sq_singular_values(0, 2, FadingSpec("los"), RandomStream(31))
+
     @pytest.mark.parametrize("draws", [0, 2.5, True])
     def test_estimate_rejects_bad_draw_counts(self, draws):
         with pytest.raises(EmptySample, match="draws must be an integer"):
