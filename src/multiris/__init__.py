@@ -72,6 +72,5 @@ from .scaling import (
     relative_difference_los,
     structural_scattering_strength,
 )
-from .validation import validate
 
 __version__ = "0.1.0"

@@ -2,10 +2,9 @@
 
     multiris run --preset los-diff --out results.csv
     multiris run --spec experiment.json --parallel 4
-    multiris validate
     multiris presets
 
-Exit codes: 0 success, 1 validation failure, 2 bad input.
+Exit codes: 0 success, 1 runtime failure, 2 bad input.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import replace
 
 from .errors import MultirisError, SpecError, UnknownPreset
 from .harness import ExperimentSpec, emit, figure_preset, format_table, preset_names, run_experiment
-from .validation import validate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,9 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output format (default: csv)")
     run.add_argument("--parallel", type=int, default=1,
                      help="worker processes for trials (default 1)")
-
-    val = sub.add_parser("validate", help="run the built-in consistency checks")
-    val.add_argument("--seed", type=int, default=None, help="seed for the check instances")
 
     sub.add_parser("presets", help="list the built-in experiment presets")
     return parser
@@ -74,22 +69,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    if args.seed is not None and args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 2
-    report = validate() if args.seed is None else validate(args.seed)
-    print(report.format_text())
-    return 0 if report.passed else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
         if args.command == "presets":
             for name in preset_names():
                 print(name)

@@ -27,9 +27,12 @@ def shown(value) -> str:
 
 def as_finite(a, name: str, ndims=(2,), dtype=complex) -> np.ndarray:
     """a as a finite numeric array of dtype (None keeps a's own) with one of the
-    allowed ndims. Ragged or non-numeric input and a wrong ndim raise
-    DimensionMismatch, a NaN or infinite entry NonFiniteInput."""
+    allowed ndims. Ragged or non-numeric input, complex input where dtype is float
+    and a wrong ndim raise DimensionMismatch, a NaN or infinite entry NonFiniteInput."""
     try:
+        # numpy's cast to float would drop the imaginary part with a warning
+        if dtype is float and np.asarray(a).dtype.kind == "c":
+            raise DimensionMismatch(f"{name} must be real, got complex entries")
         arr = np.asarray(a, dtype=dtype)
     except (TypeError, ValueError):
         raise DimensionMismatch(f"{name} is not a numeric array") from None

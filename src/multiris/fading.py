@@ -45,20 +45,24 @@ class FadingSpec:
             raise DimensionMismatch(
                 f"fading kind must be 'los', 'rayleigh' or 'rician', got {self.kind!r}")
         for name in ("path_gain", "rician_k"):
-            value = getattr(self, name)
-            if not (is_finite_real(value) and value >= 0):
-                raise DimensionMismatch(f"{name} must be a finite number >= 0, got {shown(value)}")
+            _check_nonnegative(name, getattr(self, name))
 
 
-def _check_link_size(rows, cols):
+def _check_nonnegative(name, value):
+    if not (is_finite_real(value) and value >= 0):
+        raise DimensionMismatch(f"{name} must be a finite number >= 0, got {shown(value)}")
+
+
+def _check_link(rows, cols, path_gain):
     if not (is_int(rows) and rows >= 1 and is_int(cols) and cols >= 1):
         raise DimensionMismatch(
             f"link rows and cols must be integers >= 1, got {shown(rows)} x {shown(cols)}")
+    _check_nonnegative("path_gain", path_gain)
 
 
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
     """Draw a rank-1 link with i.i.d. uniform phases on both sides."""
-    _check_link_size(rows, cols)
+    _check_link(rows, cols, path_gain)
     rng = stream.generator()
     a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rows))
     b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cols))
@@ -71,7 +75,7 @@ def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -
 
 def gen_rayleigh_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian entries, per-entry std path_gain."""
-    _check_link_size(rows, cols)
+    _check_link(rows, cols, path_gain)
     rng = stream.generator()
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))

@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles and instance shorthands."""
+"""Shared test helpers: brute-force oracles, random instance builders and instance
+shorthands."""
 
 import hashlib
 import tempfile
@@ -8,9 +9,9 @@ from itertools import product
 import numpy as np
 
 from multiris.cascade import CascadeChannels, ScatteringStack, factor_times, times_factor
-from multiris.errors import ZeroVector
+from multiris.errors import DimensionMismatch, ZeroVector
 from multiris.fading import FadingSpec, gen_cascade
-from multiris.multiport import Dimensions
+from multiris.multiport import DEFAULT_Z0, Dimensions, MultiportNetwork, RisLoadStack
 from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
@@ -55,6 +56,98 @@ def gaussian_cascade(dims: Dimensions, rng: np.random.Generator,
     stream = RandomStream(int(rng.integers(2 ** 63)))
     return gen_cascade(dims, FadingSpec("rayleigh", 1 / np.sqrt(2 * dims.n_i)), stream,
                        include_sides)
+
+
+# Random instance builders. Blocks are drawn so that every matrix the impedance
+# models invert stays far from the condition cap, which keeps equivalence checks
+# at their algebraic tolerance instead of drowning in roundoff.
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary matrix: the unitary polar factor W V^H of a complex
+    Gaussian matrix W S V^H, whose law is invariant under unitaries on both sides."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, _, vh = np.linalg.svd(g)
+    return w @ vh
+
+
+def well_conditioned_block(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Generic non-Hermitian block with singular values in [1, 2] (cond <= 2)."""
+    s = rng.uniform(1.0, 2.0, n)
+    return haar_unitary(n, rng) @ np.diag(s) @ haar_unitary(n, rng).conj().T
+
+
+def bidiagonal_instance(l: int, n: int, rng: np.random.Generator):
+    """Diagonal and subdiagonal blocks for a well-conditioned structured inverse.
+
+    Subdiagonal entries are scaled 1/(2 sqrt(n)) so the assembled matrix and
+    its inverse both stay mild, keeping the dense oracle comparison honest.
+    """
+    diag = [well_conditioned_block(n, rng) for _ in range(l)]
+    sub = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (2.0 * np.sqrt(n))
+           for _ in range(l - 1)]
+    return diag, sub
+
+
+def assemble_block_bidiagonal(diag, sub) -> np.ndarray:
+    l = len(diag)
+    n = diag[0].shape[0]
+    m = np.zeros((l * n, l * n), dtype=complex)
+    for k in range(l):
+        m[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k]
+    for k in range(l - 1):
+        m[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = sub[k]
+    return m
+
+
+def random_diagonal_lossless_loads(l: int, n: int, rng: np.random.Generator,
+                                   z0: float = DEFAULT_Z0) -> RisLoadStack:
+    """Purely reactive single-connected loads, kept away from the open-circuit point."""
+    loads = []
+    for _ in range(l):
+        theta = rng.uniform(0.35, 2.0 * np.pi - 0.35, n)
+        loads.append(np.diag(1j * z0 * np.tan((np.pi - theta) / 2.0)))
+    return RisLoadStack(tuple(loads))
+
+
+def random_full_lossless_loads(l: int, n: int, rng: np.random.Generator,
+                               z0: float = DEFAULT_Z0) -> RisLoadStack:
+    """Purely reactive fully-connected loads: Z = j X with X real symmetric."""
+    loads = []
+    for _ in range(l):
+        g = rng.standard_normal((n, n))
+        loads.append(1j * z0 * (g + g.T) / 2.0)
+    return RisLoadStack(tuple(loads))
+
+
+def network_from_cascade(ch: CascadeChannels, z0: float = DEFAULT_Z0) -> MultiportNetwork:
+    """Impedance network realizing a cascade: transfer blocks are 2*z0 times the
+    channel blocks, end and surface arrays matched to z0."""
+    l = ch.n_l
+    n_i, n_t, n_r = ch.width(0), ch.n_t, ch.n_r
+    for k in range(l):
+        if ch.width(k) != n_i:
+            raise DimensionMismatch("impedance synthesis needs uniform surface widths")
+    dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
+    ports = dims.ports
+    # every end and surface array matched: the diagonal blocks are z0*I
+    z = z0 * np.eye(dims.n_ports, dtype=complex)
+    z[ports(0), ports("t")] = 2.0 * z0 * ch.h_it_1
+    for k in range(l - 1):
+        z[ports(k + 1), ports(k)] = 2.0 * z0 * ch.inter[k]
+    z[ports("r"), ports(l - 1)] = 2.0 * z0 * ch.h_ri_l
+    if ch.sides is not None:
+        z[ports("r"), ports("t")] = 2.0 * z0 * ch.sides.h_rt
+        for k in range(l - 1):
+            z[ports("r"), ports(k)] = 2.0 * z0 * ch.sides.h_ri[k]
+            z[ports(k + 1), ports("t")] = 2.0 * z0 * ch.sides.h_it[k]
+    return MultiportNetwork(dims, z, z0)
+
+
+def random_phase_stack(widths, rng: np.random.Generator) -> ScatteringStack:
+    """Diagonal surfaces of the given widths with uniform random phases."""
+    thetas = tuple(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w)) for w in widths)
+    return ScatteringStack("diagonal", thetas)
 
 
 def ones_cascade(l: int, n_i: int = 1, n_t: int = 1, n_r: int = 1) -> CascadeChannels:

@@ -10,7 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import best_of_restarts, dense_cascade, gaussian_cascade, grid_search_gain_l2
+from conftest import (
+    assemble_block_bidiagonal,
+    best_of_restarts,
+    bidiagonal_instance,
+    dense_cascade,
+    gaussian_cascade,
+    grid_search_gain_l2,
+    network_from_cascade,
+    random_diagonal_lossless_loads,
+    random_full_lossless_loads,
+    random_phase_stack,
+)
 from multiris.cascade import (
     assemble,
     assemble_physics_channel,
@@ -46,14 +57,6 @@ from multiris.scaling import (
     normalized_gain_los,
     relative_difference_los,
     structural_scattering_strength,
-)
-from multiris.validation import (
-    assemble_block_bidiagonal,
-    bidiagonal_instance,
-    network_from_cascade,
-    random_diagonal_lossless_loads,
-    random_full_lossless_loads,
-    random_phase_stack,
 )
 
 

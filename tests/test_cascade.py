@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import dense_cascade, fold, full_physics_pairwise, gaussian_cascade, ones_cascade
+from conftest import (
+    dense_cascade,
+    fold,
+    full_physics_pairwise,
+    gaussian_cascade,
+    network_from_cascade,
+    ones_cascade,
+    random_phase_stack,
+)
 from multiris.cascade import (
     CascadeChannels,
     ScatteringStack,
@@ -30,10 +38,6 @@ from multiris.multiport import (
 )
 from multiris.optimize import InnerProblemData, channel_gain
 from multiris.rng import RandomStream
-from multiris.validation import (
-    network_from_cascade,
-    random_phase_stack,
-)
 
 
 def rel_err(a, b):

@@ -57,3 +57,10 @@ def test_bad_array_input_raises_typed_error(entry, kind):
     make, error = BAD_INPUTS[kind]
     with pytest.raises(error):
         call(make(ndim))
+
+
+def test_complex_input_to_a_real_check_rejected():
+    """A real-valued entry point refuses complex entries instead of dropping their
+    imaginary part with numpy's ComplexWarning."""
+    with pytest.raises(DimensionMismatch, match="must be real"):
+        structural_scattering_strength(np.array([2 + 1j, 1]))

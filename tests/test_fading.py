@@ -214,6 +214,15 @@ class TestLinkSize:
         with pytest.raises(DimensionMismatch, match="rows and cols"):
             gen(*size, 1.0, RandomStream(59))
 
+    @pytest.mark.parametrize("path_gain", [float("nan"), float("inf"), -float("inf"), -1.0,
+                                           10 ** 400, True, None, "1"])
+    @pytest.mark.parametrize("gen", [draw_los_link, gen_rayleigh_link])
+    def test_bad_path_gain_rejected(self, gen, path_gain):
+        """The two leaf generators refuse a gain FadingSpec refuses, instead of
+        returning a NaN or infinite link."""
+        with pytest.raises(DimensionMismatch, match="path_gain"):
+            gen(2, 2, path_gain, RandomStream(59))
+
 
 class TestGenCascade:
     def test_shapes_and_determinism(self):

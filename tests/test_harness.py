@@ -543,28 +543,6 @@ class TestEmit:
             emit(table, "yaml", tmp_path / "rows.yaml")
 
 
-class TestValidateIsSensitive:
-    def test_clean_run_passes(self):
-        from multiris.validation import validate
-        report = validate()
-        assert report.passed
-        assert len(report.checks) >= 8
-        assert "PASS" in report.format_text()
-
-    def test_detects_model_perturbation(self, monkeypatch):
-        import multiris.validation as validation
-        true_fn = validation.channel_z_matched
-
-        def skewed(*args, **kwargs):
-            return 1.000001 * true_fn(*args, **kwargs)
-
-        monkeypatch.setattr(validation, "channel_z_matched", skewed)
-        report = validation.validate()
-        assert not report.passed
-        failed = [c.name for c in report.checks if not c.passed]
-        assert failed
-
-
 class TestCli:
     def test_presets_command(self, capsys):
         assert main(["presets"]) == 0
@@ -718,13 +696,11 @@ class TestCli:
     def test_bad_parallel_exit_2(self, capsys):
         assert main(["run", "--preset", "smoke", "--parallel", "0"]) == 2
 
-    def test_validate_command(self, capsys):
-        assert main(["validate"]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_validate_negative_seed_exit_2(self, capsys):
-        # bad input, not a failed check, and no traceback
-        assert main(["validate", "--seed", "-5"]) == 2
+    def test_unknown_command_exit_2(self, capsys):
+        # an unknown subcommand is bad input: exit 2, and no traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "--seed" in captured.err
-        assert captured.out == ""
+        assert "invalid choice" in captured.err and "validate" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_cascade
+from conftest import (
+    assemble_block_bidiagonal,
+    bidiagonal_instance,
+    gaussian_cascade,
+    network_from_cascade,
+    random_diagonal_lossless_loads,
+    random_full_lossless_loads,
+)
 from multiris.cascade import cascade_from_network
 from multiris.errors import (
     AssumptionViolated,
@@ -24,13 +31,6 @@ from multiris.multiport import (
     normalize_z_to_channel,
     scattering_to_z,
     z_to_scattering,
-)
-from multiris.validation import (
-    assemble_block_bidiagonal,
-    bidiagonal_instance,
-    network_from_cascade,
-    random_diagonal_lossless_loads,
-    random_full_lossless_loads,
 )
 
 
@@ -332,7 +332,10 @@ class TestConversions:
         for _ in range(20):
             n = int(rng.integers(1, 7))
             z = random_full_lossless_loads(1, n, rng).loads[0]
-            assert rel_err(scattering_to_z(z_to_scattering(z)), z) < 1e-10
+            theta = z_to_scattering(z)
+            assert rel_err(scattering_to_z(theta), z) < 1e-10
+            # a lossless load gives a unitary theta
+            assert np.abs(theta.conj().T @ theta - np.eye(n)).max() < 1e-10
 
     def test_round_trip_theta_z_theta(self):
         rng = np.random.default_rng(43)

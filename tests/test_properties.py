@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_cascade
+from conftest import dense_cascade, random_phase_stack
 from multiris.cascade import ScatteringStack, assemble, assemble_physics_channel
 from multiris.fading import FadingSpec, gen_cascade
 from multiris.multiport import Dimensions
@@ -17,7 +17,6 @@ from multiris.optimize import (
     upper_bound_widely,
 )
 from multiris.rng import RandomStream
-from multiris.validation import random_phase_stack
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
