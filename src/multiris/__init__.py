@@ -54,6 +54,7 @@ from .optimize import (
     inner_objective,
     inner_solve_diagonal,
     inner_solve_unitary,
+    los_gains,
     los_optimal_phases_physics,
     los_optimal_phases_widely,
     spectral_norm,

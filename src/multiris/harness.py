@@ -20,7 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import assemble_physics_channel, assemble_widely_used
+# the benchmark tracer binds the six names marked "for the tracer only" here
+from .cascade import (  # noqa: F401
+    assemble_physics_channel,
+    assemble_widely_used,  # for the tracer only
+)
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -32,15 +36,15 @@ from .errors import (
 )
 from .fading import FadingSpec, gen_cascade
 from .multiport import Dimensions
-from .optimize import (  # noqa: F401  the benchmark tracer binds four names here
+from .optimize import (  # noqa: F401
     OptimizerConfig,
-    _physics_from_widely,
     _upper_bounds,
     alg1_batch,
     alg1_optimize,  # for the tracer only
     channel_gain,
+    los_gains,
     los_optimal_phases_physics,  # for the tracer only
-    los_optimal_phases_widely,
+    los_optimal_phases_widely,  # for the tracer only
     upper_bound_physics,  # for the tracer only
     upper_bound_widely,  # for the tracer only
 )
@@ -337,21 +341,6 @@ def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
     return columns
 
 
-def _closed_forms(spec: ExperimentSpec, ch) -> dict:
-    """The line-of-sight closed-form gains of one trial, by model, from one factoring
-    of each link; they are diagonal and optimal for both architectures."""
-    stack_w = los_optimal_phases_widely(ch)
-    gains = {}
-    if "physics" in spec.models:
-        gains["physics"] = channel_gain(
-            assemble_physics_channel(ch, _physics_from_widely(stack_w)))
-    if "widely_used" in spec.models:
-        gains["widely_used"] = channel_gain(assemble_widely_used(ch, stack_w))
-        if "suboptimal_cross" in spec.models:
-            gains["suboptimal_cross"] = channel_gain(assemble_physics_channel(ch, stack_w))
-    return gains
-
-
 def _draws(spec: ExperimentSpec, pairs: tuple):
     """(channel, trial stream) of every (grid point, trial) pair of a block, in block
     order; each channel is drawn from its own trial's stream."""
@@ -372,7 +361,7 @@ def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
     # closed forms need no batch: hold one channel at a time
     columns = {(m, arch): [] for m in spec.models for arch in spec.architectures}
     for ch, _ in _draws(spec, pairs):
-        gains = _closed_forms(spec, ch)
+        gains = dict(zip(MODELS, los_gains(ch)))
         for (m, _), column in columns.items():
             column.append((gains[m], True))
     return columns

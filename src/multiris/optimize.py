@@ -61,13 +61,14 @@ def dominant_singular_pair(h):
     sigma = 0.0
     u = np.zeros(m, dtype=complex)
     u[0] = 1.0
+    h_adj = h.conj().T
     for _ in range(_POWER_MAX_ITER):
         w = h @ v
         norm_w = np.linalg.norm(w)
         if norm_w <= _TINY:
             return 0.0, u, v
         u = w / norm_w
-        z = h.conj().T @ u
+        z = h_adj @ u
         sigma = np.linalg.norm(z)
         if sigma <= _TINY:
             return 0.0, u, v
@@ -170,6 +171,25 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
     theta_w = e^(-j(arg b + arg a)), this is theta_w turned by pi - arg sum theta_w.
     """
     return _physics_from_widely(los_optimal_phases_widely(ch))
+
+
+def los_gains(ch: CascadeChannels) -> tuple[float, float, float]:
+    """(physics, widely_used, suboptimal_cross) optimal gains of a rank-1 cascade.
+
+    With links h_j = lam_j a_j b_j^T and s = b_{j-1}^T a_j at the n-element surface
+    between h_{j-1} and h_j, these are prod lam^2 n_r n_t times prod (n + |s|)^2,
+    prod n^2 and prod |n - s|^2 (the widely used phases under the physical model).
+    Each link is factored once, in the gauge of los_optimal_phases_widely, and its
+    lam^2 joins its surface's factor in the order of the assembled channel.
+    """
+    lam, a, b = zip(*(_rank_one_factors(h) for h in ch.hops()))
+    physics = widely = cross = lam[0] ** 2 * (ch.n_r * ch.n_t)
+    for j in range(1, len(lam)):
+        n, s, link = len(a[j]), b[j - 1] @ a[j], lam[j] ** 2
+        physics *= (n + abs(s)) ** 2 * link
+        widely *= n * n * link
+        cross *= abs(n - s) ** 2 * link
+    return float(physics), float(widely), float(cross)
 
 
 # -- inner problem ----------------------------------------------------------------------

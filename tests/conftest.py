@@ -8,7 +8,14 @@ from itertools import product
 
 import numpy as np
 
-from multiris.cascade import CascadeChannels, ScatteringStack, factor_times, times_factor
+from multiris.cascade import (
+    CascadeChannels,
+    ScatteringStack,
+    assemble_physics_channel,
+    assemble_widely_used,
+    factor_times,
+    times_factor,
+)
 from multiris.errors import DimensionMismatch, ZeroVector
 from multiris.fading import FadingSpec, gen_cascade
 from multiris.multiport import DEFAULT_Z0, Dimensions, MultiportNetwork, RisLoadStack
@@ -18,9 +25,12 @@ from multiris.optimize import (
     OptimizerConfig,
     dominant_singular_pair,
     _phase_angles,
+    _physics_from_widely,
     _rank_one_factors,
     alg1_batch,
+    channel_gain,
     inner_solve_diagonal,
+    los_optimal_phases_widely,
 )
 from multiris.rng import RandomStream
 
@@ -220,6 +230,16 @@ def los_physics_phases_per_surface(ch: CascadeChannels) -> list[np.ndarray]:
         _, _, b = factors[k + 1]
         thetas.append(np.exp(1j * (np.pi + np.angle(b @ a) - np.angle(b) - np.angle(a))))
     return thetas
+
+
+def los_gains_assembled(ch: CascadeChannels) -> tuple[float, float, float]:
+    """(physics, widely_used, suboptimal_cross) line-of-sight optima read off assembled
+    channels: the widely used phases and the physics phases turned from them, each
+    assembled under its model and decomposed by LAPACK. The oracle for los_gains."""
+    stack_w = los_optimal_phases_widely(ch)
+    return (channel_gain(assemble_physics_channel(ch, _physics_from_widely(stack_w))),
+            channel_gain(assemble_widely_used(ch, stack_w)),
+            channel_gain(assemble_physics_channel(ch, stack_w)))
 
 
 def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Experiment spec parsing, the run/aggregate pipeline, emission, and the CLI."""
 
+import importlib.util
 import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -510,6 +512,18 @@ class TestRunExperiment:
         # the physics path sum holds the widely used product as one of its terms
         bound = {row.model: row.bound_mean for row in both if row.architecture == "diagonal"}
         assert bound["physics"] > bound["widely_used"] > 0.0
+
+
+def test_every_traced_name_exists_on_its_owner():
+    # the benchmark tracer rebinds attributes of the package's modules by name, and
+    # fails on the first one that is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing._BINDINGS
+    for owner, attr, _ in tracing._BINDINGS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 class TestEmit:

@@ -9,6 +9,7 @@ from conftest import (
     fold,
     gaussian_cascade,
     grid_search_gain_l2,
+    los_gains_assembled,
     los_physics_phases_per_surface,
     ones_cascade,
     unitaries_with_first_columns_qr,
@@ -27,6 +28,7 @@ from multiris.cascade import (
 )
 from multiris.errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
 from multiris.fading import FadingSpec, draw_los_link, gen_cascade
+from multiris.harness import ExperimentSpec
 from multiris.multiport import Dimensions
 from multiris.optimize import (
     InnerProblemData,
@@ -38,6 +40,7 @@ from multiris.optimize import (
     inner_objective,
     inner_solve_diagonal,
     inner_solve_unitary,
+    los_gains,
     los_optimal_phases_physics,
     los_optimal_phases_widely,
     spectral_norm,
@@ -400,8 +403,39 @@ class TestLosClosedForms:
     def test_multipath_input_rejected(self):
         ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=2),
                                      np.random.default_rng(41))
-        with pytest.raises(NotRankOne):
-            los_optimal_phases_physics(ch)
+        for closed_form in (los_optimal_phases_physics, los_gains):
+            with pytest.raises(NotRankOne):
+                closed_form(ch)
+
+    @pytest.mark.parametrize("n_i", [1, 2, 3, 8, 32])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
+    def test_gains_match_assembled_channels(self, n_i, l):
+        # the cross gain is compared on the physics scale: n - s cancels at n_i = 1
+        for n_t, n_r in ((2, 2), (1, 3), (3, 1)):
+            for path_gain in (1.0, 0.37):
+                stream = RandomStream(47, ("los-gains", l, n_i, n_t, n_r, repr(path_gain)))
+                for trial in range(2):
+                    ch = gen_cascade(Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l),
+                                     FadingSpec("los", path_gain), stream.child(trial))
+                    physics, widely, cross = los_gains(ch)
+                    expect = los_gains_assembled(ch)
+                    assert abs(physics - expect[0]) <= 1e-12 * expect[0]
+                    assert abs(widely - expect[1]) <= 1e-12 * expect[1]
+                    assert abs(cross - expect[2]) <= 1e-12 * expect[0]
+
+    @pytest.mark.parametrize("log10_gain", [-99.0, 99.0])
+    @pytest.mark.parametrize("l, n_i, ends", [(1, 1, 1), (6, 1, 1), (6, 32, 9), (2, 128, 4)])
+    def test_gains_keep_their_scale_at_the_window_edges(self, log10_gain, l, n_i, ends):
+        # the path gain that puts the spec's gain scale at 10^log10_gain scales the
+        # unit-gain trial's physics and widely used optima by path_gain^(2(l+1))
+        path_gain = 10 ** ((log10_gain - l * 2 * np.log10(n_i) - np.log10(ends)) / (2 * (l + 1)))
+        ExperimentSpec("los", l, n_i, seed=0, trials=1, n_t=ends, n_r=1, path_gain=path_gain)
+        dims = Dimensions(n_t=ends, n_r=1, n_i=n_i, l=l)
+        stream = RandomStream(53, ("los-scale", l, n_i))
+        unit = los_gains(gen_cascade(dims, FadingSpec("los"), stream))
+        scaled = los_gains(gen_cascade(dims, FadingSpec("los", path_gain), stream))
+        for got, base in zip(scaled[:2], unit[:2]):
+            assert got > 0.0 and abs(got / base / path_gain ** (2 * (l + 1)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n_i", [1, 2, 8, 128])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
