@@ -103,14 +103,29 @@ def gen_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream) -> np
     return gen_rician_link(rows, cols, spec, stream)
 
 
+def _cascade_links(dims: Dimensions, stream: RandomStream) -> list[tuple]:
+    """(rows, cols, stream) of every link of a cascade in ch.hops() order, h_ri_l first:
+    the one place the child-stream labels of a cascade's links are named."""
+    l = dims.l
+    return [(dims.n_r, dims.n_i, stream.child("ri", l - 1)),
+            *((dims.n_i, dims.n_i, stream.child("hop", k)) for k in reversed(range(l - 1))),
+            (dims.n_i, dims.n_t, stream.child("it", 0))]
+
+
+def draw_los_cascade(dims: Dimensions, path_gain: float,
+                     stream: RandomStream) -> tuple[LosLink, ...]:
+    """The links of the line-of-sight cascade gen_cascade draws, as LosLinks in
+    ch.hops() order: their matrices are its hops, bit for bit."""
+    return tuple(draw_los_link(rows, cols, path_gain, child)
+                 for rows, cols, child in _cascade_links(dims, stream))
+
+
 def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
                 include_sides: bool = False) -> CascadeChannels:
     """Draw every link of a cascade, all following fading, from independent child streams."""
     l = dims.l
-    h_it_1 = gen_link(dims.n_i, dims.n_t, fading, stream.child("it", 0))
-    inter = tuple(gen_link(dims.n_i, dims.n_i, fading, stream.child("hop", k))
-                  for k in range(l - 1))
-    h_ri_l = gen_link(dims.n_r, dims.n_i, fading, stream.child("ri", l - 1))
+    h_ri_l, *inter, h_it_1 = (gen_link(rows, cols, fading, child)
+                              for rows, cols, child in _cascade_links(dims, stream))
     sides = None
     if include_sides:
         h_rt = gen_link(dims.n_r, dims.n_t, fading, stream.child("side_rt"))
@@ -119,4 +134,4 @@ def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
         h_it = tuple(gen_link(dims.n_i, dims.n_t, fading, stream.child("side_it", k))
                      for k in range(1, l))
         sides = SideLinks(h_rt, h_ri, h_it)
-    return CascadeChannels(h_it_1, inter, h_ri_l, sides)
+    return CascadeChannels(h_it_1, tuple(reversed(inter)), h_ri_l, sides)

@@ -35,56 +35,78 @@ _UNIT_TOL = 1e-9
 # -- spectral primitives -----------------------------------------------------------
 
 
-def dominant_singular_pair(h):
-    """Largest singular triple (sigma, u, v) of h by two-sided power iteration.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex (T, n) stack, bit for bit as np.linalg.norm
+    takes it of one row: sqrt(re . re + im . im) from two BLAS dots."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None])[:, 0, 0])
 
-    Deterministic: starts from the first canonical basis vector plus a fixed
-    ramp perturbation, and fixes the free phase so the largest-modulus entry
-    of v is real positive. Returns sigma = 0 with canonical u, v for a zero
-    matrix.
 
-    Kept only for _rank_one_factors: an SVD would pick a different
-    rounding-level argmax |v| on uniform-modulus line-of-sight links, moving
-    their cross gains. alg1_optimize takes its pair from LAPACK, and sigma
-    alone comes from spectral_norm.
+def _dominant_pairs(h: np.ndarray):
+    """Largest singular triple (sigma (T,), u (T, m), v (T, n)) of each matrix of a
+    complex stack h (T, m, n) by two-sided power iteration.
+
+    Deterministic: starts from the first canonical basis vector plus a fixed ramp
+    perturbation, and fixes the free phase so the largest-modulus entry of v is real
+    positive. A matrix whose iterate vanishes gets sigma = 0 and keeps the u, v it
+    stopped with, ungauged. Each member gets the triple it gets alone, bit for bit:
+    every stacked product works matrix by matrix (h^H u is taken as (u^H h)^H, with
+    no conjugate copy of h), a member that stops leaves the working stack, and each
+    gauge phase is a scalar division.
+
+    Kept only for the rank-1 factors: an SVD would pick a different rounding-level
+    argmax |v| on uniform-modulus line-of-sight links, moving their cross gains.
+    alg1 takes its pairs from LAPACK.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
-    m, n = h.shape
-    v = np.zeros(n, dtype=complex)
-    v[0] = 1.0
-    v += 1e-3 * np.arange(1, n + 1) / n
-    v /= np.linalg.norm(v)
-
-    sigma_prev = -1.0
-    sigma = 0.0
-    u = np.zeros(m, dtype=complex)
-    u[0] = 1.0
-    h_adj = h.conj().T
+    count, m, n = h.shape
+    start = np.zeros(n, dtype=complex)
+    start[0] = 1.0
+    start += 1e-3 * np.arange(1, n + 1) / n
+    start /= np.linalg.norm(start)
+    u = np.zeros((count, m), dtype=complex)
+    u[:, 0] = 1.0
+    v = np.tile(start, (count, 1))
+    zero = np.zeros(count, dtype=bool)
+    rows, work, sigma_prev = np.arange(count), h, -1.0
     for _ in range(_POWER_MAX_ITER):
-        w = h @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w <= _TINY:
-            return 0.0, u, v
-        u = w / norm_w
-        z = h_adj @ u
-        sigma = np.linalg.norm(z)
-        if sigma <= _TINY:
-            return 0.0, u, v
-        v = z / sigma
-        if abs(sigma - sigma_prev) <= _POWER_TOL * sigma:
-            break
+        w = (work @ v[rows, :, None])[:, :, 0]
+        norm_w = _row_norms(w)
+        ok = norm_w > _TINY
+        u[rows[ok]] = w[ok] / norm_w[ok, None]
+        z = (u[rows].conj()[:, None] @ work)[:, 0].conj()
+        sigma = _row_norms(z)
+        ok &= sigma > _TINY
+        v[rows[ok]] = z[ok] / sigma[ok, None]
+        zero[rows[~ok]] = True
+        going = ok & ~(np.abs(sigma - sigma_prev) <= _POWER_TOL * sigma)
+        if not going.all():
+            rows, work, sigma = rows[going], work[going], sigma[going]
+            if not len(rows):
+                break
         sigma_prev = sigma
 
     # one consistency pass so (sigma, u, v) satisfy h v = sigma u exactly as computed
-    w = h @ v
-    sigma = float(np.linalg.norm(w))
-    if sigma > _TINY:
-        u = w / sigma
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    return sigma, u * np.conj(phase), v * np.conj(phase)
+    live = np.flatnonzero(~zero)
+    w = ((h if len(live) == count else h[live]) @ v[live, :, None])[:, :, 0]
+    sigma = np.zeros(count)
+    sigma[live] = norm_w = _row_norms(w)
+    big = norm_w > _TINY
+    u[live[big]] = w[big] / norm_w[big, None]
+    k = np.argmax(np.abs(v[live]), axis=1)
+    phase = np.array([np.conj(v[i, j] / abs(v[i, j]))
+                      for i, j in zip(live.tolist(), k.tolist())], dtype=complex)[:, None]
+    u[live] *= phase
+    v[live] *= phase
+    return sigma, u, v
+
+
+def dominant_singular_pair(h):
+    """Largest singular triple (sigma, u, v) of a 2-D h: _dominant_pairs over h alone."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2:
+        raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
+    sigma, u, v = _dominant_pairs(h[None])
+    return float(sigma[0]), u[0], v[0]
 
 
 def spectral_norm(h) -> float:
@@ -107,34 +129,42 @@ def channel_gain(h) -> float:
 # -- rank-1 factor extraction --------------------------------------------------------
 
 
-def _rank_one_factors(h, tol: float = 1e-6):
-    """Split a steering link into (path_gain, a, b) with h = path_gain*outer(a, b).
+def _rank_one_stack(h: np.ndarray, tol: float = 1e-6):
+    """Split each steering link of a stack h (T, m, n) into (path_gain, a, b) with
+    h[t] = path_gain[t] * outer(a[t], b[t]): path_gain (T,), a (T, m), b (T, n).
 
-    Raises NotRankOne when a second singular direction carries more than tol
-    of the dominant one, or when the entry moduli are not uniform (so the
+    Raises NotRankOne when some link's second singular direction carries more than
+    tol of the dominant one, or when its entry moduli are not uniform (so the
     factors are not unit-modulus steering vectors).
 
     The residual ||h - sigma u v^H||_F / sigma is read without the n x n product:
-    dominant_singular_pair returns a unit v and u = h v / sigma, so the squared
-    residual norm is ||h||_F^2 - sigma^2. Cancellation in that difference limits
-    the residual's absolute accuracy to about sqrt(eps) ~ 1e-8, far below tol.
+    _dominant_pairs returns a unit v and u = h v / sigma, so the squared residual
+    norm is ||h||_F^2 - sigma^2, taken matrix by matrix from np.vdot. Cancellation
+    in that difference limits the residual's absolute accuracy to about
+    sqrt(eps) ~ 1e-8, far below tol.
     """
-    h = np.asarray(h, dtype=complex)
-    rows, cols = h.shape
-    sigma, u, v = dominant_singular_pair(h)
-    if sigma <= 0.0:
+    _, rows, cols = h.shape
+    sigma, u, v = _dominant_pairs(h)
+    if (sigma <= 0.0).any():
         raise NotRankOne("zero matrix has no steering factors")
-    residual = np.sqrt(max(np.vdot(h, h).real - sigma * sigma, 0.0)) / sigma
-    if not residual <= tol:  # NaN too, from an overflowed inf - inf
-        raise NotRankOne(f"relative residual {residual:.3e} beyond rank-1 tolerance {tol:.1e}")
+    power = np.array([np.vdot(m, m).real for m in h])
+    residual = np.sqrt(np.maximum(power - sigma * sigma, 0.0)) / sigma
+    bad = ~(residual <= tol)  # NaN too, from an overflowed inf - inf
+    if bad.any():
+        raise NotRankOne(f"relative residual {residual[bad][0]:.3e} beyond rank-1 "
+                         f"tolerance {tol:.1e}")
     mod_u, mod_v = np.abs(u), np.abs(v)
-    if (mod_u.max() - mod_u.min()) > tol * mod_u.max() or \
-       (mod_v.max() - mod_v.min()) > tol * mod_v.max():
-        raise NotRankOne("entry moduli are not uniform; not a steering product")
-    a = u / mod_u
-    b = v.conj() / mod_v
-    lam = sigma / np.sqrt(rows * cols)
-    return float(lam), a, b
+    for mod in (mod_u, mod_v):
+        top = mod.max(axis=1)
+        if ((top - mod.min(axis=1)) > tol * top).any():
+            raise NotRankOne("entry moduli are not uniform; not a steering product")
+    return sigma / np.sqrt(rows * cols), u / mod_u, v.conj() / mod_v
+
+
+def _rank_one_factors(h, tol: float = 1e-6):
+    """(path_gain, a, b) of one steering link h: _rank_one_stack over h alone."""
+    lam, a, b = _rank_one_stack(np.asarray(h, dtype=complex)[None], tol)
+    return float(lam[0]), a[0], b[0]
 
 
 # -- closed-form line-of-sight configurations ------------------------------------------
@@ -179,17 +209,34 @@ def los_gains(ch: CascadeChannels) -> tuple[float, float, float]:
     With links h_j = lam_j a_j b_j^T and s = b_{j-1}^T a_j at the n-element surface
     between h_{j-1} and h_j, these are prod lam^2 n_r n_t times prod (n + |s|)^2,
     prod n^2 and prod |n - s|^2 (the widely used phases under the physical model).
-    Each link is factored once, in the gauge of los_optimal_phases_widely, and its
-    lam^2 joins its surface's factor in the order of the assembled channel.
+    Each link is factored once, in the gauge of los_optimal_phases_widely; see
+    _los_gain_products.
     """
-    lam, a, b = zip(*(_rank_one_factors(h) for h in ch.hops()))
-    physics = widely = cross = lam[0] ** 2 * (ch.n_r * ch.n_t)
-    for j in range(1, len(lam)):
-        n, s, link = len(a[j]), b[j - 1] @ a[j], lam[j] ** 2
-        physics *= (n + abs(s)) ** 2 * link
-        widely *= n * n * link
-        cross *= abs(n - s) ** 2 * link
-    return float(physics), float(widely), float(cross)
+    hops = [_rank_one_stack(h[None]) for h in ch.hops()]
+    return _los_gain_products(hops, ch.n_r * ch.n_t)[0]
+
+
+def _los_gain_products(hops: Sequence[tuple], ends: int) -> list[tuple[float, float, float]]:
+    """los_gains of T rank-1 cascades from their link factors: hops holds one
+    (lam (T,), a (T, m), b (T, n)) per link in ch.hops() order, and ends = n_r n_t.
+
+    Each s is one stacked dot per surface; the products are then taken trial by
+    trial in Python floats, each link's lam^2 joining its surface's factor in the
+    order of the assembled channel.
+    """
+    lam = [h[0].tolist() for h in hops]
+    surfaces = [(a.shape[1], (b[:, None] @ a[:, :, None])[:, 0, 0].tolist())
+                for (_, _, b), (_, a, _) in zip(hops, hops[1:])]
+    gains = []
+    for t, first in enumerate(lam[0]):
+        physics = widely = cross = first ** 2 * ends
+        for (n, s), link in zip(surfaces, lam[1:]):
+            s, link = s[t], link[t] ** 2
+            physics *= (n + abs(s)) ** 2 * link
+            widely *= n * n * link
+            cross *= abs(n - s) ** 2 * link
+        gains.append((physics, widely, cross))
+    return gains
 
 
 # -- inner problem ----------------------------------------------------------------------

@@ -232,6 +232,72 @@ def los_physics_phases_per_surface(ch: CascadeChannels) -> list[np.ndarray]:
     return thetas
 
 
+def dominant_singular_pair_scalar(h):
+    """Largest singular triple (sigma, u, v) of one 2-D h by the two-sided power
+    iteration matrix-vector product by product: the oracle that
+    optimize._dominant_pairs must match bit for bit on each member of a stack.
+
+    Starts from e_1 plus a fixed ramp, stops once sigma moves by at most 1e-12 of
+    itself (or after 10000 steps), returns sigma = 0 with the u, v it stopped with
+    once an iterate vanishes, and otherwise turns (u, v) so that the largest-modulus
+    entry of v is real positive after one consistency pass.
+    """
+    tiny, tol = 1e-300, 1e-12
+    h = np.asarray(h, dtype=complex)
+    m, n = h.shape
+    v = np.zeros(n, dtype=complex)
+    v[0] = 1.0
+    v += 1e-3 * np.arange(1, n + 1) / n
+    v /= np.linalg.norm(v)
+    sigma_prev = -1.0
+    u = np.zeros(m, dtype=complex)
+    u[0] = 1.0
+    h_adj = h.conj().T
+    for _ in range(10000):
+        w = h @ v
+        norm_w = np.linalg.norm(w)
+        if norm_w <= tiny:
+            return 0.0, u, v
+        u = w / norm_w
+        z = h_adj @ u
+        sigma = np.linalg.norm(z)
+        if sigma <= tiny:
+            return 0.0, u, v
+        v = z / sigma
+        if abs(sigma - sigma_prev) <= tol * sigma:
+            break
+        sigma_prev = sigma
+    w = h @ v
+    sigma = float(np.linalg.norm(w))
+    if sigma > tiny:
+        u = w / sigma
+    k = int(np.argmax(np.abs(v)))
+    phase = v[k] / abs(v[k])
+    return sigma, u * np.conj(phase), v * np.conj(phase)
+
+
+def rank_one_factors_scalar(h):
+    """(path_gain, a, b) of one steering link from dominant_singular_pair_scalar, with
+    no rank-1 checks: the oracle for the factors of optimize._rank_one_stack."""
+    rows, cols = h.shape
+    sigma, u, v = dominant_singular_pair_scalar(h)
+    return float(sigma / np.sqrt(rows * cols)), u / np.abs(u), v.conj() / np.abs(v)
+
+
+def los_gains_per_trial(ch: CascadeChannels) -> tuple[float, float, float]:
+    """(physics, widely_used, suboptimal_cross) of one line-of-sight cascade: each link
+    factored by rank_one_factors_scalar, then s = b_{j-1}^T a_j and the three products
+    surface by surface. The oracle for the stacked gains of a line-of-sight block."""
+    lam, a, b = zip(*(rank_one_factors_scalar(h) for h in ch.hops()))
+    physics = widely = cross = lam[0] ** 2 * (ch.n_r * ch.n_t)
+    for j in range(1, len(lam)):
+        n, s, link = len(a[j]), b[j - 1] @ a[j], lam[j] ** 2
+        physics *= (n + abs(s)) ** 2 * link
+        widely *= n * n * link
+        cross *= abs(n - s) ** 2 * link
+    return float(physics), float(widely), float(cross)
+
+
 def los_gains_assembled(ch: CascadeChannels) -> tuple[float, float, float]:
     """(physics, widely_used, suboptimal_cross) line-of-sight optima read off assembled
     channels: the widely used phases and the physics phases turned from them, each

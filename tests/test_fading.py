@@ -8,6 +8,7 @@ import pytest
 from multiris.errors import DimensionMismatch
 from multiris.fading import (
     FadingSpec,
+    draw_los_cascade,
     draw_los_link,
     gen_cascade,
     gen_los_link,
@@ -242,6 +243,22 @@ class TestGenCascade:
         for m in (ch.h_it_1, *ch.inter, ch.h_ri_l):
             s = np.linalg.svd(m, compute_uv=False)
             assert np.all(s[1:] < 1e-12 * s[0])
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_los_draws_follow_the_link_labels(self, l):
+        # the line-of-sight links come from draw_los_cascade, in hops() order, each from
+        # the child stream every other fading kind draws that link from
+        dims = Dimensions(n_t=3, n_r=1, n_i=5, l=l)
+        stream = RandomStream(43, ("los-labels", l))
+        links = draw_los_cascade(dims, 0.37, stream)
+        ch = gen_cascade(dims, FadingSpec("los", 0.37), stream)
+        labelled = [gen_los_link(1, 5, 0.37, stream.child("ri", l - 1)),
+                    *(gen_los_link(5, 5, 0.37, stream.child("hop", k))
+                      for k in reversed(range(l - 1))),
+                    gen_los_link(5, 3, 0.37, stream.child("it", 0))]
+        for link, hop, want in zip(links, ch.hops(), labelled, strict=True):
+            assert link.path_gain == 0.37
+            assert (link.matrix() == hop).all() and (hop == want).all()
 
     def test_links_are_independent(self):
         dims = Dimensions(n_t=100, n_r=100, n_i=1000, l=2)

@@ -11,8 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import los_gains_per_trial
 from multiris.cli import main
 from multiris.errors import DimensionMismatch, SpecError, UnknownPreset, ZeroVector
+from multiris.fading import FadingSpec, gen_cascade
 from multiris.harness import (
     BLOCK_TRIALS,
     ExperimentSpec,
@@ -23,7 +25,16 @@ from multiris.harness import (
     preset_names,
     run_experiment,
 )
-from multiris.harness import _block_cost, _blocks, _GridPoint, _point_label
+from multiris.harness import (
+    _LOS_CHUNK_BYTES,
+    _block_cost,
+    _blocks,
+    _GridPoint,
+    _point_label,
+    _run_block,
+)
+from multiris.multiport import Dimensions
+from multiris.rng import RandomStream
 from multiris.scaling import expected_gain_physics_los, expected_gain_widely_los
 
 
@@ -359,22 +370,9 @@ class TestRunExperiment:
                           tmp_path / f"{workers}.{fmt}").read_bytes() for workers in (1, 2)]
             assert blobs[0] == blobs[1]
 
-    def test_los_closed_forms_serve_both_architectures(self, monkeypatch):
-        import multiris.optimize as optimize
-
-        factored = []
-        rank_one_factors = optimize._rank_one_factors
-
-        def counted(h, *args, **kwargs):
-            factored.append(h)
-            return rank_one_factors(h, *args, **kwargs)
-
-        monkeypatch.setattr(optimize, "_rank_one_factors", counted)
+    def test_los_closed_forms_serve_both_architectures(self):
         spec = tiny_los_spec(architectures=("diagonal", "unitary"))
         header, *lines = format_table(run_experiment(spec), "csv").splitlines()[1:]
-        # every model and architecture of a trial shares one factoring of each of
-        # its l + 1 links
-        assert len(factored) == spec.trials * sum(l + 1 for l in spec.l for _ in spec.n_i_grid)
         column = header.split(",").index("architecture")
         by_arch = {}
         for line in lines:
@@ -718,3 +716,49 @@ class TestCli:
         captured = capsys.readouterr()
         assert "invalid choice" in captured.err and "validate" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestLosBlock:
+    """A line-of-sight block factors each hop position as stacks over its trials."""
+
+    @pytest.mark.parametrize("n_i", [1, 2, 8, 128])
+    @pytest.mark.parametrize("l", [1, 2, 4, 6])
+    def test_gains_match_per_trial_oracle(self, l, n_i):
+        # 40 trials: a full block and a partial one, and at n_i = 128 several chunks
+        # per hop position
+        for n_t, n_r in ((2, 2), (1, 3), (3, 1)):
+            for path_gain in (1.0, 0.37):
+                spec = tiny_los_spec(l=l, n_i_grid=n_i, n_t=n_t, n_r=n_r, trials=40,
+                                     path_gain=path_gain)
+                got = {}
+                for _, pairs in _blocks(spec):
+                    for key, column in _run_block(spec, pairs).items():
+                        got.setdefault(key, []).extend(g for g, _ in column)
+                dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
+                for t in range(spec.trials):
+                    stream = RandomStream(spec.seed, ("point", l, n_i)).child("trial", t)
+                    ch = gen_cascade(dims, FadingSpec("los", path_gain), stream.child("channel"))
+                    want = dict(zip(("physics", "widely_used", "suboptimal_cross"),
+                                    los_gains_per_trial(ch)))
+                    for m in spec.models:
+                        assert got[(m, "diagonal")][t] == want[m]
+
+    def test_block_factors_each_link_once_in_small_stacks(self, monkeypatch):
+        import multiris.optimize as optimize
+
+        stacks = []
+        dominant_pairs = optimize._dominant_pairs
+
+        def recorded(h):
+            stacks.append((len(h), h.nbytes))
+            return dominant_pairs(h)
+
+        monkeypatch.setattr(optimize, "_dominant_pairs", recorded)
+        spec = tiny_los_spec(l=4, n_i_grid=128, trials=BLOCK_TRIALS)
+        assert len(_blocks(spec)) == 1
+        run_experiment(spec)
+        # every model and architecture of a trial shares one factoring of each of its
+        # l + 1 links; the end links of all trials make one stack each
+        assert sum(count for count, _ in stacks) == spec.trials * (4 + 1)
+        assert max(nbytes for _, nbytes in stacks) <= _LOS_CHUNK_BYTES == 1 << 20
+        assert max(count for count, _ in stacks) == BLOCK_TRIALS

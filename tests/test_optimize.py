@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     alg1_dense_reference,
     best_of_restarts,
+    dominant_singular_pair_scalar,
     fold,
     gaussian_cascade,
     grid_search_gain_l2,
@@ -48,6 +49,7 @@ from multiris.optimize import (
     upper_bound_widely,
 )
 from multiris.optimize import (
+    _dominant_pairs,
     _physics_from_widely,
     _rank_one_factors,
     _top_pairs,
@@ -123,6 +125,75 @@ class TestDominantSingularPair:
         if dtype is complex:
             h = h + 1j * rng.standard_normal(shape)
         assert spectral_norm(h) == float(np.linalg.norm(h, 2))
+
+
+def _assert_rows_match_scalar(h):
+    """Every member of _dominant_pairs(h) equals the scalar oracle on that matrix alone."""
+    sigma, u, v = _dominant_pairs(h)
+    for t, m in enumerate(h):
+        want_sigma, want_u, want_v = dominant_singular_pair_scalar(m)
+        assert sigma[t] == want_sigma
+        assert (u[t] == want_u).all() and (v[t] == want_v).all()
+    return sigma
+
+
+class TestDominantPairs:
+    """The stacked power iteration against the scalar oracle, with ==."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32, 64, 128])
+    def test_rank_one_links_at_every_los_shape(self, n):
+        stream = RandomStream(59, ("pairs-los", n))
+        for ends in (1, 2, 3):
+            for k, shape in enumerate(((n, n), (n, ends), (ends, n))):
+                _assert_rows_match_scalar(np.stack([
+                    draw_los_link(*shape, path_gain, stream.child(ends, k, t)).matrix()
+                    for t, path_gain in enumerate((1.0, 0.37, 2.5, 1.0))]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (8, 8),
+                                       (16, 4), (32, 32)])
+    def test_gaussian_matrices(self, shape):
+        rng = np.random.default_rng(shape)
+        _assert_rows_match_scalar(rng.standard_normal((6, *shape))
+                                  + 1j * rng.standard_normal((6, *shape)))
+
+    def test_near_degenerate_matrices_take_many_steps(self):
+        # sigma_2 / sigma_1 = 0.99 and 0.999: about a thousand steps, and the
+        # 10000-step cap
+        rng = np.random.default_rng(67)
+        h = []
+        for ratio in (0.99, 0.999):
+            q1 = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            q2 = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+            h.append(q1 @ np.diag([1.0, ratio, 0.5, 0.1]) @ q2.conj().T)
+        _assert_rows_match_scalar(np.stack(h))
+
+    def test_zero_matrix(self):
+        sigma = _assert_rows_match_scalar(np.zeros((2, 3, 4), dtype=complex))
+        assert (sigma == 0.0).all()
+
+    def test_members_stopping_at_different_steps(self):
+        # a rank-1 link stops after two steps and the Gaussian ones after tens; the
+        # zero matrix and one at scale 1e-170, whose squared entries underflow,
+        # vanish on the first, while scale 1e-150 still iterates
+        rng = np.random.default_rng(71)
+        gauss = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+        los = draw_los_link(8, 8, 0.37, RandomStream(71, ("mixed",))).matrix()
+        h = np.stack([gauss[0], los, np.zeros((8, 8)), gauss[1] * 1e-170, gauss[2],
+                      gauss[0] * 1e-150, los])
+        sigma = _assert_rows_match_scalar(h)
+        assert sigma[2] == sigma[3] == 0.0 and (sigma[[0, 1, 4, 5, 6]] > 0.0).all()
+
+    def test_scalar_api_is_the_stack_of_one(self):
+        rng = np.random.default_rng(73)
+        h = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        # a C-ordered matrix and a Fortran-ordered one
+        for m in (h, h.T):
+            sigma, u, v = dominant_singular_pair(m)
+            want_sigma, want_u, want_v = dominant_singular_pair_scalar(m)
+            assert type(sigma) is float and sigma == want_sigma
+            assert (u == want_u).all() and (v == want_v).all()
+        with pytest.raises(DimensionMismatch):
+            dominant_singular_pair(np.ones((2, 2, 2)))
 
 
 class TestRankOneFactors:
