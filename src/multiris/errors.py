@@ -28,7 +28,8 @@ def shown(value) -> str:
 def as_finite(a, name: str, ndims=(2,), dtype=complex) -> np.ndarray:
     """a as a finite numeric array of dtype (None keeps a's own) with one of the
     allowed ndims. Ragged or non-numeric input, complex input where dtype is float
-    and a wrong ndim raise DimensionMismatch, a NaN or infinite entry NonFiniteInput."""
+    and a wrong ndim raise DimensionMismatch, an array with no entries EmptySequence,
+    a NaN or infinite entry NonFiniteInput."""
     try:
         # numpy's cast to float would drop the imaginary part with a warning
         if dtype is float and np.asarray(a).dtype.kind == "c":
@@ -40,6 +41,8 @@ def as_finite(a, name: str, ndims=(2,), dtype=complex) -> np.ndarray:
         raise DimensionMismatch(f"{name} is not a numeric array, got dtype {arr.dtype}")
     if arr.ndim not in ndims:
         raise DimensionMismatch(f"{name} must have ndim in {ndims}, got ndim {arr.ndim}")
+    if arr.size == 0:
+        raise EmptySequence(f"{name} has no entries, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name} has NaN or infinite entries")
     return arr

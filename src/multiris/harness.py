@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
@@ -35,16 +34,15 @@ from .errors import (
     is_int,
     shown,
 )
-from .fading import FadingSpec, LosLink, draw_los_cascade, gen_cascade
+from .fading import FadingSpec, draw_los_cascade, gen_cascade
 from .multiport import Dimensions
 from .optimize import (  # noqa: F401
     OptimizerConfig,
-    _los_gain_products,
-    _rank_one_stack,
     _upper_bounds,
     alg1_batch,
     alg1_optimize,  # for the tracer only
     channel_gain,
+    los_gains,
     los_optimal_phases_physics,  # for the tracer only
     los_optimal_phases_widely,  # for the tracer only
     upper_bound_physics,  # for the tracer only
@@ -61,11 +59,6 @@ ARCHITECTURES = ("diagonal", "unitary")
 # K grid of one (l, n_i), are optimized as one alg1 batch per architecture, and
 # sequential and parallel runs execute the same blocks
 BLOCK_TRIALS = 32
-
-# a line-of-sight block forms the link matrices of one hop position at a time, in
-# chunks of at most this many bytes (one matrix if a matrix is larger): unchunked
-# stacks, held by a pool worker and by its parent at once, raised peak memory by 17%
-_LOS_CHUNK_BYTES = 1 << 20
 
 
 # the optimizer settings a spec may override; OptimizerConfig checks their values
@@ -348,29 +341,6 @@ def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
     return columns
 
 
-def _factor_los_hop(links: Sequence[LosLink]) -> tuple:
-    """(path_gain (T,), a (T, m), b (T, n)) of one hop position's links, as
-    _rank_one_stack reads them off path_gain * outer(a, b).
-
-    The matrices are formed only so that the factors keep the gauge that factoring
-    the drawn matrix gives them: in place, in one buffer of at most _LOS_CHUNK_BYTES,
-    and only the factor vectors are kept.
-    """
-    a = np.array([link.a for link in links])
-    b = np.array([link.b for link in links])
-    gains = np.array([link.path_gain for link in links])[:, None, None]
-    per = max(1, _LOS_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
-    buf = np.empty((min(per, len(links)), a.shape[1], b.shape[1]), dtype=complex)
-    parts = []
-    for start in range(0, len(links), per):
-        h = buf[:len(links) - start]
-        chunk = slice(start, start + len(h))
-        np.multiply(a[chunk, :, None], b[chunk, None, :], out=h)
-        h *= gains[chunk]
-        parts.append(_rank_one_stack(h))
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
 def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
     """One block: pairs holds (grid point, trial) pairs that share (l, n_i). Paired:
     every model and architecture of a trial sees the same channel draw. Returns
@@ -382,11 +352,10 @@ def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
         chs = [gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
                for (point, _), root in zip(pairs, roots)]
         return _optimize_block(spec, chs, roots)
-    # closed forms need no alg1 batch: every trial's links are drawn, then each hop
-    # position is factored as stacks over the block's trials
+    # closed forms need no alg1 batch: every trial's links are drawn, then los_gains
+    # factors each hop position as stacks over the block's trials
     drawn = [draw_los_cascade(dims, spec.path_gain, root.child("channel")) for root in roots]
-    gains = _los_gain_products([_factor_los_hop(hop) for hop in zip(*drawn)],
-                               spec.n_r * spec.n_t)
+    gains = los_gains(drawn)
     return {(m, arch): [(g[MODELS.index(m)], True) for g in gains]
             for m in spec.models for arch in spec.architectures}
 

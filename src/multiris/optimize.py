@@ -16,6 +16,7 @@ import numpy as np
 from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import (
     DimensionMismatch,
+    EmptySequence,
     NotRankOne,
     ZeroVector,
     as_finite,
@@ -23,6 +24,7 @@ from .errors import (
     is_int,
     shown,
 )
+from .fading import LosLink
 from .rng import RandomStream
 
 _TINY = 1e-300
@@ -30,6 +32,11 @@ _NORMAL = np.finfo(float).tiny
 _POWER_TOL = 1e-12
 _POWER_MAX_ITER = 10000
 _UNIT_TOL = 1e-9
+
+# a line-of-sight block forms the link matrices of one hop position at a time, in
+# chunks of at most this many bytes (one matrix if a matrix is larger): unchunked
+# stacks, held by a pool worker and by its parent at once, raised peak memory by 17%
+_LOS_CHUNK_BYTES = 1 << 20
 
 
 # -- spectral primitives -----------------------------------------------------------
@@ -105,6 +112,8 @@ def dominant_singular_pair(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise DimensionMismatch(f"need a 2-D matrix, got ndim {h.ndim}")
+    if h.size == 0:
+        raise EmptySequence(f"need a matrix with entries, got shape {h.shape}")
     sigma, u, v = _dominant_pairs(h[None])
     return float(sigma[0]), u[0], v[0]
 
@@ -203,27 +212,49 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
     return _physics_from_widely(los_optimal_phases_widely(ch))
 
 
-def los_gains(ch: CascadeChannels) -> tuple[float, float, float]:
-    """(physics, widely_used, suboptimal_cross) optimal gains of a rank-1 cascade.
+def _factor_los_hop(links: Sequence[LosLink]) -> tuple:
+    """(path_gain (T,), a (T, m), b (T, n)) of one hop position's links, as
+    _rank_one_stack reads them off the matrices path_gain * outer(a, b). These are
+    formed only to keep the gauge, the free common phase of the pair a, b, that
+    factoring the drawn matrix gives: in place, in one buffer of at most
+    _LOS_CHUNK_BYTES, keeping only the factor vectors."""
+    a = np.array([link.a for link in links])
+    b = np.array([link.b for link in links])
+    gains = np.array([link.path_gain for link in links])[:, None, None]
+    per = max(1, _LOS_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
+    buf = np.empty((min(per, len(links)), a.shape[1], b.shape[1]), dtype=complex)
+    parts = []
+    for start in range(0, len(links), per):
+        h = buf[:len(links) - start]
+        chunk = slice(start, start + len(h))
+        np.multiply(a[chunk, :, None], b[chunk, None, :], out=h)
+        h *= gains[chunk]
+        parts.append(_rank_one_stack(h))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def los_gains(cascades: Sequence[Sequence[LosLink]]) -> list[tuple[float, float, float]]:
+    """(physics, widely_used, suboptimal_cross) optimal gains of each rank-1 cascade of
+    a block, given as its LosLinks in ch.hops() order (as fading.draw_los_cascade
+    returns them). A cascade's gains do not depend on its block.
 
     With links h_j = lam_j a_j b_j^T and s = b_{j-1}^T a_j at the n-element surface
     between h_{j-1} and h_j, these are prod lam^2 n_r n_t times prod (n + |s|)^2,
     prod n^2 and prod |n - s|^2 (the widely used phases under the physical model).
-    Each link is factored once, in the gauge of los_optimal_phases_widely; see
-    _los_gain_products.
+    Each hop position is factored as stacks over the block, in the gauge of
+    los_optimal_phases_widely, and each s is one stacked dot per surface; the
+    products are then taken trial by trial in Python floats, each link's lam^2
+    joining its surface's factor in the order of the assembled channel.
     """
-    hops = [_rank_one_stack(h[None]) for h in ch.hops()]
-    return _los_gain_products(hops, ch.n_r * ch.n_t)[0]
-
-
-def _los_gain_products(hops: Sequence[tuple], ends: int) -> list[tuple[float, float, float]]:
-    """los_gains of T rank-1 cascades from their link factors: hops holds one
-    (lam (T,), a (T, m), b (T, n)) per link in ch.hops() order, and ends = n_r n_t.
-
-    Each s is one stacked dot per surface; the products are then taken trial by
-    trial in Python floats, each link's lam^2 joining its surface's factor in the
-    order of the assembled channel.
-    """
+    if not (isinstance(cascades, Sequence) and cascades and all(
+            isinstance(c, Sequence) and c and all(isinstance(x, LosLink) for x in c)
+            for c in cascades)):
+        raise DimensionMismatch("los_gains needs one or more sequences of LosLinks")
+    shape, *others = shapes = sorted({tuple((x.a.size, x.b.size) for x in c) for c in cascades})
+    if others or 0 in sum(shape, ()) or any(b != a for (_, b), (a, _) in zip(shape, shape[1:])):
+        raise DimensionMismatch(f"link shapes differ, do not chain or are empty: {shapes}")
+    ends = shape[0][0] * shape[-1][1]
+    hops = [_factor_los_hop(hop) for hop in zip(*cascades)]
     lam = [h[0].tolist() for h in hops]
     surfaces = [(a.shape[1], (b[:, None] @ a[:, :, None])[:, 0, 0].tolist())
                 for (_, _, b), (_, a, _) in zip(hops, hops[1:])]

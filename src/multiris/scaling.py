@@ -20,7 +20,6 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     EmptySample,
-    EmptySequence,
     NonFiniteInput,
     RangeExceeded,
     as_finite,
@@ -167,8 +166,6 @@ def structural_scattering_strength(mean_sq_singular_values) -> float:
     singular values, sorted descending. 1/n^2 for rank-1 links, 1/n when all
     directions are equally strong."""
     lam = as_finite(mean_sq_singular_values, "mean squared singular values", (1,), float)
-    if lam.size == 0:
-        raise EmptySequence("need at least one mean squared singular value")
     if lam[0] <= 0.0:
         raise DegenerateDenominator("the dominant mean squared singular value must be positive")
     if np.any(np.diff(lam) > 1e-9 * lam[0]):

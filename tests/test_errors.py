@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ones_cascade
 from multiris.cascade import CascadeChannels, ScatteringStack, SideLinks, assemble
-from multiris.errors import DimensionMismatch, NonFiniteInput
+from multiris.errors import DimensionMismatch, EmptySequence, NonFiniteInput
 from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
@@ -45,14 +45,16 @@ BAD_INPUTS = {
     "nan": (lambda ndim: np.full((1,) * ndim, np.nan), NonFiniteInput),
     "inf": (lambda ndim: np.full((1,) * ndim, np.inf), NonFiniteInput),
     "wrong-ndim": (lambda ndim: np.ones((1,) * (ndim + 1)), DimensionMismatch),
+    "empty": (lambda ndim: np.zeros((0,) * ndim), EmptySequence),
 }
 
 
 @pytest.mark.parametrize("kind", BAD_INPUTS)
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_bad_array_input_raises_typed_error(entry, kind):
-    """A ragged, non-numeric, NaN, infinite or wrong-ndim array raises the package's
-    own error at every entry point, not numpy's ValueError or LAPACK's LinAlgError."""
+    """A ragged, non-numeric, NaN, infinite, wrong-ndim or empty array raises the
+    package's own error at every entry point, not numpy's ValueError, IndexError or
+    LAPACK's LinAlgError."""
     ndim, call = ENTRY_POINTS[entry]
     make, error = BAD_INPUTS[kind]
     with pytest.raises(error):

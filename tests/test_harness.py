@@ -26,7 +26,6 @@ from multiris.harness import (
     run_experiment,
 )
 from multiris.harness import (
-    _LOS_CHUNK_BYTES,
     _block_cost,
     _blocks,
     _GridPoint,
@@ -34,6 +33,7 @@ from multiris.harness import (
     _run_block,
 )
 from multiris.multiport import Dimensions
+from multiris.optimize import _LOS_CHUNK_BYTES
 from multiris.rng import RandomStream
 from multiris.scaling import expected_gain_physics_los, expected_gain_widely_los
 
@@ -359,6 +359,8 @@ class TestRunExperiment:
         dict(scenario="rayleigh", l=(2,), n_i_grid=(2,),
              architectures=("diagonal", "unitary")),
         dict(scenario="rician", l=(2,), n_i_grid=(2,), rician_k=(0.0, 4.0)),
+        # closed-form blocks through the pool, several 1 MiB chunks per hop at n_i = 128
+        dict(scenario="los", l=(1, 3), n_i_grid=(2, 128), n_t=3, n_r=1, path_gain=0.37),
     ])
     def test_multi_block_bytes_match_across_parallelism(self, tmp_path, scenario):
         # two full blocks and a partial one per grid point

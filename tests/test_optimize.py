@@ -27,8 +27,14 @@ from multiris.cascade import (
     sweep_folds,
     times_factor,
 )
-from multiris.errors import DimensionMismatch, NonFiniteInput, NotRankOne, ZeroVector
-from multiris.fading import FadingSpec, draw_los_link, gen_cascade
+from multiris.errors import (
+    DimensionMismatch,
+    EmptySequence,
+    NonFiniteInput,
+    NotRankOne,
+    ZeroVector,
+)
+from multiris.fading import FadingSpec, LosLink, draw_los_cascade, draw_los_link, gen_cascade
 from multiris.harness import ExperimentSpec
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -194,6 +200,9 @@ class TestDominantPairs:
             assert (u == want_u).all() and (v == want_v).all()
         with pytest.raises(DimensionMismatch):
             dominant_singular_pair(np.ones((2, 2, 2)))
+        for empty in (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0))):
+            with pytest.raises(EmptySequence):
+                dominant_singular_pair(empty)
 
 
 class TestRankOneFactors:
@@ -474,9 +483,40 @@ class TestLosClosedForms:
     def test_multipath_input_rejected(self):
         ch = gaussian_cascade(Dimensions(n_t=2, n_r=2, n_i=4, l=2),
                                      np.random.default_rng(41))
-        for closed_form in (los_optimal_phases_physics, los_gains):
-            with pytest.raises(NotRankOne):
-                closed_form(ch)
+        with pytest.raises(NotRankOne):
+            los_optimal_phases_physics(ch)
+
+    @pytest.mark.parametrize("case", ["empty", "empty-cascade", "mixed-shapes", "mixed-depths",
+                                      "not-chaining", "empty-link", "matrix-cascade",
+                                      "matrix-links", "bare-cascade"])
+    def test_gains_reject_malformed_blocks(self, case):
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        stream = RandomStream(59, ("los-block",))
+        good = draw_los_cascade(dims, 1.0, stream.child(0))
+        ch = gaussian_cascade(dims, np.random.default_rng(41))
+        block = {
+            "empty": lambda: [],
+            "empty-cascade": lambda: [good, ()],
+            "mixed-shapes": lambda: [good, draw_los_cascade(Dimensions(2, 2, 3, 2), 1.0, stream)],
+            "mixed-depths": lambda: [good, draw_los_cascade(Dimensions(2, 2, 4, 3), 1.0, stream)],
+            # hop 0 leaves 4 elements, hop 1 arrives at 3
+            "not-chaining": lambda: [(good[0], LosLink(1.0, np.ones(3), np.ones(4)), good[2])],
+            "empty-link": lambda: [(LosLink(1.0, np.ones(0), np.ones(0)),)],
+            # the matrix form los_gains took before; a multipath cascade is refused too
+            "matrix-cascade": lambda: [ch],
+            "matrix-links": lambda: [ch.hops()],
+            "bare-cascade": lambda: ch,
+        }[case]()
+        with pytest.raises(DimensionMismatch):
+            los_gains(block)
+
+    @pytest.mark.parametrize("n_i", [2, 128])
+    @pytest.mark.parametrize("l", [1, 4])
+    def test_gains_do_not_depend_on_the_block(self, l, n_i):
+        stream = RandomStream(61, ("los-batch", l, n_i))
+        dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
+        block = [draw_los_cascade(dims, 0.37, stream.child(t)) for t in range(40)]
+        assert los_gains(block) == [los_gains([cascade])[0] for cascade in block]
 
     @pytest.mark.parametrize("n_i", [1, 2, 3, 8, 32])
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
@@ -486,9 +526,10 @@ class TestLosClosedForms:
             for path_gain in (1.0, 0.37):
                 stream = RandomStream(47, ("los-gains", l, n_i, n_t, n_r, repr(path_gain)))
                 for trial in range(2):
-                    ch = gen_cascade(Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l),
-                                     FadingSpec("los", path_gain), stream.child(trial))
-                    physics, widely, cross = los_gains(ch)
+                    dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
+                    ch = gen_cascade(dims, FadingSpec("los", path_gain), stream.child(trial))
+                    [(physics, widely, cross)] = los_gains(
+                        [draw_los_cascade(dims, path_gain, stream.child(trial))])
                     expect = los_gains_assembled(ch)
                     assert abs(physics - expect[0]) <= 1e-12 * expect[0]
                     assert abs(widely - expect[1]) <= 1e-12 * expect[1]
@@ -503,8 +544,8 @@ class TestLosClosedForms:
         ExperimentSpec("los", l, n_i, seed=0, trials=1, n_t=ends, n_r=1, path_gain=path_gain)
         dims = Dimensions(n_t=ends, n_r=1, n_i=n_i, l=l)
         stream = RandomStream(53, ("los-scale", l, n_i))
-        unit = los_gains(gen_cascade(dims, FadingSpec("los"), stream))
-        scaled = los_gains(gen_cascade(dims, FadingSpec("los", path_gain), stream))
+        unit = los_gains([draw_los_cascade(dims, 1.0, stream)])[0]
+        scaled = los_gains([draw_los_cascade(dims, path_gain, stream)])[0]
         for got, base in zip(scaled[:2], unit[:2]):
             assert got > 0.0 and abs(got / base / path_gain ** (2 * (l + 1)) - 1.0) <= 1e-12
 
