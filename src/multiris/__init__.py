@@ -14,7 +14,7 @@ from .cascade import (
 from .fading import (
     FadingSpec,
     LosLink,
-    draw_los_cascade,
+    draw_los_cascades,
     draw_los_link,
     gen_cascade,
     gen_link,

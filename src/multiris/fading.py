@@ -21,6 +21,7 @@ class LosLink:
     b: np.ndarray
 
     def __post_init__(self):
+        _check_nonnegative("path_gain", self.path_gain)
         a = np.asarray(self.a, dtype=complex)
         b = np.asarray(self.b, dtype=complex)
         if a.ndim != 1 or b.ndim != 1:
@@ -60,13 +61,26 @@ def _check_link(rows, cols, path_gain):
     _check_nonnegative("path_gain", path_gain)
 
 
+def _draw_los_links(rows: int, cols: int, path_gain: float,
+                    streams: list[RandomStream]) -> list[LosLink]:
+    """One hop position's links, one per stream, each with i.i.d. uniform phases.
+
+    Row t of one (T, rows + cols) buffer is streams[t].generator().random(rows + cols),
+    and one exp turns the buffer into phases, so each link's a and b are views of its
+    row. These are the bytes of rng.uniform(0, 2 pi, rows), then cols, per link:
+    uniform returns 0.0 + 2 pi U from the same next_double U that random returns, and
+    one random(rows + cols) call uses the words of the two calls in turn."""
+    _check_link(rows, cols, path_gain)
+    phases = np.empty((len(streams), rows + cols))
+    for row, stream in zip(phases, streams):
+        stream.generator().random(out=row)
+    phases = np.exp(1j * (2.0 * np.pi * phases))
+    return [LosLink(float(path_gain), row[:rows], row[rows:]) for row in phases]
+
+
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
     """Draw a rank-1 link with i.i.d. uniform phases on both sides."""
-    _check_link(rows, cols, path_gain)
-    rng = stream.generator()
-    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rows))
-    b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cols))
-    return LosLink(float(path_gain), a, b)
+    return _draw_los_links(rows, cols, path_gain, [stream])[0]
 
 
 def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
@@ -103,29 +117,32 @@ def gen_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream) -> np
     return gen_rician_link(rows, cols, spec, stream)
 
 
-def _cascade_links(dims: Dimensions, stream: RandomStream) -> list[tuple]:
-    """(rows, cols, stream) of every link of a cascade in ch.hops() order, h_ri_l first:
-    the one place the child-stream labels of a cascade's links are named."""
+def _cascade_links(dims: Dimensions) -> list[tuple]:
+    """(rows, cols, child label) of every link of a cascade in ch.hops() order, h_ri_l
+    first: the one place the child-stream labels of a cascade's links are named."""
     l = dims.l
-    return [(dims.n_r, dims.n_i, stream.child("ri", l - 1)),
-            *((dims.n_i, dims.n_i, stream.child("hop", k)) for k in reversed(range(l - 1))),
-            (dims.n_i, dims.n_t, stream.child("it", 0))]
+    return [(dims.n_r, dims.n_i, ("ri", l - 1)),
+            *((dims.n_i, dims.n_i, ("hop", k)) for k in reversed(range(l - 1))),
+            (dims.n_i, dims.n_t, ("it", 0))]
 
 
-def draw_los_cascade(dims: Dimensions, path_gain: float,
-                     stream: RandomStream) -> tuple[LosLink, ...]:
-    """The links of the line-of-sight cascade gen_cascade draws, as LosLinks in
-    ch.hops() order: their matrices are its hops, bit for bit."""
-    return tuple(draw_los_link(rows, cols, path_gain, child)
-                 for rows, cols, child in _cascade_links(dims, stream))
+def draw_los_cascades(dims: Dimensions, path_gain: float,
+                      streams: list[RandomStream]) -> list[tuple[LosLink, ...]]:
+    """The links of the line-of-sight cascade gen_cascade draws from each stream, as
+    LosLinks in ch.hops() order: their matrices are its hops, bit for bit. Each hop
+    position is drawn for the whole block at once, one stream and one generator per
+    link, so a cascade's links do not depend on its block."""
+    hops = [_draw_los_links(rows, cols, path_gain, [stream.child(*label) for stream in streams])
+            for rows, cols, label in _cascade_links(dims)]
+    return list(zip(*hops))
 
 
 def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
                 include_sides: bool = False) -> CascadeChannels:
     """Draw every link of a cascade, all following fading, from independent child streams."""
     l = dims.l
-    h_ri_l, *inter, h_it_1 = (gen_link(rows, cols, fading, child)
-                              for rows, cols, child in _cascade_links(dims, stream))
+    h_ri_l, *inter, h_it_1 = (gen_link(rows, cols, fading, stream.child(*label))
+                              for rows, cols, label in _cascade_links(dims))
     sides = None
     if include_sides:
         h_rt = gen_link(dims.n_r, dims.n_t, fading, stream.child("side_rt"))

@@ -34,7 +34,7 @@ from .errors import (
     is_int,
     shown,
 )
-from .fading import FadingSpec, draw_los_cascade, gen_cascade
+from .fading import FadingSpec, draw_los_cascades, gen_cascade
 from .multiport import Dimensions
 from .optimize import (  # noqa: F401
     OptimizerConfig,
@@ -352,9 +352,9 @@ def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
         chs = [gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
                for (point, _), root in zip(pairs, roots)]
         return _optimize_block(spec, chs, roots)
-    # closed forms need no alg1 batch: every trial's links are drawn, then los_gains
-    # factors each hop position as stacks over the block's trials
-    drawn = [draw_los_cascade(dims, spec.path_gain, root.child("channel")) for root in roots]
+    # closed forms need no alg1 batch: each hop position is drawn, then los_gains
+    # factors it, as stacks over the block's trials
+    drawn = draw_los_cascades(dims, spec.path_gain, [root.child("channel") for root in roots])
     gains = los_gains(drawn)
     return {(m, arch): [(g[MODELS.index(m)], True) for g in gains]
             for m in spec.models for arch in spec.architectures}

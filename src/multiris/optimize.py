@@ -235,7 +235,7 @@ def _factor_los_hop(links: Sequence[LosLink]) -> tuple:
 
 def los_gains(cascades: Sequence[Sequence[LosLink]]) -> list[tuple[float, float, float]]:
     """(physics, widely_used, suboptimal_cross) optimal gains of each rank-1 cascade of
-    a block, given as its LosLinks in ch.hops() order (as fading.draw_los_cascade
+    a block, given as its LosLinks in ch.hops() order (as fading.draw_los_cascades
     returns them). A cascade's gains do not depend on its block.
 
     With links h_j = lam_j a_j b_j^T and s = b_{j-1}^T a_j at the n-element surface

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,16 +38,14 @@ def _hash_label(part: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-def _int_words(n: int) -> tuple[int, ...]:
-    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return tuple(words)
+def _int_words(n: int) -> bytes:
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int, packed
+    as bytes: a stream keeps its words in one object, not one int object per word."""
+    return n.to_bytes((max(n.bit_length(), 1) + 31) // 32 * 4, "little")
 
 
 @functools.lru_cache(maxsize=4096, typed=True)
-def _part_words(part: LabelPart) -> tuple[int, ...]:
+def _part_words(part: LabelPart) -> bytes:
     # labels reuse a small vocabulary, so each part is checked and encoded once
     # per process; typed keys keep True and 1.0 off the entry of an equal int
     # (an IntEnum member shares their key shape), so they are rejected every time
@@ -60,6 +58,9 @@ class RandomStream:
 
     seed: int
     label: tuple[LabelPart, ...] = ()
+    # the uint32 words SeedSequence would make of [seed, *encoded parts]: built once
+    # here and extended by child, and no part of ==, hash or repr
+    _words: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_int(self.seed) or self.seed < 0:
@@ -67,25 +68,27 @@ class RandomStream:
         if not isinstance(self.label, tuple):
             raise TypeError(f"a stream label must be a tuple of parts, got "
                             f"{type(self.label).__name__}")
+        words = _int_words(int(self.seed))
         for part in self.label:
-            _part_words(part)
+            words += _part_words(part)
+        object.__setattr__(self, "_words", words)
 
     def child(self, *parts: LabelPart) -> "RandomStream":
         """Return the stream whose label path extends this one by `parts`."""
+        words = self._words
         for part in parts:
-            _part_words(part)
+            words += _part_words(part)
         # this stream is already checked, so the child skips __post_init__
         stream = object.__new__(RandomStream)
         object.__setattr__(stream, "seed", self.seed)
         object.__setattr__(stream, "label", self.label + parts)
+        object.__setattr__(stream, "_words", words)
         return stream
 
     def generator(self) -> np.random.Generator:
         """Materialize a fresh numpy Generator for this stream.
 
-        SeedSequence gets the uint32 words it would make of [seed, *encoded
-        parts] itself, so the draws are the same without its slow int conversion."""
-        words = list(_int_words(int(self.seed)))
-        for part in self.label:
-            words.extend(_part_words(part))
-        return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+        SeedSequence gets the stream's words as a read-only uint32 array, so the draws
+        are the same as from [seed, *encoded parts] without its slow int conversion."""
+        words = np.frombuffer(self._words, dtype="<u4")
+        return np.random.default_rng(np.random.SeedSequence(words))

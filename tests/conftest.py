@@ -58,6 +58,16 @@ def int_list_seed_sequence(stream: RandomStream) -> np.random.SeedSequence:
     return np.random.SeedSequence([stream.seed, *parts])
 
 
+def los_link_oracle(rows: int, cols: int, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """The steering vectors (a, b) of one line-of-sight link drawn link by link: one
+    generator, rows uniform phases, then cols. The oracle for the block draw of
+    fading, which must keep these bytes."""
+    rng = stream.generator()
+    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rows))
+    b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cols))
+    return a, b
+
+
 def gaussian_cascade(dims: Dimensions, rng: np.random.Generator,
                      include_sides: bool = False) -> CascadeChannels:
     """A Rayleigh cascade at per-entry power 1/(2 n_i), the scale at which every

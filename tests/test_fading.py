@@ -1,6 +1,9 @@
 """Link generators: statistics, determinism, stream independence."""
 
+import copy
+import dataclasses
 import enum
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ import pytest
 from multiris.errors import DimensionMismatch
 from multiris.fading import (
     FadingSpec,
-    draw_los_cascade,
+    LosLink,
+    _draw_los_links,
+    draw_los_cascades,
     draw_los_link,
     gen_cascade,
     gen_los_link,
@@ -18,7 +23,7 @@ from multiris.fading import (
 from multiris.multiport import Dimensions
 from multiris.rng import RandomStream
 
-from conftest import int_list_seed_sequence
+from conftest import int_list_seed_sequence, los_link_oracle
 
 
 class _One(enum.IntEnum):
@@ -106,10 +111,22 @@ class TestRandomStream:
             by_child = RandomStream(seed).child(*parts[:depth // 2]).child(*parts[depth // 2:depth])
             assert by_child == stream and hash(by_child) == hash(stream)
             oracle = int_list_seed_sequence(stream)
-            for built in (stream, by_child):
+            # the seed words are built at construction and carried by child, so a
+            # replaced, unpickled or copied stream must draw by its own label
+            relabelled = dataclasses.replace(RandomStream(seed, ("other",)), label=parts[:depth])
+            for built in (stream, by_child, relabelled, pickle.loads(pickle.dumps(by_child)),
+                          copy.deepcopy(by_child)):
+                assert built == stream and hash(built) == hash(stream)
+                assert repr(built) == f"RandomStream(seed={seed!r}, label={parts[:depth]!r})"
                 gen = built.generator()
                 assert np.array_equal(gen.bit_generator.seed_seq.pool, oracle.pool)
                 assert np.array_equal(gen.random(4), np.random.default_rng(oracle).random(4))
+
+    def test_seed_words_take_no_part_in_eq_hash_or_repr(self):
+        stream = RandomStream(5, ("a", 1))
+        other = RandomStream(5, ("a", 1))
+        object.__setattr__(other, "_words", b"")
+        assert other == stream and hash(other) == hash(stream) and repr(other) == repr(stream)
 
 
 class TestLosLink:
@@ -127,21 +144,89 @@ class TestLosLink:
         assert np.allclose(np.abs(h), 0.7)
 
     def test_inner_product_clt_variance(self):
-        # b^T a over paired 64-vectors approaches CN(0, 64)
+        # b^T a over paired 64-vectors approaches CN(0, 64); the links are drawn a
+        # block of streams at a time, as draw_los_link(n, 1, ...).a and (1, n, ...).b
         n = 64
         draws = 100000
+        chunk = 10000
         stream = RandomStream(7, ("clt",))
         vals = np.empty(draws, dtype=complex)
-        for t in range(draws):
-            sub = stream.child(t)
-            a = draw_los_link(n, 1, 1.0, sub.child("in")).a
-            b = draw_los_link(1, n, 1.0, sub.child("out")).b
-            vals[t] = b @ a
+        for start in range(0, draws, chunk):
+            subs = [stream.child(t) for t in range(start, start + chunk)]
+            ins = _draw_los_links(n, 1, 1.0, [sub.child("in") for sub in subs])
+            outs = _draw_los_links(1, n, 1.0, [sub.child("out") for sub in subs])
+            for t, (link_in, link_out) in enumerate(zip(ins, outs), start):
+                vals[t] = link_out.b @ link_in.a
         var = np.mean(np.abs(vals) ** 2)
         assert abs(var - n) / n < 0.05
         # and |b^T a| has mean close to sqrt(pi n / 4)
         mean_abs = np.mean(np.abs(vals))
         assert abs(mean_abs - np.sqrt(np.pi * n / 4.0)) / np.sqrt(np.pi * n / 4.0) < 0.05
+
+    @pytest.mark.parametrize("path_gain", [float("nan"), float("inf"), -float("inf"), -1.0,
+                                           True, None, "1"])
+    def test_bad_path_gain_rejected_at_construction(self, path_gain):
+        """A gain FadingSpec refuses is refused here too, before los_gains could turn
+        it into a RuntimeWarning and a misleading NotRankOne."""
+        with pytest.raises(DimensionMismatch, match="path_gain"):
+            LosLink(path_gain, np.ones(2), np.ones(3))
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _labelled_links(dims: Dimensions, stream: RandomStream) -> list[tuple]:
+    """(rows, cols, child stream) of each link of a cascade in ch.hops() order."""
+    l = dims.l
+    return [(dims.n_r, dims.n_i, stream.child("ri", l - 1)),
+            *((dims.n_i, dims.n_i, stream.child("hop", k)) for k in reversed(range(l - 1))),
+            (dims.n_i, dims.n_t, stream.child("it", 0))]
+
+
+class TestLosBlockDraw:
+    """A line-of-sight block is drawn one hop position at a time; every link keeps the
+    bytes of its per-link draw (conftest.los_link_oracle)."""
+
+    @pytest.mark.parametrize("path_gain", [0.0, 0.37])
+    @pytest.mark.parametrize("n_i", [1, 5, 128])
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_links_match_the_per_link_oracle(self, l, n_i, path_gain):
+        dims = Dimensions(n_t=3, n_r=2, n_i=n_i, l=l)
+        streams = [RandomStream(67, ("oracle", l, n_i, t)) for t in range(5)]
+        block = draw_los_cascades(dims, path_gain, streams)
+        assert len(block) == len(streams)
+        for stream, links in zip(streams, block):
+            for link, (rows, cols, child) in zip(links, _labelled_links(dims, stream),
+                                                 strict=True):
+                a, b = los_link_oracle(rows, cols, child)
+                single = draw_los_link(rows, cols, path_gain, child)
+                for drawn in (link, single):
+                    assert drawn.path_gain == path_gain
+                    assert _same_bits(drawn.a, a) and _same_bits(drawn.b, b)
+
+    def test_links_do_not_depend_on_the_block(self):
+        # stream 0 is drawn alone, first in a block and last in the reversed block
+        dims = Dimensions(n_t=1, n_r=4, n_i=6, l=3)
+        streams = [RandomStream(71, ("position", t)) for t in range(6)]
+        alone = [draw_los_cascades(dims, 0.37, [stream])[0] for stream in streams]
+        forward = draw_los_cascades(dims, 0.37, streams)
+        backward = draw_los_cascades(dims, 0.37, streams[::-1])[::-1]
+        for block in (forward, backward):
+            for links, want in zip(block, alone, strict=True):
+                for link, ref in zip(links, want, strict=True):
+                    assert _same_bits(link.a, ref.a) and _same_bits(link.b, ref.b)
+        assert draw_los_cascades(dims, 0.37, []) == []
+
+    @pytest.mark.parametrize("k", [0.5, 10.0])
+    def test_rician_specular_part_matches_the_oracle(self, k):
+        spec = FadingSpec("rician", path_gain=0.37, rician_k=k)
+        stream = RandomStream(73, ("ric-oracle",))
+        a, b = los_link_oracle(4, 3, stream.child("specular"))
+        scatter = gen_rayleigh_link(4, 3, 1.0, stream.child("scatter"))
+        want = spec.path_gain * (np.sqrt(k / (k + 1.0)) * (1.0 * np.outer(a, b))
+                                 + np.sqrt(1.0 / (k + 1.0)) * scatter)
+        assert _same_bits(gen_rician_link(4, 3, spec, stream), want)
 
 
 class TestRayleigh:
@@ -246,16 +331,14 @@ class TestGenCascade:
 
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_los_draws_follow_the_link_labels(self, l):
-        # the line-of-sight links come from draw_los_cascade, in hops() order, each from
+        # the line-of-sight links come from draw_los_cascades, in hops() order, each from
         # the child stream every other fading kind draws that link from
         dims = Dimensions(n_t=3, n_r=1, n_i=5, l=l)
         stream = RandomStream(43, ("los-labels", l))
-        links = draw_los_cascade(dims, 0.37, stream)
+        [links] = draw_los_cascades(dims, 0.37, [stream])
         ch = gen_cascade(dims, FadingSpec("los", 0.37), stream)
-        labelled = [gen_los_link(1, 5, 0.37, stream.child("ri", l - 1)),
-                    *(gen_los_link(5, 5, 0.37, stream.child("hop", k))
-                      for k in reversed(range(l - 1))),
-                    gen_los_link(5, 3, 0.37, stream.child("it", 0))]
+        labelled = [gen_los_link(rows, cols, 0.37, child)
+                    for rows, cols, child in _labelled_links(dims, stream)]
         for link, hop, want in zip(links, ch.hops(), labelled, strict=True):
             assert link.path_gain == 0.37
             assert (link.matrix() == hop).all() and (hop == want).all()

@@ -34,7 +34,7 @@ from multiris.errors import (
     NotRankOne,
     ZeroVector,
 )
-from multiris.fading import FadingSpec, LosLink, draw_los_cascade, draw_los_link, gen_cascade
+from multiris.fading import FadingSpec, LosLink, draw_los_cascades, draw_los_link, gen_cascade
 from multiris.harness import ExperimentSpec
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -492,13 +492,13 @@ class TestLosClosedForms:
     def test_gains_reject_malformed_blocks(self, case):
         dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
         stream = RandomStream(59, ("los-block",))
-        good = draw_los_cascade(dims, 1.0, stream.child(0))
+        [good] = draw_los_cascades(dims, 1.0, [stream.child(0)])
         ch = gaussian_cascade(dims, np.random.default_rng(41))
         block = {
             "empty": lambda: [],
             "empty-cascade": lambda: [good, ()],
-            "mixed-shapes": lambda: [good, draw_los_cascade(Dimensions(2, 2, 3, 2), 1.0, stream)],
-            "mixed-depths": lambda: [good, draw_los_cascade(Dimensions(2, 2, 4, 3), 1.0, stream)],
+            "mixed-shapes": lambda: [good, *draw_los_cascades(Dimensions(2, 2, 3, 2), 1.0, [stream])],
+            "mixed-depths": lambda: [good, *draw_los_cascades(Dimensions(2, 2, 4, 3), 1.0, [stream])],
             # hop 0 leaves 4 elements, hop 1 arrives at 3
             "not-chaining": lambda: [(good[0], LosLink(1.0, np.ones(3), np.ones(4)), good[2])],
             "empty-link": lambda: [(LosLink(1.0, np.ones(0), np.ones(0)),)],
@@ -515,7 +515,7 @@ class TestLosClosedForms:
     def test_gains_do_not_depend_on_the_block(self, l, n_i):
         stream = RandomStream(61, ("los-batch", l, n_i))
         dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
-        block = [draw_los_cascade(dims, 0.37, stream.child(t)) for t in range(40)]
+        block = draw_los_cascades(dims, 0.37, [stream.child(t) for t in range(40)])
         assert los_gains(block) == [los_gains([cascade])[0] for cascade in block]
 
     @pytest.mark.parametrize("n_i", [1, 2, 3, 8, 32])
@@ -529,7 +529,7 @@ class TestLosClosedForms:
                     dims = Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l)
                     ch = gen_cascade(dims, FadingSpec("los", path_gain), stream.child(trial))
                     [(physics, widely, cross)] = los_gains(
-                        [draw_los_cascade(dims, path_gain, stream.child(trial))])
+                        draw_los_cascades(dims, path_gain, [stream.child(trial)]))
                     expect = los_gains_assembled(ch)
                     assert abs(physics - expect[0]) <= 1e-12 * expect[0]
                     assert abs(widely - expect[1]) <= 1e-12 * expect[1]
@@ -544,8 +544,8 @@ class TestLosClosedForms:
         ExperimentSpec("los", l, n_i, seed=0, trials=1, n_t=ends, n_r=1, path_gain=path_gain)
         dims = Dimensions(n_t=ends, n_r=1, n_i=n_i, l=l)
         stream = RandomStream(53, ("los-scale", l, n_i))
-        unit = los_gains([draw_los_cascade(dims, 1.0, stream)])[0]
-        scaled = los_gains([draw_los_cascade(dims, path_gain, stream)])[0]
+        unit = los_gains(draw_los_cascades(dims, 1.0, [stream]))[0]
+        scaled = los_gains(draw_los_cascades(dims, path_gain, [stream]))[0]
         for got, base in zip(scaled[:2], unit[:2]):
             assert got > 0.0 and abs(got / base / path_gain ** (2 * (l + 1)) - 1.0) <= 1e-12
 
