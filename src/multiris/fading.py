@@ -14,7 +14,8 @@ from .rng import RandomStream
 
 @dataclass(frozen=True, eq=False)
 class LosLink:
-    """Rank-1 steering link: path_gain * outer(a, b) with unit-modulus a, b."""
+    """Rank-1 steering link path_gain * outer(a, b), unit-modulus a (m,) and b (n,), or
+    a stack of T such links sharing the path gain: a (T, m), b (T, n)."""
 
     path_gain: float
     a: np.ndarray
@@ -22,15 +23,14 @@ class LosLink:
 
     def __post_init__(self):
         _check_nonnegative("path_gain", self.path_gain)
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.ndim != 1 or b.ndim != 1:
-            raise DimensionMismatch("steering vectors must be 1-D")
+        a, b = (np.asarray(x, dtype=complex) for x in (self.a, self.b))
+        if not (a.ndim == b.ndim in (1, 2) and a.shape[:-1] == b.shape[:-1]):
+            raise DimensionMismatch(f"need 1-D or stacked steering vectors: {a.shape}, {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     def matrix(self) -> np.ndarray:
-        return self.path_gain * np.outer(self.a, self.b)
+        return self.path_gain * (self.a[..., :, None] * self.b[..., None, :])
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,28 @@ def _check_link(rows, cols, path_gain):
     _check_nonnegative("path_gain", path_gain)
 
 
-def _draw_los_links(rows: int, cols: int, path_gain: float,
-                    streams: list[RandomStream]) -> list[LosLink]:
-    """One hop position's links, one per stream, each with i.i.d. uniform phases.
+def _draw_los_hop(rows: int, cols: int, path_gain: float,
+                  streams: list[RandomStream]) -> LosLink:
+    """One hop position's links, one per stream, as one stacked LosLink of i.i.d.
+    uniform phases.
 
     Row t of one (T, rows + cols) buffer is streams[t].generator().random(rows + cols),
-    and one exp turns the buffer into phases, so each link's a and b are views of its
-    row. These are the bytes of rng.uniform(0, 2 pi, rows), then cols, per link:
-    uniform returns 0.0 + 2 pi U from the same next_double U that random returns, and
-    one random(rows + cols) call uses the words of the two calls in turn."""
+    and one exp turns the buffer into phases, so the stack's a and b are views of it.
+    These are the bytes of rng.uniform(0, 2 pi, rows), then cols, per link: uniform
+    returns 0.0 + 2 pi U from the same next_double U that random returns, and one
+    random(rows + cols) call uses the words of the two calls in turn."""
     _check_link(rows, cols, path_gain)
     phases = np.empty((len(streams), rows + cols))
     for row, stream in zip(phases, streams):
         stream.generator().random(out=row)
     phases = np.exp(1j * (2.0 * np.pi * phases))
-    return [LosLink(float(path_gain), row[:rows], row[rows:]) for row in phases]
+    return LosLink(float(path_gain), phases[:, :rows], phases[:, rows:])
 
 
 def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
     """Draw a rank-1 link with i.i.d. uniform phases on both sides."""
-    return _draw_los_links(rows, cols, path_gain, [stream])[0]
+    hop = _draw_los_hop(rows, cols, path_gain, [stream])
+    return LosLink(hop.path_gain, hop.a[0], hop.b[0])
 
 
 def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
@@ -127,14 +129,13 @@ def _cascade_links(dims: Dimensions) -> list[tuple]:
 
 
 def draw_los_cascades(dims: Dimensions, path_gain: float,
-                      streams: list[RandomStream]) -> list[tuple[LosLink, ...]]:
-    """The links of the line-of-sight cascade gen_cascade draws from each stream, as
-    LosLinks in ch.hops() order: their matrices are its hops, bit for bit. Each hop
-    position is drawn for the whole block at once, one stream and one generator per
-    link, so a cascade's links do not depend on its block."""
-    hops = [_draw_los_links(rows, cols, path_gain, [stream.child(*label) for stream in streams])
-            for rows, cols, label in _cascade_links(dims)]
-    return list(zip(*hops))
+                      streams: list[RandomStream]) -> tuple[LosLink, ...]:
+    """The line-of-sight cascades gen_cascade draws from each stream, as one stacked
+    LosLink per hop position in ch.hops() order: row t of each stack is stream t's
+    link, and the matrices of row t are its cascade's hops, bit for bit. One stream
+    and one generator per link, so a cascade's links do not depend on its block."""
+    return tuple(_draw_los_hop(rows, cols, path_gain, [stream.child(*label) for stream in streams])
+                 for rows, cols, label in _cascade_links(dims))
 
 
 def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,

@@ -352,8 +352,8 @@ def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
         chs = [gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
                for (point, _), root in zip(pairs, roots)]
         return _optimize_block(spec, chs, roots)
-    # closed forms need no alg1 batch: each hop position is drawn, then los_gains
-    # factors it, as stacks over the block's trials
+    # closed forms need no alg1 batch: each hop position is drawn as one stack over
+    # the block's trials, and los_gains reads the gains off the stacks
     drawn = draw_los_cascades(dims, spec.path_gain, [root.child("channel") for root in roots])
     gains = los_gains(drawn)
     return {(m, arch): [(g[MODELS.index(m)], True) for g in gains]
@@ -447,7 +447,8 @@ def _aggregate(spec: ExperimentSpec, point: _GridPoint, columns: dict) -> list[G
                 eta = _metric(mc_relative_difference, gains["physics"], gains["widely_used"])
             if model == "suboptimal_cross":
                 rho = _metric(mc_normalized_gain, gains[model], gains["physics"])
-            std_err = float(gains[model].std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            # identical gains have no spread, where numpy's std reads their mean's rounding
+            std_err = float(gains[model].std(ddof=1) / np.sqrt(n)) if np.ptp(gains[model]) else 0.0
             rows.append(GainStats(
                 scenario=spec.scenario, model=model, architecture=arch,
                 l=point.l, n_i=point.n_i, rician_k=point.rician_k,

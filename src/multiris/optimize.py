@@ -212,60 +212,57 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
     return _physics_from_widely(los_optimal_phases_widely(ch))
 
 
-def _factor_los_hop(links: Sequence[LosLink]) -> tuple:
-    """(path_gain (T,), a (T, m), b (T, n)) of one hop position's links, as
-    _rank_one_stack reads them off the matrices path_gain * outer(a, b). These are
-    formed only to keep the gauge, the free common phase of the pair a, b, that
-    factoring the drawn matrix gives: in place, in one buffer of at most
-    _LOS_CHUNK_BYTES, keeping only the factor vectors."""
-    a = np.array([link.a for link in links])
-    b = np.array([link.b for link in links])
-    gains = np.array([link.path_gain for link in links])[:, None, None]
-    per = max(1, _LOS_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
-    buf = np.empty((min(per, len(links)), a.shape[1], b.shape[1]), dtype=complex)
+def _factor_los_hop(hop: LosLink) -> tuple:
+    """(a (T, m), b (T, n)) of one hop position's stacked links, as _rank_one_stack
+    reads them off the matrices path_gain * outer(a, b). These are formed only to keep
+    the gauge, the free common phase of the pair a, b, that factoring the drawn matrix
+    gives: in place, in one buffer of at most _LOS_CHUNK_BYTES, keeping only the
+    factor vectors."""
+    a, b = hop.a, hop.b
+    count, per = len(a), max(1, _LOS_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
+    buf = np.empty((min(per, count), a.shape[1], b.shape[1]), dtype=complex)
     parts = []
-    for start in range(0, len(links), per):
-        h = buf[:len(links) - start]
+    for start in range(0, count, per):
+        h = buf[:count - start]
         chunk = slice(start, start + len(h))
         np.multiply(a[chunk, :, None], b[chunk, None, :], out=h)
-        h *= gains[chunk]
-        parts.append(_rank_one_stack(h))
+        h *= hop.path_gain
+        parts.append(_rank_one_stack(h)[1:])
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def los_gains(cascades: Sequence[Sequence[LosLink]]) -> list[tuple[float, float, float]]:
+def los_gains(hops: Sequence[LosLink]) -> list[tuple[float, float, float]]:
     """(physics, widely_used, suboptimal_cross) optimal gains of each rank-1 cascade of
-    a block, given as its LosLinks in ch.hops() order (as fading.draw_los_cascades
-    returns them). A cascade's gains do not depend on its block.
+    a block, given as one stacked LosLink per hop position in ch.hops() order, row t
+    for cascade t (what fading.draw_los_cascades returns); no gain depends on its block.
 
     With links h_j = lam_j a_j b_j^T and s = b_{j-1}^T a_j at the n-element surface
     between h_{j-1} and h_j, these are prod lam^2 n_r n_t times prod (n + |s|)^2,
     prod n^2 and prod |n - s|^2 (the widely used phases under the physical model).
-    Each hop position is factored as stacks over the block, in the gauge of
-    los_optimal_phases_widely, and each s is one stacked dot per surface; the
-    products are then taken trial by trial in Python floats, each link's lam^2
-    joining its surface's factor in the order of the assembled channel.
+    Each lam is its hop's drawn path gain. Each hop is factored as a stack, in the
+    gauge of los_optimal_phases_widely, and each s is one stacked dot per surface;
+    the products are then taken trial by trial in Python floats, each lam^2 joining
+    its surface's factor in the order of the assembled channel.
     """
-    if not (isinstance(cascades, Sequence) and cascades and all(
-            isinstance(c, Sequence) and c and all(isinstance(x, LosLink) for x in c)
-            for c in cascades)):
-        raise DimensionMismatch("los_gains needs one or more sequences of LosLinks")
-    shape, *others = shapes = sorted({tuple((x.a.size, x.b.size) for x in c) for c in cascades})
-    if others or 0 in sum(shape, ()) or any(b != a for (_, b), (a, _) in zip(shape, shape[1:])):
-        raise DimensionMismatch(f"link shapes differ, do not chain or are empty: {shapes}")
-    ends = shape[0][0] * shape[-1][1]
-    hops = [_factor_los_hop(hop) for hop in zip(*cascades)]
-    lam = [h[0].tolist() for h in hops]
+    if not (isinstance(hops, Sequence) and hops
+            and all(isinstance(hop, LosLink) and hop.a.ndim == 2 for hop in hops)):
+        raise DimensionMismatch("los_gains needs one or more stacked LosLinks")
+    shapes = [hop.a.shape + hop.b.shape[1:] for hop in hops]
+    if (len({t for t, _, _ in shapes}) > 1 or 0 in sum(shapes, ())
+            or any(n != m for (_, _, n), (_, m, _) in zip(shapes, shapes[1:]))):
+        raise DimensionMismatch(f"link stacks differ in length, are empty or unchained: {shapes}")
+    first, *lam = (float(hop.path_gain) ** 2 for hop in hops)
+    first *= shapes[0][1] * shapes[-1][2]
+    factors = [_factor_los_hop(hop) for hop in hops]
     surfaces = [(a.shape[1], (b[:, None] @ a[:, :, None])[:, 0, 0].tolist())
-                for (_, _, b), (_, a, _) in zip(hops, hops[1:])]
+                for (_, b), (a, _) in zip(factors, factors[1:])]
     gains = []
-    for t, first in enumerate(lam[0]):
-        physics = widely = cross = first ** 2 * ends
-        for (n, s), link in zip(surfaces, lam[1:]):
-            s, link = s[t], link[t] ** 2
-            physics *= (n + abs(s)) ** 2 * link
+    for t in range(shapes[0][0]):
+        physics = widely = cross = first
+        for (n, s), link in zip(surfaces, lam):
+            physics *= (n + abs(s[t])) ** 2 * link
             widely *= n * n * link
-            cross *= abs(n - s) ** 2 * link
+            cross *= abs(n - s[t]) ** 2 * link
         gains.append((physics, widely, cross))
     return gains
 
@@ -668,8 +665,8 @@ def upper_bound_physics(ch: CascadeChannels) -> float:
 
 
 def upper_bound_widely(ch: CascadeChannels) -> float:
-    """Gain ceiling for the widely used model: product of squared link norms."""
-    return float(np.prod([channel_gain(m) for m in ch.hops()]))
+    """Widely used gain ceiling, the product of squared link norms: _upper_bounds([ch])."""
+    return _upper_bounds([ch])[1][0]
 
 
 def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[float]]:

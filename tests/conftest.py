@@ -23,7 +23,6 @@ from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
     OptimizerConfig,
-    dominant_singular_pair,
     _phase_angles,
     _physics_from_widely,
     _rank_one_factors,
@@ -294,14 +293,16 @@ def rank_one_factors_scalar(h):
     return float(sigma / np.sqrt(rows * cols)), u / np.abs(u), v.conj() / np.abs(v)
 
 
-def los_gains_per_trial(ch: CascadeChannels) -> tuple[float, float, float]:
-    """(physics, widely_used, suboptimal_cross) of one line-of-sight cascade: each link
-    factored by rank_one_factors_scalar, then s = b_{j-1}^T a_j and the three products
-    surface by surface. The oracle for the stacked gains of a line-of-sight block."""
-    lam, a, b = zip(*(rank_one_factors_scalar(h) for h in ch.hops()))
-    physics = widely = cross = lam[0] ** 2 * (ch.n_r * ch.n_t)
-    for j in range(1, len(lam)):
-        n, s, link = len(a[j]), b[j - 1] @ a[j], lam[j] ** 2
+def los_gains_per_trial(ch: CascadeChannels, path_gain: float) -> tuple[float, float, float]:
+    """(physics, widely_used, suboptimal_cross) of one line-of-sight cascade drawn at
+    path_gain: each link's a and b from rank_one_factors_scalar and its lam the drawn
+    path_gain, then s = b_{j-1}^T a_j and the three products surface by surface. The
+    oracle for the stacked gains of a line-of-sight block."""
+    _, a, b = zip(*(rank_one_factors_scalar(h) for h in ch.hops()))
+    link = path_gain ** 2
+    physics = widely = cross = link * (ch.n_r * ch.n_t)
+    for j in range(1, len(a)):
+        n, s = len(a[j]), b[j - 1] @ a[j]
         physics *= (n + abs(s)) ** 2 * link
         widely *= n * n * link
         cross *= abs(n - s) ** 2 * link
@@ -328,6 +329,13 @@ def sigma_max_sq_2x2(h: np.ndarray) -> np.ndarray:
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
     disc = np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0)
     return (t + np.sqrt(disc)) / 2.0
+
+
+def upper_bound_widely_product(ch: CascadeChannels) -> float:
+    """The widely used bound as the product of each link's squared spectral norm, one
+    channel_gain per link: the bit-exact oracle for the block pass, which reads the
+    same LAPACK norms off the length-1 segments of its physics path sum."""
+    return float(np.prod([channel_gain(m) for m in ch.hops()]))
 
 
 def upper_bound_physics_path_sum(ch: CascadeChannels) -> float:
@@ -491,9 +499,9 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
     """alg1_optimize on the dense reference path, the oracle for the fast one.
 
     Every surface is an n x n matrix, both end links are refolded from scratch
-    at every position of every sweep, and the singular pair comes from the
-    package's power iteration, and unitary surfaces take their completion from
-    LAPACK's QR. Draws the same initial phases as alg1_optimize.
+    at every position of every sweep, the singular pair comes from the power
+    iteration of dominant_singular_pair_scalar, and unitary surfaces take their
+    completion from LAPACK's QR. Draws the same initial phases as alg1_optimize.
     """
     l = ch.n_l
     offsets = [1.0 if cfg.model == "physics" else 0.0] * l
@@ -508,7 +516,7 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
         for pos in range(l):
             left, right = fold(ch.hops(), thetas, offsets, pos)
             direct = -offsets[pos] * (left @ right)
-            sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+            sigma, u, v = dominant_singular_pair_scalar(direct + left @ thetas[pos] @ right)
             best = sigma ** 2
             for _ in range(cfg.max_inner_iters):
                 g_ri = u.conj() @ left
@@ -522,7 +530,7 @@ def alg1_dense_reference(ch: CascadeChannels, cfg, stream) -> OptimizationResult
                         thetas[pos] = inner_solve_unitary_qr(data)
                     except ZeroVector:
                         break
-                sigma, u, v = dominant_singular_pair(direct + left @ thetas[pos] @ right)
+                sigma, u, v = dominant_singular_pair_scalar(direct + left @ thetas[pos] @ right)
                 value = sigma ** 2
                 gained = value - best
                 best = value

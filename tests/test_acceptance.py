@@ -41,10 +41,10 @@ from multiris.multiport import (
 )
 from multiris.optimize import (
     OptimizerConfig,
+    _physics_from_widely,
     alg1_batch,
     alg1_optimize,
     channel_gain,
-    los_optimal_phases_physics,
     los_optimal_phases_widely,
     upper_bound_physics,
     upper_bound_widely,
@@ -76,15 +76,17 @@ def _rel_err(a, b) -> float:
 def _los_point_gains(n_i: int, l: int, trials: int, stream: RandomStream):
     """Per-trial optimized gains at one line-of-sight grid point: the physical
     model at its optimum, the widely used model at its optimum, and the
-    physical model evaluated at the widely-used optimum (paired draws)."""
+    physical model evaluated at the widely-used optimum (paired draws). Each link is
+    factored once: the physics phases are los_optimal_phases_physics's, turned from
+    the widely used ones."""
     dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
     phys = np.empty(trials)
     widely = np.empty(trials)
     cross = np.empty(trials)
     for t in range(trials):
         ch = gen_cascade(dims, FadingSpec("los"), stream.child(t))
-        stack_p = los_optimal_phases_physics(ch)
         stack_w = los_optimal_phases_widely(ch)
+        stack_p = _physics_from_widely(stack_w)
         phys[t] = channel_gain(assemble_physics_channel(ch, stack_p))
         widely[t] = channel_gain(assemble_widely_used(ch, stack_w))
         cross[t] = channel_gain(assemble_physics_channel(ch, stack_w.thetas))

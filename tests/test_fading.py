@@ -12,7 +12,7 @@ from multiris.errors import DimensionMismatch
 from multiris.fading import (
     FadingSpec,
     LosLink,
-    _draw_los_links,
+    _draw_los_hop,
     draw_los_cascades,
     draw_los_link,
     gen_cascade,
@@ -144,8 +144,9 @@ class TestLosLink:
         assert np.allclose(np.abs(h), 0.7)
 
     def test_inner_product_clt_variance(self):
-        # b^T a over paired 64-vectors approaches CN(0, 64); the links are drawn a
-        # block of streams at a time, as draw_los_link(n, 1, ...).a and (1, n, ...).b
+        # b^T a over paired 64-vectors approaches CN(0, 64); the links are drawn as
+        # stacks over a block of streams, row t being draw_los_link(n, 1, ...).a and
+        # (1, n, ...).b of stream t
         n = 64
         draws = 100000
         chunk = 10000
@@ -153,10 +154,10 @@ class TestLosLink:
         vals = np.empty(draws, dtype=complex)
         for start in range(0, draws, chunk):
             subs = [stream.child(t) for t in range(start, start + chunk)]
-            ins = _draw_los_links(n, 1, 1.0, [sub.child("in") for sub in subs])
-            outs = _draw_los_links(1, n, 1.0, [sub.child("out") for sub in subs])
-            for t, (link_in, link_out) in enumerate(zip(ins, outs), start):
-                vals[t] = link_out.b @ link_in.a
+            ins = _draw_los_hop(n, 1, 1.0, [sub.child("in") for sub in subs])
+            outs = _draw_los_hop(1, n, 1.0, [sub.child("out") for sub in subs])
+            assert ins.a.shape == outs.b.shape == (chunk, n)
+            vals[start:start + chunk] = (outs.b[:, None] @ ins.a[:, :, None])[:, 0, 0]
         var = np.mean(np.abs(vals) ** 2)
         assert abs(var - n) / n < 0.05
         # and |b^T a| has mean close to sqrt(pi n / 4)
@@ -170,6 +171,24 @@ class TestLosLink:
         it into a RuntimeWarning and a misleading NotRankOne."""
         with pytest.raises(DimensionMismatch, match="path_gain"):
             LosLink(path_gain, np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2,), (4, 3)), ((4, 2), (3,)),
+                                                  ((4, 2), (5, 3)), ((2, 4, 2), (2, 4, 3)),
+                                                  ((), (3,)), ((2,), ())])
+    def test_unequal_or_deep_stacks_rejected(self, a_shape, b_shape):
+        # one link is a pair of 1-D vectors, a stack a pair of 2-D arrays of one length
+        with pytest.raises(DimensionMismatch, match="steering vectors"):
+            LosLink(1.0, np.ones(a_shape), np.ones(b_shape))
+
+    def test_stack_matrix_is_each_links_outer_product(self):
+        stream = RandomStream(9, ("los-stack",))
+        hop = _draw_los_hop(3, 5, 0.37, [stream.child(t) for t in range(4)])
+        h = hop.matrix()
+        assert h.shape == (4, 3, 5)
+        for t in range(4):
+            want = 0.37 * np.outer(hop.a[t], hop.b[t])
+            assert h[t].tobytes() == want.tobytes()
+            assert draw_los_link(3, 5, 0.37, stream.child(t)).matrix().tobytes() == want.tobytes()
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -185,8 +204,8 @@ def _labelled_links(dims: Dimensions, stream: RandomStream) -> list[tuple]:
 
 
 class TestLosBlockDraw:
-    """A line-of-sight block is drawn one hop position at a time; every link keeps the
-    bytes of its per-link draw (conftest.los_link_oracle)."""
+    """A line-of-sight block is drawn as one stack per hop position; row t of every
+    stack keeps the bytes of stream t's per-link draw (conftest.los_link_oracle)."""
 
     @pytest.mark.parametrize("path_gain", [0.0, 0.37])
     @pytest.mark.parametrize("n_i", [1, 5, 128])
@@ -195,28 +214,31 @@ class TestLosBlockDraw:
         dims = Dimensions(n_t=3, n_r=2, n_i=n_i, l=l)
         streams = [RandomStream(67, ("oracle", l, n_i, t)) for t in range(5)]
         block = draw_los_cascades(dims, path_gain, streams)
-        assert len(block) == len(streams)
-        for stream, links in zip(streams, block):
-            for link, (rows, cols, child) in zip(links, _labelled_links(dims, stream),
-                                                 strict=True):
+        labelled = zip(*(_labelled_links(dims, stream) for stream in streams))
+        for hop, links in zip(block, labelled, strict=True):
+            assert hop.path_gain == path_gain and len(hop.a) == len(hop.b) == len(streams)
+            for t, (rows, cols, child) in enumerate(links):
                 a, b = los_link_oracle(rows, cols, child)
                 single = draw_los_link(rows, cols, path_gain, child)
-                for drawn in (link, single):
-                    assert drawn.path_gain == path_gain
-                    assert _same_bits(drawn.a, a) and _same_bits(drawn.b, b)
+                assert single.path_gain == path_gain
+                for drawn_a, drawn_b in ((hop.a[t], hop.b[t]), (single.a, single.b)):
+                    assert _same_bits(drawn_a, a) and _same_bits(drawn_b, b)
 
     def test_links_do_not_depend_on_the_block(self):
-        # stream 0 is drawn alone, first in a block and last in the reversed block
+        # each stream is drawn alone, in a block and in the reversed block
         dims = Dimensions(n_t=1, n_r=4, n_i=6, l=3)
         streams = [RandomStream(71, ("position", t)) for t in range(6)]
-        alone = [draw_los_cascades(dims, 0.37, [stream])[0] for stream in streams]
+        alone = [draw_los_cascades(dims, 0.37, [stream]) for stream in streams]
         forward = draw_los_cascades(dims, 0.37, streams)
-        backward = draw_los_cascades(dims, 0.37, streams[::-1])[::-1]
-        for block in (forward, backward):
-            for links, want in zip(block, alone, strict=True):
-                for link, ref in zip(links, want, strict=True):
-                    assert _same_bits(link.a, ref.a) and _same_bits(link.b, ref.b)
-        assert draw_los_cascades(dims, 0.37, []) == []
+        backward = draw_los_cascades(dims, 0.37, streams[::-1])
+        for t, want in enumerate(alone):
+            for block, row in ((forward, t), (backward, len(streams) - 1 - t)):
+                for hop, ref in zip(block, want, strict=True):
+                    assert _same_bits(hop.a[row], ref.a[0]) and _same_bits(hop.b[row], ref.b[0])
+        # an empty block is l + 1 stacks of no links
+        empty = draw_los_cascades(dims, 0.37, [])
+        assert [(hop.a.shape, hop.b.shape) for hop in empty] == [
+            ((0, rows), (0, cols)) for rows, cols, _ in _labelled_links(dims, streams[0])]
 
     @pytest.mark.parametrize("k", [0.5, 10.0])
     def test_rician_specular_part_matches_the_oracle(self, k):
@@ -335,13 +357,13 @@ class TestGenCascade:
         # the child stream every other fading kind draws that link from
         dims = Dimensions(n_t=3, n_r=1, n_i=5, l=l)
         stream = RandomStream(43, ("los-labels", l))
-        [links] = draw_los_cascades(dims, 0.37, [stream])
+        hops = draw_los_cascades(dims, 0.37, [stream])
         ch = gen_cascade(dims, FadingSpec("los", 0.37), stream)
         labelled = [gen_los_link(rows, cols, 0.37, child)
                     for rows, cols, child in _labelled_links(dims, stream)]
-        for link, hop, want in zip(links, ch.hops(), labelled, strict=True):
-            assert link.path_gain == 0.37
-            assert (link.matrix() == hop).all() and (hop == want).all()
+        for drawn, hop, want in zip(hops, ch.hops(), labelled, strict=True):
+            assert drawn.path_gain == 0.37 and drawn.matrix().shape == (1, *hop.shape)
+            assert (drawn.matrix()[0] == hop).all() and (hop == want).all()
 
     def test_links_are_independent(self):
         dims = Dimensions(n_t=100, n_r=100, n_i=1000, l=2)

@@ -741,9 +741,22 @@ class TestLosBlock:
                     stream = RandomStream(spec.seed, ("point", l, n_i)).child("trial", t)
                     ch = gen_cascade(dims, FadingSpec("los", path_gain), stream.child("channel"))
                     want = dict(zip(("physics", "widely_used", "suboptimal_cross"),
-                                    los_gains_per_trial(ch)))
+                                    los_gains_per_trial(ch, path_gain)))
                     for m in spec.models:
                         assert got[(m, "diagonal")][t] == want[m]
+
+    @pytest.mark.parametrize("path_gain", [1.0, 0.37])
+    def test_widely_used_rows_have_no_spread(self, path_gain):
+        # every trial reads the one widely used gain of its draw, so the column holds
+        # no rounding noise; 40 trials make a full and a partial block. At l = 3 and
+        # path gain 0.37, numpy's std of the 40 equal gains is not 0
+        spec = tiny_los_spec(l=(1, 3), n_i_grid=(8, 128), n_t=3, n_r=3, trials=40,
+                             path_gain=path_gain)
+        rows = [row for row in run_experiment(spec) if row.model == "widely_used"]
+        assert len(rows) == 4
+        for row in rows:
+            expect = expected_gain_widely_los(row.n_i, row.l, 3, 3, path_gain ** (row.l + 1))
+            assert row.std_err == 0.0 and abs(row.mean_gain - expect) <= 1e-14 * expect
 
     def test_block_factors_each_link_once_in_small_stacks(self, monkeypatch):
         import multiris.optimize as optimize

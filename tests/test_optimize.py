@@ -17,6 +17,7 @@ from conftest import (
     unitary_with_first_column_exact,
     upper_bound_physics_expansion,
     upper_bound_physics_path_sum,
+    upper_bound_widely_product,
 )
 from multiris import optimize
 from multiris.cascade import (
@@ -63,6 +64,7 @@ from multiris.optimize import (
     _upper_bounds,
 )
 from multiris.rng import RandomStream
+from multiris.scaling import expected_gain_widely_los
 
 
 def _unit_rows(rng, count, n, first=None):
@@ -487,24 +489,29 @@ class TestLosClosedForms:
             los_optimal_phases_physics(ch)
 
     @pytest.mark.parametrize("case", ["empty", "empty-cascade", "mixed-shapes", "mixed-depths",
-                                      "not-chaining", "empty-link", "matrix-cascade",
-                                      "matrix-links", "bare-cascade"])
+                                      "not-a-link", "not-chaining", "empty-link",
+                                      "matrix-cascade", "matrix-links", "bare-cascade"])
     def test_gains_reject_malformed_blocks(self, case):
         dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
         stream = RandomStream(59, ("los-block",))
-        [good] = draw_los_cascades(dims, 1.0, [stream.child(0)])
+        good = draw_los_cascades(dims, 1.0, [stream.child(0), stream.child(1)])
         ch = gaussian_cascade(dims, np.random.default_rng(41))
         block = {
-            "empty": lambda: [],
-            "empty-cascade": lambda: [good, ()],
-            "mixed-shapes": lambda: [good, *draw_los_cascades(Dimensions(2, 2, 3, 2), 1.0, [stream])],
-            "mixed-depths": lambda: [good, *draw_los_cascades(Dimensions(2, 2, 4, 3), 1.0, [stream])],
+            "empty": lambda: (),
+            # stacks of no trials
+            "empty-cascade": lambda: draw_los_cascades(dims, 1.0, []),
+            # stacks of 2, 1 and 2 trials
+            "mixed-shapes": lambda: (good[0], draw_los_cascades(dims, 1.0, [stream])[1], good[2]),
+            # one link as 1-D vectors among the stacks
+            "mixed-depths": lambda: (good[0], draw_los_link(4, 4, 1.0, stream), good[2]),
+            "not-a-link": lambda: (good[0], good[1].matrix(), good[2]),
             # hop 0 leaves 4 elements, hop 1 arrives at 3
-            "not-chaining": lambda: [(good[0], LosLink(1.0, np.ones(3), np.ones(4)), good[2])],
-            "empty-link": lambda: [(LosLink(1.0, np.ones(0), np.ones(0)),)],
-            # the matrix form los_gains took before; a multipath cascade is refused too
+            "not-chaining": lambda: (good[0], LosLink(1.0, np.ones((2, 3)), np.ones((2, 4))),
+                                     good[2]),
+            "empty-link": lambda: (LosLink(1.0, np.ones((2, 0)), np.ones((2, 0))),),
+            # the matrix forms los_gains took before; a multipath cascade is refused too
             "matrix-cascade": lambda: [ch],
-            "matrix-links": lambda: [ch.hops()],
+            "matrix-links": lambda: ch.hops(),
             "bare-cascade": lambda: ch,
         }[case]()
         with pytest.raises(DimensionMismatch):
@@ -515,8 +522,22 @@ class TestLosClosedForms:
     def test_gains_do_not_depend_on_the_block(self, l, n_i):
         stream = RandomStream(61, ("los-batch", l, n_i))
         dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
-        block = draw_los_cascades(dims, 0.37, [stream.child(t) for t in range(40)])
-        assert los_gains(block) == [los_gains([cascade])[0] for cascade in block]
+        streams = [stream.child(t) for t in range(40)]
+        gains = los_gains(draw_los_cascades(dims, 0.37, streams))
+        assert gains == los_gains(draw_los_cascades(dims, 0.37, streams[::-1]))[::-1]
+        assert gains == [los_gains(draw_los_cascades(dims, 0.37, [s]))[0] for s in streams]
+
+    @pytest.mark.parametrize("path_gain", [1.0, 0.37])
+    @pytest.mark.parametrize("n_i, l", [(1, 1), (8, 2), (128, 4), (16, 6)])
+    def test_widely_used_gain_is_one_closed_form_value(self, n_i, l, path_gain):
+        # every trial of a block reads the same widely used gain: the law's, whose
+        # path gain is the whole cascade's amplitude, path_gain^(l + 1)
+        dims = Dimensions(n_t=3, n_r=2, n_i=n_i, l=l)
+        stream = RandomStream(67, ("los-widely", n_i, l))
+        gains = los_gains(draw_los_cascades(dims, path_gain, [stream.child(t) for t in range(40)]))
+        [widely] = {w for _, w, _ in gains}
+        expect = expected_gain_widely_los(n_i, l, 3, 2, path_gain ** (l + 1))
+        assert abs(widely - expect) <= 1e-14 * expect
 
     @pytest.mark.parametrize("n_i", [1, 2, 3, 8, 32])
     @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
@@ -635,7 +656,7 @@ class TestUpperBounds:
 
     def test_block_pass_matches_scalar_bounds(self):
         """_upper_bounds over a block is, bit for bit and member by member, the
-        path-sum oracle, upper_bound_widely and the member's own block of one: stacked
+        path-sum and norm-product oracles and the member's own block of one: stacked
         products and stacked norms work member by member, and the widely used bound
         reads the physics pass's own link norms."""
         hyp = pytest.importorskip("hypothesis")
@@ -656,7 +677,7 @@ class TestUpperBounds:
             physics, widely = _upper_bounds(chs)
             for ch, p, w in zip(chs, physics, widely):
                 assert p == upper_bound_physics_path_sum(ch)
-                assert w == upper_bound_widely(ch)
+                assert w == upper_bound_widely_product(ch) == upper_bound_widely(ch)
                 assert _upper_bounds([ch]) == ([p], [w])
                 assert upper_bound_physics(ch) == p
             assert physics[member] == widely[member] == 0.0
