@@ -15,7 +15,6 @@ from .fading import (
     FadingSpec,
     LosLink,
     draw_los_cascades,
-    draw_los_link,
     gen_cascade,
     gen_link,
     gen_los_link,
@@ -52,7 +51,6 @@ from .optimize import (
     alg1_optimize,
     channel_gain,
     dominant_singular_pair,
-    inner_objective,
     inner_solve_diagonal,
     inner_solve_unitary,
     los_gains,

@@ -6,16 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeChannels, SideLinks
-from .errors import DimensionMismatch, is_finite_real, is_int, shown
+from .cascade import DIAGONAL_UNIT_TOL, CascadeChannels, SideLinks
+from .errors import DimensionMismatch, NonFiniteInput, is_finite_real, is_int, shown
 from .multiport import Dimensions
 from .rng import RandomStream
 
 
 @dataclass(frozen=True, eq=False)
 class LosLink:
-    """Rank-1 steering link path_gain * outer(a, b), unit-modulus a (m,) and b (n,), or
-    a stack of T such links sharing the path gain: a (T, m), b (T, n)."""
+    """T rank-1 steering links path_gain * outer(a[t], b[t]), a (T, m) and b (T, n) with
+    T >= 0, sharing one path gain, which is each link's lam: every entry is finite
+    (else NonFiniteInput) and of unit modulus within DIAGONAL_UNIT_TOL."""
 
     path_gain: float
     a: np.ndarray
@@ -24,13 +25,18 @@ class LosLink:
     def __post_init__(self):
         _check_nonnegative("path_gain", self.path_gain)
         a, b = (np.asarray(x, dtype=complex) for x in (self.a, self.b))
-        if not (a.ndim == b.ndim in (1, 2) and a.shape[:-1] == b.shape[:-1]):
-            raise DimensionMismatch(f"need 1-D or stacked steering vectors: {a.shape}, {b.shape}")
+        if not (a.ndim == b.ndim == 2 and len(a) == len(b)):
+            raise DimensionMismatch(f"need stacked steering vectors: {a.shape}, {b.shape}")
+        ab = np.hstack((a, b))
+        if not (np.abs(np.abs(ab) - 1.0) <= DIAGONAL_UNIT_TOL).all():
+            if not np.isfinite(ab).all():
+                raise NonFiniteInput("steering vectors have NaN or infinite entries")
+            raise DimensionMismatch("steering vector entries are not unit modulus")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
     def matrix(self) -> np.ndarray:
-        return self.path_gain * (self.a[..., :, None] * self.b[..., None, :])
+        return self.path_gain * (self.a[:, :, None] * self.b[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -79,14 +85,9 @@ def _draw_los_hop(rows: int, cols: int, path_gain: float,
     return LosLink(float(path_gain), phases[:, :rows], phases[:, rows:])
 
 
-def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
-    """Draw a rank-1 link with i.i.d. uniform phases on both sides."""
-    hop = _draw_los_hop(rows, cols, path_gain, [stream])
-    return LosLink(hop.path_gain, hop.a[0], hop.b[0])
-
-
 def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
-    return draw_los_link(rows, cols, path_gain, stream).matrix()
+    """A rank-1 link with i.i.d. uniform phases on both sides: a block of one stream."""
+    return _draw_los_hop(rows, cols, path_gain, [stream]).matrix()[0]
 
 
 def gen_rayleigh_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:

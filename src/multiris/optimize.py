@@ -15,6 +15,7 @@ import numpy as np
 
 from .cascade import CascadeChannels, ScatteringStack, sweep_folds, times_factor
 from .errors import (
+    AssumptionViolated,
     DimensionMismatch,
     EmptySequence,
     NotRankOne,
@@ -138,42 +139,36 @@ def channel_gain(h) -> float:
 # -- rank-1 factor extraction --------------------------------------------------------
 
 
-def _rank_one_stack(h: np.ndarray, tol: float = 1e-6):
-    """Split each steering link of a stack h (T, m, n) into (path_gain, a, b) with
-    h[t] = path_gain[t] * outer(a[t], b[t]): path_gain (T,), a (T, m), b (T, n).
+def _rank_one_factors(h, tol: float = 1e-6):
+    """Split one steering link h (m, n) into (path_gain, a, b), h = path_gain * outer(a, b).
 
-    Raises NotRankOne when some link's second singular direction carries more than
-    tol of the dominant one, or when its entry moduli are not uniform (so the
-    factors are not unit-modulus steering vectors).
-
-    The residual ||h - sigma u v^H||_F / sigma is read without the n x n product:
-    _dominant_pairs returns a unit v and u = h v / sigma, so the squared residual
-    norm is ||h||_F^2 - sigma^2, taken matrix by matrix from np.vdot. Cancellation
-    in that difference limits the residual's absolute accuracy to about
-    sqrt(eps) ~ 1e-8, far below tol.
+    Raises NotRankOne when the second singular direction carries more than tol of
+    the dominant one, or when the entry moduli are not uniform (so the factors are
+    not unit-modulus steering vectors). The residual ||h - sigma u v^H||_F / sigma
+    is read as sqrt(||h||_F^2 - sigma^2), since _dominant_pairs returns a unit v and
+    u = h v / sigma; cancellation limits it to about sqrt(eps) ~ 1e-8, far below tol.
     """
-    _, rows, cols = h.shape
-    sigma, u, v = _dominant_pairs(h)
-    if (sigma <= 0.0).any():
+    h = np.asarray(h, dtype=complex)
+    rows, cols = h.shape
+    sigma, u, v = (x[0] for x in _dominant_pairs(h[None]))
+    if sigma <= 0.0:
         raise NotRankOne("zero matrix has no steering factors")
-    power = np.array([np.vdot(m, m).real for m in h])
-    residual = np.sqrt(np.maximum(power - sigma * sigma, 0.0)) / sigma
-    bad = ~(residual <= tol)  # NaN too, from an overflowed inf - inf
-    if bad.any():
-        raise NotRankOne(f"relative residual {residual[bad][0]:.3e} beyond rank-1 "
-                         f"tolerance {tol:.1e}")
+    residual = np.sqrt(max(np.vdot(h, h).real - sigma * sigma, 0.0)) / sigma
+    if not residual <= tol:  # NaN too, from an overflowed inf - inf
+        raise NotRankOne(f"relative residual {residual:.3e} beyond rank-1 tolerance {tol:.1e}")
     mod_u, mod_v = np.abs(u), np.abs(v)
     for mod in (mod_u, mod_v):
-        top = mod.max(axis=1)
-        if ((top - mod.min(axis=1)) > tol * top).any():
+        top = mod.max()
+        if top - mod.min() > tol * top:
             raise NotRankOne("entry moduli are not uniform; not a steering product")
-    return sigma / np.sqrt(rows * cols), u / mod_u, v.conj() / mod_v
+    return float(sigma / np.sqrt(rows * cols)), u / mod_u, v.conj() / mod_v
 
 
-def _rank_one_factors(h, tol: float = 1e-6):
-    """(path_gain, a, b) of one steering link h: _rank_one_stack over h alone."""
-    lam, a, b = _rank_one_stack(np.asarray(h, dtype=complex)[None], tol)
-    return float(lam[0]), a[0], b[0]
+def _require_pure_cascades(chs: Sequence[CascadeChannels]):
+    """Raise AssumptionViolated if a cascade carries side links: the optimizers and
+    bounds see only the pure cascade (assumption 6)."""
+    if any(ch.sides is not None for ch in chs):
+        raise AssumptionViolated("needs a pure cascade (assumption 6), got side links")
 
 
 # -- closed-form line-of-sight configurations ------------------------------------------
@@ -185,8 +180,10 @@ def los_optimal_phases_widely(ch: CascadeChannels) -> ScatteringStack:
     Without the structural term the optimum simply cancels the steering
     phases, making b^T Theta a = n exactly, every realization. Each link of
     ch.hops() is factored once; surface k reads its arrival phases a from
-    hops[l-k] and its departure phases b from hops[l-1-k].
+    hops[l-k] and its departure phases b from hops[l-1-k]. A cascade with side links
+    raises AssumptionViolated.
     """
+    _require_pure_cascades([ch])
     _, a, b = zip(*(_rank_one_factors(h) for h in ch.hops()))
     l = ch.n_l
     return ScatteringStack("diagonal", tuple(
@@ -213,11 +210,12 @@ def los_optimal_phases_physics(ch: CascadeChannels) -> ScatteringStack:
 
 
 def _factor_los_hop(hop: LosLink) -> tuple:
-    """(a (T, m), b (T, n)) of one hop position's stacked links, as _rank_one_stack
-    reads them off the matrices path_gain * outer(a, b). These are formed only to keep
-    the gauge, the free common phase of the pair a, b, that factoring the drawn matrix
-    gives: in place, in one buffer of at most _LOS_CHUNK_BYTES, keeping only the
-    factor vectors."""
+    """(a (T, m), b (T, n)) of one hop position's stacked links, u / |u| and conj(v) / |v|
+    of the dominant pairs of the matrices path_gain * outer(a, b), as _rank_one_factors
+    reads them. These are formed only to keep the gauge, the free common phase of the
+    pair a, b, that factoring the drawn matrix gives: in place, in one buffer of at most
+    _LOS_CHUNK_BYTES. A LosLink is checked where it is built, so only a zero matrix (a
+    zero path gain, or entries whose squares underflow) raises here."""
     a, b = hop.a, hop.b
     count, per = len(a), max(1, _LOS_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
     buf = np.empty((min(per, count), a.shape[1], b.shape[1]), dtype=complex)
@@ -227,7 +225,10 @@ def _factor_los_hop(hop: LosLink) -> tuple:
         chunk = slice(start, start + len(h))
         np.multiply(a[chunk, :, None], b[chunk, None, :], out=h)
         h *= hop.path_gain
-        parts.append(_rank_one_stack(h)[1:])
+        sigma, u, v = _dominant_pairs(h)
+        if (sigma <= 0.0).any():
+            raise NotRankOne("zero matrix has no steering factors")
+        parts.append((u / np.abs(u), v.conj() / np.abs(v)))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -244,8 +245,7 @@ def los_gains(hops: Sequence[LosLink]) -> list[tuple[float, float, float]]:
     the products are then taken trial by trial in Python floats, each lam^2 joining
     its surface's factor in the order of the assembled channel.
     """
-    if not (isinstance(hops, Sequence) and hops
-            and all(isinstance(hop, LosLink) and hop.a.ndim == 2 for hop in hops)):
+    if not (isinstance(hops, Sequence) and hops and all(isinstance(hop, LosLink) for hop in hops)):
         raise DimensionMismatch("los_gains needs one or more stacked LosLinks")
     shapes = [hop.a.shape + hop.b.shape[1:] for hop in hops]
     if (len({t for t, _, _ in shapes}) > 1 or 0 in sum(shapes, ())
@@ -292,12 +292,6 @@ class InnerProblemData:
         if self.g_ri.shape != self.g_it.shape:
             raise DimensionMismatch("g_ri and g_it must be equally long")
         _check_unit_pairs(self.u, self.v)
-
-
-def inner_objective(data: InnerProblemData, theta) -> float:
-    """|g_rt + g_ri Theta g_it|^2 for a phase vector or an n x n matrix theta."""
-    g_ri_theta = times_factor(data.g_ri[None], np.asarray(theta), 0.0)[0]
-    return float(np.abs(data.g_rt + g_ri_theta @ data.g_it) ** 2)
 
 
 def _check_unit_pairs(u: np.ndarray, v: np.ndarray):
@@ -585,8 +579,9 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     the last step of one surface visit into the next, across sweeps too, and
     compacted with the members, so only the first visit computes an initial pair;
     see _tune_surface for the coefficient products of a diagonal step and the unit
-    check once per visit.
+    check once per visit. A cascade with side links raises AssumptionViolated.
     """
+    _require_pure_cascades(chs)
     count = len(chs)
     streams = [None] * count if streams is None else list(streams)
     if count == 0 or len(cfgs) != count or len(streams) != count:
@@ -677,7 +672,9 @@ def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[flo
     norms one stacked LAPACK call, which works matrix by matrix, so no member's
     bounds depend on its batch. The widely used bound takes its squared link norms
     from the length-1 segments of the physics path sum, so no link is decomposed twice.
+    A cascade with side links raises AssumptionViolated.
     """
+    _require_pure_cascades(chs)
     factors = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
     count = len(factors)
     paths = [np.ones(len(chs))] + [np.zeros(len(chs)) for _ in range(count)]

@@ -17,7 +17,7 @@ from multiris.cascade import (
     times_factor,
 )
 from multiris.errors import DimensionMismatch, ZeroVector
-from multiris.fading import FadingSpec, gen_cascade
+from multiris.fading import FadingSpec, LosLink, _draw_los_hop, gen_cascade
 from multiris.multiport import DEFAULT_Z0, Dimensions, MultiportNetwork, RisLoadStack
 from multiris.optimize import (
     InnerProblemData,
@@ -65,6 +65,12 @@ def los_link_oracle(rows: int, cols: int, stream: RandomStream) -> tuple[np.ndar
     a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rows))
     b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, cols))
     return a, b
+
+
+def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> LosLink:
+    """One line-of-sight link of one stream, as the block draw gives it: a LosLink
+    stack of one row, a (1, rows) and b (1, cols)."""
+    return _draw_los_hop(rows, cols, path_gain, [stream])
 
 
 def gaussian_cascade(dims: Dimensions, rng: np.random.Generator,
@@ -287,7 +293,8 @@ def dominant_singular_pair_scalar(h):
 
 def rank_one_factors_scalar(h):
     """(path_gain, a, b) of one steering link from dominant_singular_pair_scalar, with
-    no rank-1 checks: the oracle for the factors of optimize._rank_one_stack."""
+    no rank-1 checks: the oracle for the factors of optimize._rank_one_factors and of
+    the stacked line-of-sight factoring, optimize._factor_los_hop."""
     rows, cols = h.shape
     sigma, u, v = dominant_singular_pair_scalar(h)
     return float(sigma / np.sqrt(rows * cols)), u / np.abs(u), v.conj() / np.abs(v)
@@ -449,6 +456,13 @@ def unitaries_with_first_columns_qr(x: np.ndarray) -> np.ndarray:
     alpha = (q[:, None, :, 0].conj() @ x[:, :, None])[:, :, 0]
     q[:, :, 0] *= alpha
     return q
+
+
+def inner_objective(data: InnerProblemData, theta) -> float:
+    """|g_rt + g_ri Theta g_it|^2 for a phase vector or an n x n matrix theta: the
+    value the inner solvers maximize, evaluated directly."""
+    g_ri_theta = times_factor(data.g_ri[None], np.asarray(theta), 0.0)[0]
+    return float(np.abs(data.g_rt + g_ri_theta @ data.g_it) ** 2)
 
 
 def inner_solve_unitary_qr(data: InnerProblemData) -> np.ndarray:

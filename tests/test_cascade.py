@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     dense_cascade,
+    draw_los_link,
     fold,
     full_physics_pairwise,
     gaussian_cascade,
@@ -28,7 +29,6 @@ from multiris.errors import (
     MissingSideLinks,
     NonFiniteInput,
 )
-from multiris.fading import draw_los_link
 from multiris.multiport import (
     Dimensions,
     RisLoadStack,

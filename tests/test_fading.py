@@ -8,13 +8,12 @@ import pickle
 import numpy as np
 import pytest
 
-from multiris.errors import DimensionMismatch
+from multiris.errors import DimensionMismatch, NonFiniteInput
 from multiris.fading import (
     FadingSpec,
     LosLink,
     _draw_los_hop,
     draw_los_cascades,
-    draw_los_link,
     gen_cascade,
     gen_los_link,
     gen_rayleigh_link,
@@ -23,7 +22,7 @@ from multiris.fading import (
 from multiris.multiport import Dimensions
 from multiris.rng import RandomStream
 
-from conftest import int_list_seed_sequence, los_link_oracle
+from conftest import draw_los_link, int_list_seed_sequence, los_link_oracle
 
 
 class _One(enum.IntEnum):
@@ -132,7 +131,8 @@ class TestRandomStream:
 class TestLosLink:
     def test_rank_one_unit_modulus(self):
         link = draw_los_link(6, 4, 2.5, RandomStream(5, ("los",)))
-        h = link.matrix()
+        assert link.a.shape == (1, 6) and link.b.shape == (1, 4)
+        h = link.matrix()[0]
         s = np.linalg.svd(h, compute_uv=False)
         assert s[0] == pytest.approx(2.5 * np.sqrt(24), rel=1e-12)
         assert np.all(s[1:] < 1e-12)
@@ -145,8 +145,8 @@ class TestLosLink:
 
     def test_inner_product_clt_variance(self):
         # b^T a over paired 64-vectors approaches CN(0, 64); the links are drawn as
-        # stacks over a block of streams, row t being draw_los_link(n, 1, ...).a and
-        # (1, n, ...).b of stream t
+        # stacks over a block of streams, row t being the a of an (n, 1) link and the b
+        # of a (1, n) link of stream t
         n = 64
         draws = 100000
         chunk = 10000
@@ -170,15 +170,36 @@ class TestLosLink:
         """A gain FadingSpec refuses is refused here too, before los_gains could turn
         it into a RuntimeWarning and a misleading NotRankOne."""
         with pytest.raises(DimensionMismatch, match="path_gain"):
-            LosLink(path_gain, np.ones(2), np.ones(3))
+            LosLink(path_gain, np.ones((1, 2)), np.ones((1, 3)))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((2,), (4, 3)), ((4, 2), (3,)),
                                                   ((4, 2), (5, 3)), ((2, 4, 2), (2, 4, 3)),
-                                                  ((), (3,)), ((2,), ())])
+                                                  ((), (3,)), ((2,), ()), ((2,), (3,))])
     def test_unequal_or_deep_stacks_rejected(self, a_shape, b_shape):
-        # one link is a pair of 1-D vectors, a stack a pair of 2-D arrays of one length
+        # a stack is a pair of 2-D arrays of one length; a lone link is a stack of
+        # one, not a pair of 1-D vectors
         with pytest.raises(DimensionMismatch, match="steering vectors"):
             LosLink(1.0, np.ones(a_shape), np.ones(b_shape))
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("modulus", [2.0, 0.5, 1.0 + 1e-9, 0.0])
+    def test_non_unit_modulus_rejected(self, side, modulus):
+        """lam is read as path_gain, which holds only for unit-modulus steering
+        vectors: a scaled entry is refused, not turned into a wrong gain."""
+        hop = _draw_los_hop(4, 3, 0.37, [RandomStream(79, ("scaled", t)) for t in range(3)])
+        vectors = {"a": hop.a.copy(), "b": hop.b.copy()}
+        vectors[side][1, 2] *= modulus
+        with pytest.raises(DimensionMismatch, match="unit modulus"):
+            LosLink(hop.path_gain, vectors["a"], vectors["b"])
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf),
+                                     complex(np.nan, 1.0)])
+    def test_non_finite_entries_rejected(self, side, bad):
+        vectors = {"a": np.ones((2, 4), dtype=complex), "b": np.ones((2, 3), dtype=complex)}
+        vectors[side][1, 0] = bad
+        with pytest.raises(NonFiniteInput):
+            LosLink(1.0, vectors["a"], vectors["b"])
 
     def test_stack_matrix_is_each_links_outer_product(self):
         stream = RandomStream(9, ("los-stack",))
@@ -188,7 +209,7 @@ class TestLosLink:
         for t in range(4):
             want = 0.37 * np.outer(hop.a[t], hop.b[t])
             assert h[t].tobytes() == want.tobytes()
-            assert draw_los_link(3, 5, 0.37, stream.child(t)).matrix().tobytes() == want.tobytes()
+            assert _same_bits(gen_los_link(3, 5, 0.37, stream.child(t)), want)
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -221,8 +242,10 @@ class TestLosBlockDraw:
                 a, b = los_link_oracle(rows, cols, child)
                 single = draw_los_link(rows, cols, path_gain, child)
                 assert single.path_gain == path_gain
-                for drawn_a, drawn_b in ((hop.a[t], hop.b[t]), (single.a, single.b)):
+                for drawn_a, drawn_b in ((hop.a[t], hop.b[t]), (single.a[0], single.b[0])):
                     assert _same_bits(drawn_a, a) and _same_bits(drawn_b, b)
+                assert _same_bits(gen_los_link(rows, cols, path_gain, child),
+                                  path_gain * np.outer(a, b))
 
     def test_links_do_not_depend_on_the_block(self):
         # each stream is drawn alone, in a block and in the reversed block

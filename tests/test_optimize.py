@@ -8,8 +8,10 @@ from conftest import (
     best_of_restarts,
     dominant_singular_pair_scalar,
     fold,
+    draw_los_link,
     gaussian_cascade,
     grid_search_gain_l2,
+    inner_objective,
     los_gains_assembled,
     los_physics_phases_per_surface,
     ones_cascade,
@@ -29,13 +31,14 @@ from multiris.cascade import (
     times_factor,
 )
 from multiris.errors import (
+    AssumptionViolated,
     DimensionMismatch,
     EmptySequence,
     NonFiniteInput,
     NotRankOne,
     ZeroVector,
 )
-from multiris.fading import FadingSpec, LosLink, draw_los_cascades, draw_los_link, gen_cascade
+from multiris.fading import FadingSpec, LosLink, draw_los_cascades, gen_cascade, gen_los_link
 from multiris.harness import ExperimentSpec
 from multiris.multiport import Dimensions
 from multiris.optimize import (
@@ -45,7 +48,6 @@ from multiris.optimize import (
     alg1_optimize,
     channel_gain,
     dominant_singular_pair,
-    inner_objective,
     inner_solve_diagonal,
     inner_solve_unitary,
     los_gains,
@@ -154,7 +156,7 @@ class TestDominantPairs:
         for ends in (1, 2, 3):
             for k, shape in enumerate(((n, n), (n, ends), (ends, n))):
                 _assert_rows_match_scalar(np.stack([
-                    draw_los_link(*shape, path_gain, stream.child(ends, k, t)).matrix()
+                    gen_los_link(*shape, path_gain, stream.child(ends, k, t))
                     for t, path_gain in enumerate((1.0, 0.37, 2.5, 1.0))]))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (8, 8),
@@ -185,7 +187,7 @@ class TestDominantPairs:
         # vanish on the first, while scale 1e-150 still iterates
         rng = np.random.default_rng(71)
         gauss = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
-        los = draw_los_link(8, 8, 0.37, RandomStream(71, ("mixed",))).matrix()
+        los = gen_los_link(8, 8, 0.37, RandomStream(71, ("mixed",)))
         h = np.stack([gauss[0], los, np.zeros((8, 8)), gauss[1] * 1e-170, gauss[2],
                       gauss[0] * 1e-150, los])
         sigma = _assert_rows_match_scalar(h)
@@ -209,10 +211,10 @@ class TestDominantPairs:
 
 class TestRankOneFactors:
     def test_recovers_steering_product(self):
-        link = draw_los_link(5, 3, 1.7, RandomStream(7, ("r1",)))
-        lam, a, b = _rank_one_factors(link.matrix())
+        h = gen_los_link(5, 3, 1.7, RandomStream(7, ("r1",)))
+        lam, a, b = _rank_one_factors(h)
         assert lam == pytest.approx(1.7, rel=1e-10)
-        assert np.linalg.norm(lam * np.outer(a, b) - link.matrix()) < 1e-10
+        assert np.linalg.norm(lam * np.outer(a, b) - h) < 1e-10
 
     def test_rejects_full_rank(self):
         rng = np.random.default_rng(11)
@@ -237,7 +239,7 @@ class TestRankOneFactors:
         # a tolerance 1e-7 above the direct value passes the residual test, one 1e-7
         # below fails it
         rng = np.random.default_rng(n)
-        h = draw_los_link(n, n, 0.9, RandomStream(n, ("residual",))).matrix()
+        h = gen_los_link(n, n, 0.9, RandomStream(n, ("residual",)))
         noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = h + scale * np.linalg.norm(h) / np.linalg.norm(noise) * noise
         sigma, u, v = dominant_singular_pair(h)
@@ -255,7 +257,7 @@ class TestRankOneFactors:
     @pytest.mark.parametrize("scale, rank_one", [(1e-5, False), (1e-8, True)])
     def test_rank_two_perturbation(self, scale, rank_one):
         rng = np.random.default_rng(17)
-        h = draw_los_link(32, 32, 1.3, RandomStream(17, ("rank2",))).matrix()
+        h = gen_los_link(32, 32, 1.3, RandomStream(17, ("rank2",)))
         x, y = _unit_rows(rng, 2, 32)
         h = h + scale * np.linalg.norm(h) * np.outer(x, y)
         if rank_one:
@@ -456,12 +458,12 @@ class TestLosClosedForms:
         for trial in range(100):
             sub = stream.child(trial)
             links = [draw_los_link(r, c, 1.0, sub.child(k)) for k, (r, c) in enumerate(shapes)]
-            ch = CascadeChannels(links[0].matrix(), tuple(m.matrix() for m in links[1:-1]),
-                                 links[-1].matrix())
+            ch = CascadeChannels(links[0].matrix()[0], tuple(m.matrix()[0] for m in links[1:-1]),
+                                 links[-1].matrix()[0])
             gain = channel_gain(assemble_physics_channel(ch, los_optimal_phases_physics(ch)))
             expect = float(n_r * n_t)
             for k in range(l):
-                c = links[k + 1].b @ links[k].a
+                c = links[k + 1].b[0] @ links[k].a[0]
                 expect *= (abs(c) + n_i) ** 2
             assert abs(gain - expect) / expect < 1e-9
 
@@ -502,8 +504,8 @@ class TestLosClosedForms:
             "empty-cascade": lambda: draw_los_cascades(dims, 1.0, []),
             # stacks of 2, 1 and 2 trials
             "mixed-shapes": lambda: (good[0], draw_los_cascades(dims, 1.0, [stream])[1], good[2]),
-            # one link as 1-D vectors among the stacks
-            "mixed-depths": lambda: (good[0], draw_los_link(4, 4, 1.0, stream), good[2]),
+            # one link as 1-D vectors among the stacks, refused where it is built
+            "mixed-depths": lambda: (good[0], LosLink(1.0, good[1].a[0], good[1].b[0]), good[2]),
             "not-a-link": lambda: (good[0], good[1].matrix(), good[2]),
             # hop 0 leaves 4 elements, hop 1 arrives at 3
             "not-chaining": lambda: (good[0], LosLink(1.0, np.ones((2, 3)), np.ones((2, 4))),
@@ -513,9 +515,48 @@ class TestLosClosedForms:
             "matrix-cascade": lambda: [ch],
             "matrix-links": lambda: ch.hops(),
             "bare-cascade": lambda: ch,
-        }[case]()
+        }[case]
         with pytest.raises(DimensionMismatch):
-            los_gains(block)
+            los_gains(block())
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_scaled_link_cannot_reach_gains(self, side):
+        """Each lam is read as its hop's path gain, so a link whose steering vector is
+        doubled would read gains 4x below its assembled channel's (16384 against 65536
+        for the widely used gain at l = 2, n_i = 8); it is refused where it is built,
+        and the block it came from still reads the assembled gains."""
+        dims = Dimensions(n_t=2, n_r=2, n_i=8, l=2)
+        stream = RandomStream(83, ("los-scaled",))
+        hops = list(draw_los_cascades(dims, 1.0, [stream]))
+        vectors = {"a": hops[1].a, "b": hops[1].b}
+        vectors[side] = 2.0 * vectors[side]
+        with pytest.raises(DimensionMismatch, match="unit modulus"):
+            hops[1] = LosLink(hops[1].path_gain, vectors["a"], vectors["b"])
+            los_gains(hops)
+        [gains] = los_gains(hops)
+        expect = los_gains_assembled(gen_cascade(dims, FadingSpec("los"), stream))
+        for got, want in zip(gains[:2], expect[:2]):
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_link_cannot_reach_gains(self, bad):
+        # a NaN or infinite steering entry reads as such, not as a zero or
+        # not-rank-1 matrix once los_gains factors it
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=1)
+        hops = list(draw_los_cascades(dims, 1.0, [RandomStream(89, ("los-nan",))]))
+        a = hops[0].a.copy()
+        a[0, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            hops[0] = LosLink(hops[0].path_gain, a, hops[0].b)
+            los_gains(hops)
+
+    @pytest.mark.parametrize("path_gain", [0.0, 1e-170])
+    def test_zero_matrix_links_refused(self, path_gain):
+        # a zero path gain, or one whose squared entries underflow, leaves no
+        # steering factors to read
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        with pytest.raises(NotRankOne, match="zero matrix"):
+            los_gains(draw_los_cascades(dims, path_gain, [RandomStream(97, ("los-zero",))]))
 
     @pytest.mark.parametrize("n_i", [2, 128])
     @pytest.mark.parametrize("l", [1, 4])
@@ -683,6 +724,45 @@ class TestUpperBounds:
             assert physics[member] == widely[member] == 0.0
 
         check()
+
+
+class TestSideLinksRefused:
+    """alg1, the upper bounds and the line-of-sight closed forms see only the pure
+    cascade, so a cascade carrying side links is refused, as channel_z_pure_cascade
+    refuses a network without assumption 6, instead of being optimized without its
+    direct and skip paths."""
+
+    @staticmethod
+    def _pair(fading):
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        stream = RandomStream(101, ("sided", fading.kind))
+        sided = gen_cascade(dims, fading, stream, include_sides=True)
+        return CascadeChannels(sided.h_it_1, sided.inter, sided.h_ri_l), sided
+
+    @pytest.mark.parametrize("entry", ["alg1_optimize", "alg1_batch", "upper_bound_physics",
+                                       "upper_bound_widely", "_upper_bounds"])
+    def test_multipath_entry_points(self, entry):
+        pure, sided = self._pair(FadingSpec("rayleigh"))
+        cfg = OptimizerConfig(max_outer_iters=2)
+        run = {
+            "alg1_optimize": lambda ch: alg1_optimize(ch, cfg),
+            # a sided cascade anywhere in a batch
+            "alg1_batch": lambda ch: alg1_batch([pure, ch], [cfg, cfg]),
+            "upper_bound_physics": upper_bound_physics,
+            "upper_bound_widely": upper_bound_widely,
+            "_upper_bounds": lambda ch: _upper_bounds([pure, ch]),
+        }[entry]
+        run(pure)
+        with pytest.raises(AssumptionViolated, match="assumption 6"):
+            run(sided)
+
+    @pytest.mark.parametrize("closed_form", [los_optimal_phases_widely,
+                                             los_optimal_phases_physics])
+    def test_line_of_sight_closed_forms(self, closed_form):
+        pure, sided = self._pair(FadingSpec("los"))
+        closed_form(pure)
+        with pytest.raises(AssumptionViolated, match="assumption 6"):
+            closed_form(sided)
 
 
 class TestOptimizerConfig:

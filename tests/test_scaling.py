@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import draw_los_link
 from multiris.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -14,7 +15,7 @@ from multiris.errors import (
     NonFiniteInput,
     RangeExceeded,
 )
-from multiris.fading import FadingSpec, draw_los_link
+from multiris.fading import FadingSpec
 from multiris.rng import RandomStream
 from multiris.scaling import (
     estimate_mean_sq_singular_values,
@@ -278,7 +279,7 @@ class TestMonteCarloMetrics:
                      draw_los_link(2, n, 1.0, sub.child(2))]
             g = 4.0
             for k in range(l):
-                c = links[k + 1].b @ links[k].a
+                c = links[k + 1].b[0] @ links[k].a[0]
                 g *= (abs(c) + n) ** 2
             physics.append(g)
         eta_hat = mc_relative_difference(physics, [widely] * 400)
