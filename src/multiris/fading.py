@@ -15,8 +15,9 @@ from .rng import RandomStream
 @dataclass(frozen=True, eq=False)
 class LosLink:
     """T rank-1 steering links path_gain * outer(a[t], b[t]), a (T, m) and b (T, n) with
-    T >= 0, sharing one path gain, which is each link's lam: every entry is finite
-    (else NonFiniteInput) and of unit modulus within DIAGONAL_UNIT_TOL."""
+    T >= 0, sharing one path gain, which is each link's lam: every entry is numeric
+    (else DimensionMismatch), finite (else NonFiniteInput) and of unit modulus within
+    DIAGONAL_UNIT_TOL."""
 
     path_gain: float
     a: np.ndarray
@@ -24,7 +25,10 @@ class LosLink:
 
     def __post_init__(self):
         _check_nonnegative("path_gain", self.path_gain)
-        a, b = (np.asarray(x, dtype=complex) for x in (self.a, self.b))
+        try:
+            a, b = (np.asarray(x, dtype=complex) for x in (self.a, self.b))
+        except (TypeError, ValueError):
+            raise DimensionMismatch("steering vectors are not numeric arrays") from None
         if not (a.ndim == b.ndim == 2 and len(a) == len(b)):
             raise DimensionMismatch(f"need stacked steering vectors: {a.shape}, {b.shape}")
         ab = np.hstack((a, b))

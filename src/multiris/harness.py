@@ -55,10 +55,28 @@ SCENARIOS = ("los", "rayleigh", "rician")
 MODELS = ("physics", "widely_used", "suboptimal_cross")
 ARCHITECTURES = ("diagonal", "unitary")
 
-# (grid point, trial) pairs per unit of work: the pairs of one block, cut from the
-# K grid of one (l, n_i), are optimized as one alg1 batch per architecture, and
-# sequential and parallel runs execute the same blocks
-BLOCK_TRIALS = 32
+# the bytes a unit of work may hold: the (grid point, trial) pairs of one block, cut
+# from the K grid of one (l, n_i), are optimized as one alg1 batch per architecture,
+# and a block takes as many pairs as this budget holds by _pair_bytes. 32 pairs of the
+# headline diagonal cascade (l = 4, n_i = 128, 2 x 2 antennas, two alg1 models) fill it;
+# that block peaks near 121 MB RSS, and _pair_bytes keeps every other block below it.
+# Sequential and parallel runs execute the same blocks
+BLOCK_BYTES = 79 << 20
+
+# n_i-entry rows an alg1 member holds per surface: the phase vector, its start and
+# kept copies, the fold's end links and the diagonal step's coefficients and temporaries
+_VECTOR_ROWS = 10
+
+# n_i x n_i matrices a unitary alg1 member holds next to its l surfaces: the step's
+# previous and new surface, the two completions it multiplies, and the output stack
+# and compacted copies of members that stop early
+_UNITARY_TEMPS = 8
+
+# the Python objects of one alg1 member (its streams, cascade, result and gain trace)
+# and the heap slack their many small allocations leave
+_MEMBER_BYTES = 16 << 10
+
+_ENTRY_BYTES = np.dtype(complex).itemsize
 
 
 # the optimizer settings a spec may override; OptimizerConfig checks their values
@@ -364,19 +382,44 @@ def _block_task(args):
     return _run_block(*args)
 
 
+def _pair_bytes(spec: ExperimentSpec, point: _GridPoint) -> int:
+    """The bytes one (grid point, trial) pair holds in a block at its peak, read from
+    the spec alone.
+
+    That is the harness's own copy of the pair's links plus, per alg1 member of the
+    pair (one per model among physics and widely_used), a stacked copy of the links,
+    _VECTOR_ROWS rows of n_i entries per surface, the l n_i x n_i surfaces and
+    _UNITARY_TEMPS step temporaries when the spec runs unitary surfaces, and
+    _MEMBER_BYTES of Python objects. A line-of-sight pair counts as one member with
+    one row per surface: its closed forms form no surface and no fold.
+    """
+    n, l = point.n_i, point.l
+    links = spec.n_r * n + (l - 1) * n * n + n * spec.n_t
+    if spec.scenario == "los":
+        members, surfaces = 1, l * n
+    else:
+        members = sum(m in spec.models for m in ("physics", "widely_used"))
+        surfaces = _VECTOR_ROWS * l * n
+        if "unitary" in spec.architectures:
+            surfaces += (l + _UNITARY_TEMPS) * n * n
+    return _ENTRY_BYTES * ((members + 1) * links + members * surfaces) + members * _MEMBER_BYTES
+
+
 def _blocks(spec: ExperimentSpec) -> list[tuple]:
     """The (spec, pairs) units of work of the grid, in grid order.
 
     The (grid point, trial) pairs of each run of consecutive grid points that share
-    (l, n_i) are cut, in grid order, into blocks of up to BLOCK_TRIALS pairs. _grid
-    puts K innermost, so such a run is the K grid of one (l, n_i), whose points
+    (l, n_i) are cut, in grid order, into blocks of as many pairs as BLOCK_BYTES
+    holds by _pair_bytes (at least one); only a run's last block may be shorter.
+    _grid puts K innermost, so such a run is the K grid of one (l, n_i), whose points
     share the cascade shape; without a K axis a block holds trials of one point.
     """
     blocks = []
-    for _, points in groupby(_grid(spec), key=lambda p: (p.l, p.n_i)):
-        pairs = [(point, t) for point in points for t in range(spec.trials_for(point.n_i))]
-        blocks.extend((spec, tuple(pairs[start:start + BLOCK_TRIALS]))
-                      for start in range(0, len(pairs), BLOCK_TRIALS))
+    for (_, n_i), points in groupby(_grid(spec), key=lambda p: (p.l, p.n_i)):
+        pairs = [(point, t) for point in points for t in range(spec.trials_for(n_i))]
+        size = max(1, BLOCK_BYTES // _pair_bytes(spec, pairs[0][0]))
+        blocks.extend((spec, tuple(pairs[start:start + size]))
+                      for start in range(0, len(pairs), size))
     return blocks
 
 
@@ -389,12 +432,11 @@ def _block_cost(block: tuple) -> int:
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     """Run the full grid and aggregate per-point statistics.
 
-    The unit of work is a block of up to BLOCK_TRIALS (grid point, trial) pairs,
-    cut in grid order from the K grid of one (l, n_i), whatever parallel is: a
-    block runs one alg1 batch per architecture over all of its pairs and models.
-    Packing pays only where a K grid has far fewer than BLOCK_TRIALS trials per
-    point: without a K axis a block holds trials of one point, and at BLOCK_TRIALS
-    trials per point or more nearly every batch is full either way.
+    The unit of work is a block of (grid point, trial) pairs, cut in grid order
+    from the K grid of one (l, n_i), as many as BLOCK_BYTES holds (see _blocks),
+    whatever parallel is: a block runs one alg1 batch per architecture over all
+    of its pairs and models. A small cascade gets whole grid points in one block,
+    so such a point pays alg1's per-step dispatch and a batch's slow tail once.
 
     parallel > 1 hands every block of the grid to a pool of worker processes, the
     costliest first, so that the heaviest block does not start last; results are

@@ -181,6 +181,17 @@ class TestLosLink:
         with pytest.raises(DimensionMismatch, match="steering vectors"):
             LosLink(1.0, np.ones(a_shape), np.ones(b_shape))
 
+    @pytest.mark.parametrize("a, b", [([["x"]], [["y"]]), ([[object()]], [[1.0]]),
+                                      ([[1.0]], [[1.0, "x"]])],
+                             ids=["string", "object", "mixed"])
+    def test_non_numeric_stacks_rejected(self, a, b):
+        # numpy's own ValueError or TypeError would escape the package's error types
+        with pytest.raises(DimensionMismatch, match="steering vectors are not numeric"):
+            LosLink(1.0, a, b)
+        # an empty block's stacks have no rows, and are numeric
+        empty = LosLink(1.0, np.ones((0, 3)), np.ones((0, 2)))
+        assert empty.a.shape == (0, 3) and empty.b.shape == (0, 2)
+
     @pytest.mark.parametrize("side", ["a", "b"])
     @pytest.mark.parametrize("modulus", [2.0, 0.5, 1.0 + 1e-9, 0.0])
     def test_non_unit_modulus_rejected(self, side, modulus):

@@ -16,7 +16,7 @@ from multiris.cli import main
 from multiris.errors import DimensionMismatch, SpecError, UnknownPreset, ZeroVector
 from multiris.fading import FadingSpec, gen_cascade
 from multiris.harness import (
-    BLOCK_TRIALS,
+    BLOCK_BYTES,
     ExperimentSpec,
     GainTable,
     emit,
@@ -28,7 +28,9 @@ from multiris.harness import (
 from multiris.harness import (
     _block_cost,
     _blocks,
+    _grid,
     _GridPoint,
+    _pair_bytes,
     _point_label,
     _run_block,
 )
@@ -71,6 +73,19 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     return log
+
+
+@pytest.fixture
+def pairs_per_block(monkeypatch):
+    """Call it with a count to make every block hold that many pairs, whatever its
+    shape: each pair then counts one byte against a budget of count bytes."""
+    import multiris.harness as harness
+
+    def cut(count):
+        monkeypatch.setattr(harness, "_pair_bytes", lambda spec, point: 1)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", count)
+
+    return cut
 
 
 def tiny_rayleigh_spec(**overrides):
@@ -362,9 +377,11 @@ class TestRunExperiment:
         # closed-form blocks through the pool, several 1 MiB chunks per hop at n_i = 128
         dict(scenario="los", l=(1, 3), n_i_grid=(2, 128), n_t=3, n_r=1, path_gain=0.37),
     ])
-    def test_multi_block_bytes_match_across_parallelism(self, tmp_path, scenario):
+    def test_multi_block_bytes_match_across_parallelism(self, tmp_path, pairs_per_block,
+                                                        scenario):
         # two full blocks and a partial one per grid point
-        spec = ExperimentSpec(seed=13, trials=2 * BLOCK_TRIALS + 3,
+        pairs_per_block(32)
+        spec = ExperimentSpec(seed=13, trials=2 * 32 + 3,
                               models=("physics", "widely_used", "suboptimal_cross"),
                               optimizer={"max_outer_iters": 30}, **scenario)
         for fmt in ("csv", "json"):
@@ -383,8 +400,9 @@ class TestRunExperiment:
         assert set(by_arch) == {"diagonal", "unitary"}
         assert by_arch["diagonal"] == by_arch["unitary"]
 
-    def test_pool_gets_costliest_blocks_first(self, inline_pool):
-        spec = replace(figure_preset("los-diff"), trials=BLOCK_TRIALS + 8)
+    def test_pool_gets_costliest_blocks_first(self, inline_pool, pairs_per_block):
+        pairs_per_block(32)
+        spec = replace(figure_preset("los-diff"), trials=32 + 8)
         parallel = format_table(run_experiment(spec, parallel=2), "csv")
         # no K axis: every block holds consecutive trials of one grid point
         dispatched = []
@@ -394,7 +412,7 @@ class TestRunExperiment:
             dispatched.append((point.l, point.n_i, first, count))
         costs = [count * l * n_i ** 2 for l, n_i, _, count in dispatched]
         assert len(dispatched) == 2 * len(spec.l) * len(spec.n_i_grid)
-        assert dispatched[0] == (4, 128, 0, BLOCK_TRIALS)
+        assert dispatched[0] == (4, 128, 0, 32)
         assert costs == sorted(costs, reverse=True)
         # equal costs keep grid order: l=4, n_i=64's full block before the tail of n_i=128
         assert dispatched.index((4, 64, 0, 32)) + 1 == dispatched.index((4, 128, 32, 8))
@@ -439,13 +457,14 @@ class TestRunExperiment:
         assert inline_pool.workers == ([] if workers is None else [workers])
         assert table == format_table(run_experiment(spec), "csv")
 
-    def test_k_grid_packs_into_blocks_of_pairs(self, tmp_path, monkeypatch):
+    def test_k_grid_packs_into_blocks_of_pairs(self, tmp_path, monkeypatch, pairs_per_block):
         """13 trials x 3 K are 39 (grid point, trial) pairs, cut into one block of 32
         and one of 7, so the second block starts inside K = 30. Each K's rows must be
         the bytes of a single-K run of that K, and the table the bytes of a real
         2-process run."""
         import multiris.harness as harness
 
+        pairs_per_block(32)
         spec = ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=19, trials=13,
                               rician_k=(0.0, 1.0, 30.0),
                               models=("physics", "widely_used", "suboptimal_cross"),
@@ -468,7 +487,7 @@ class TestRunExperiment:
         table = run_experiment(spec)
         # one batch per architecture and block over every (pair, model) member
         assert batch_sizes == [32 * 2, 32 * 2, 7 * 2, 7 * 2]
-        monkeypatch.undo()
+        monkeypatch.setattr(harness, "alg1_batch", alg1_batch)
 
         def rows(text):
             header, *lines = text.splitlines()[1:]
@@ -512,6 +531,74 @@ class TestRunExperiment:
         # the physics path sum holds the widely used product as one of its terms
         bound = {row.model: row.bound_mean for row in both if row.architecture == "diagonal"}
         assert bound["physics"] > bound["widely_used"] > 0.0
+
+
+class TestBlockBudget:
+    """Blocks hold as many pairs as BLOCK_BYTES holds, by a footprint read off the spec."""
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_blocks_fit_the_budget(self, name):
+        # no run: the cut of every preset at full trial count, from the spec alone
+        spec = figure_preset(name)
+        runs = {}
+        for _, pairs in _blocks(spec):
+            point = pairs[0][0]
+            assert len(pairs) * _pair_bytes(spec, point) <= BLOCK_BYTES
+            full = len(pairs) == BLOCK_BYTES // _pair_bytes(spec, point)
+            runs.setdefault((point.l, point.n_i), []).append((len(pairs), full))
+        for (l, n_i), blocks in runs.items():
+            # every block of an (l, n_i) run is full but the last
+            assert all(full for _, full in blocks[:-1])
+            if (l, n_i) == (4, 128) and spec.scenario != "los":
+                # the headline diagonal block holds the 32 pairs it always held
+                assert [count for count, _ in blocks] == [32, 32, 32, 4]
+
+    def test_pair_over_budget_runs_alone(self):
+        spec = ExperimentSpec(scenario="rayleigh", l=(4,), n_i_grid=(2048,), seed=1, trials=3)
+        assert _pair_bytes(spec, _grid(spec)[0]) > BLOCK_BYTES
+        assert [len(pairs) for _, pairs in _blocks(spec)] == [1, 1, 1]
+
+    def test_unitary_and_model_count_grow_the_footprint(self):
+        point = _GridPoint(2, 32, None)
+        base = dict(scenario="rayleigh", l=(2,), n_i_grid=(32,), seed=1, trials=1)
+        one = _pair_bytes(ExperimentSpec(**base, models=("physics",)), point)
+        two = _pair_bytes(ExperimentSpec(**base), point)
+        unitary = _pair_bytes(ExperimentSpec(**base, architectures=("diagonal", "unitary")), point)
+        los = _pair_bytes(ExperimentSpec(**{**base, "scenario": "los"}), point)
+        assert los < one < two < unitary
+        # a unitary member holds its l surfaces and the step's temporaries as matrices
+        assert unitary - two >= 2 * 16 * (2 + 1) * 32 * 32
+
+    @pytest.mark.parametrize("spec", [
+        # the K grid of one (l, n_i), both architectures and all three models
+        ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=23, trials=5,
+                       rician_k=(0.0, 1.0, 30.0),
+                       models=("physics", "widely_used", "suboptimal_cross"),
+                       architectures=("diagonal", "unitary"),
+                       optimizer={"max_outer_iters": 30}),
+        # 60 trials at l = 4, n_i = 128 are two blocks under the default budget
+        ExperimentSpec(scenario="los", l=(1, 4), n_i_grid=(128,), seed=29, trials=60,
+                       n_t=3, n_r=1, models=("physics", "widely_used", "suboptimal_cross")),
+    ], ids=["rician-k-grid", "los-n128"])
+    def test_table_bytes_do_not_depend_on_the_cut(self, tmp_path, monkeypatch, spec):
+        import multiris.harness as harness
+
+        want = {fmt: emit(run_experiment(spec), fmt, tmp_path / f"want.{fmt}").read_bytes()
+                for fmt in ("csv", "json")}
+        runs = len(spec.l) * len(spec.n_i_grid)
+        pairs = len(_grid(spec)) * spec.trials
+        # one pair per block, the default budget, and one block per (l, n_i) run
+        counts = []
+        for budget in (1, BLOCK_BYTES, 1 << 62):
+            monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+            counts.append(len(_blocks(spec)))
+            for parallel in (1, 2):
+                table = run_experiment(spec, parallel=parallel)
+                for fmt in ("csv", "json"):
+                    got = emit(table, fmt, tmp_path / f"{budget}-{parallel}.{fmt}").read_bytes()
+                    assert got == want[fmt]
+        assert counts[0] == pairs and counts[2] == runs
+        assert counts[1] == (runs if spec.scenario == "rician" else runs + 1)
 
 
 def test_every_traced_name_exists_on_its_owner():
@@ -725,9 +812,10 @@ class TestLosBlock:
 
     @pytest.mark.parametrize("n_i", [1, 2, 8, 128])
     @pytest.mark.parametrize("l", [1, 2, 4, 6])
-    def test_gains_match_per_trial_oracle(self, l, n_i):
+    def test_gains_match_per_trial_oracle(self, pairs_per_block, l, n_i):
         # 40 trials: a full block and a partial one, and at n_i = 128 several chunks
         # per hop position
+        pairs_per_block(32)
         for n_t, n_r in ((2, 2), (1, 3), (3, 1)):
             for path_gain in (1.0, 0.37):
                 spec = tiny_los_spec(l=l, n_i_grid=n_i, n_t=n_t, n_r=n_r, trials=40,
@@ -746,10 +834,11 @@ class TestLosBlock:
                         assert got[(m, "diagonal")][t] == want[m]
 
     @pytest.mark.parametrize("path_gain", [1.0, 0.37])
-    def test_widely_used_rows_have_no_spread(self, path_gain):
+    def test_widely_used_rows_have_no_spread(self, pairs_per_block, path_gain):
         # every trial reads the one widely used gain of its draw, so the column holds
         # no rounding noise; 40 trials make a full and a partial block. At l = 3 and
         # path gain 0.37, numpy's std of the 40 equal gains is not 0
+        pairs_per_block(32)
         spec = tiny_los_spec(l=(1, 3), n_i_grid=(8, 128), n_t=3, n_r=3, trials=40,
                              path_gain=path_gain)
         rows = [row for row in run_experiment(spec) if row.model == "widely_used"]
@@ -758,7 +847,7 @@ class TestLosBlock:
             expect = expected_gain_widely_los(row.n_i, row.l, 3, 3, path_gain ** (row.l + 1))
             assert row.std_err == 0.0 and abs(row.mean_gain - expect) <= 1e-14 * expect
 
-    def test_block_factors_each_link_once_in_small_stacks(self, monkeypatch):
+    def test_block_factors_each_link_once_in_small_stacks(self, monkeypatch, pairs_per_block):
         import multiris.optimize as optimize
 
         stacks = []
@@ -769,11 +858,13 @@ class TestLosBlock:
             return dominant_pairs(h)
 
         monkeypatch.setattr(optimize, "_dominant_pairs", recorded)
-        spec = tiny_los_spec(l=4, n_i_grid=128, trials=BLOCK_TRIALS)
-        assert len(_blocks(spec)) == 1
+        # a full block of 32 trials and a partial one of 8
+        pairs_per_block(32)
+        spec = tiny_los_spec(l=4, n_i_grid=128, trials=40)
+        assert [len(pairs) for _, pairs in _blocks(spec)] == [32, 8]
         run_experiment(spec)
         # every model and architecture of a trial shares one factoring of each of its
-        # l + 1 links; the end links of all trials make one stack each
+        # l + 1 links; the end links of all trials of a block make one stack each
         assert sum(count for count, _ in stacks) == spec.trials * (4 + 1)
         assert max(nbytes for _, nbytes in stacks) <= _LOS_CHUNK_BYTES == 1 << 20
-        assert max(count for count, _ in stacks) == BLOCK_TRIALS
+        assert max(count for count, _ in stacks) == 32
