@@ -34,7 +34,6 @@ from .multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    block_subdiagonal_inverse,
     channel_z_cascade,
     channel_z_general,
     channel_z_matched,

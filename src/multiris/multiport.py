@@ -199,54 +199,6 @@ def _checked_inv(a: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-# -- structured inverse ---------------------------------------------------------
-
-
-def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[np.ndarray]]:
-    """Invert a block matrix whose only nonzero blocks sit on the diagonal and
-    the first subdiagonal.
-
-    For M with diagonal blocks D_0..D_{l-1} and subdiagonal blocks S_k mapping
-    block column k to block row k+1, the inverse N is block lower triangular:
-
-        N[i][i] = inv(D_i)
-        N[i][j] = (-1)^(i-j) inv(D_i) (S_{i-1} inv(D_{i-1})) ... (S_j inv(D_j)),  i > j
-
-    with the factors multiplied in strictly decreasing block order, and
-    N[i][j] for i < j exactly the zero matrix. Returns the inverse as a list
-    of lists of blocks.
-    """
-    d = [as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
-    s = [as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
-    l = len(d)
-    if l == 0:
-        raise DimensionMismatch("need at least one diagonal block")
-    if len(s) != l - 1:
-        raise DimensionMismatch(f"{l} diagonal blocks need {l - 1} subdiagonal blocks, got {len(s)}")
-    n = d[0].shape[0]
-    for kind, blocks in (("diagonal", d), ("subdiagonal", s)):
-        for k, b in enumerate(blocks):
-            if b.shape != (n, n):
-                raise DimensionMismatch(f"{kind} block {k} must be {n} x {n}, got shape {b.shape}")
-
-    d_inv = []
-    for k, b in enumerate(d):
-        cond = np.linalg.cond(b)
-        if not np.isfinite(cond) or cond > CONDITION_CAP:
-            raise SingularDiagonalBlock(k, float(cond))
-        d_inv.append(np.linalg.inv(b))
-    sd = [s[k] @ d_inv[k] for k in range(l - 1)]
-
-    out = [[np.zeros((n, n), dtype=complex) for _ in range(l)] for _ in range(l)]
-    for i in range(l):
-        out[i][i] = d_inv[i]
-        acc = d_inv[i]
-        for j in range(i - 1, -1, -1):
-            acc = -(acc @ sd[j])
-            out[i][j] = acc
-    return out
-
-
 # -- channel models --------------------------------------------------------------
 
 
@@ -275,62 +227,61 @@ def channel_z_general(net: MultiportNetwork, loads) -> np.ndarray:
     return _between_end_arrays(net, inner)
 
 
-def _cascade_sum(net: MultiportNetwork, diag_blocks) -> np.ndarray:
-    """Z_RT minus the double sum of Z_RI,l Ybar[l][k] Z_IT,k over l >= k."""
-    l = net.dims.l
-    ybar = block_subdiagonal_inverse(diag_blocks, [net.block(k + 1, k) for k in range(l - 1)])
+def _cascade_sum(net: MultiportNetwork, loads, diagonal) -> np.ndarray:
+    """Z_RT - Z_RI inv(Z_I + Z_II) Z_IT on a block-bidiagonal surface core, by one
+    forward substitution over the surfaces, O(l):
+
+        x_0 = inv(D_0) Z_IT,0,    x_k = inv(D_k) (Z_IT,k - Z_k,k-1 x_{k-1}),
+
+    with D_k = load_k + diagonal[k]; the result is Z_RT - sum_k Z_RI,k x_k. Raises
+    SingularDiagonalBlock(k) when D_k exceeds the condition cap.
+    """
+    stack = _loads_for(net, loads)
     acc = net.block("r", "t").copy()
-    for i in range(l):
-        z_ri_i = net.block("r", i)
-        for j in range(i + 1):
-            acc -= z_ri_i @ ybar[i][j] @ net.block(j, "t")
+    x = None
+    for k, load in enumerate(stack.loads):
+        d_k = load + diagonal[k]
+        cond = np.linalg.cond(d_k)
+        if not np.isfinite(cond) or cond > CONDITION_CAP:
+            raise SingularDiagonalBlock(k, float(cond))
+        rhs = net.block(k, "t") if k == 0 else net.block(k, "t") - net.block(k, k - 1) @ x
+        x = np.linalg.solve(d_k, rhs)
+        acc -= net.block("r", k) @ x
     return acc
 
 
 def channel_z_cascade(net: MultiportNetwork, loads) -> np.ndarray:
-    """Channel using the structured inverse of the block-bidiagonal surface core.
+    """Channel by forward substitution through the block-bidiagonal surface core.
 
     Needs assumptions 1-3. Algebraically identical to channel_z_general on any
     network satisfying them, but never forms the dense surface inverse.
     """
     net.require(1, 2, 3)
-    stack = _loads_for(net, loads)
-    d_blocks = [stack.loads[k] + net.block(k, k) for k in range(net.dims.l)]
-    return _between_end_arrays(net, _cascade_sum(net, d_blocks))
+    diagonal = [net.block(k, k) for k in range(net.dims.l)]
+    return _between_end_arrays(net, _cascade_sum(net, loads, diagonal))
 
 
 def channel_z_matched(net: MultiportNetwork, loads) -> np.ndarray:
     """Channel for matched, uncoupled arrays everywhere (assumptions 1-5).
 
-    The end-array inverses collapse and the model becomes
-    (Z_RT - sum Z_RI,l Ybar[l][k] Z_IT,k) / (2 z0) with the surface diagonal
-    blocks reduced to load + z0*I.
+    The end-array inverses collapse to 1/(2 z0) and every surface diagonal block
+    to load + z0*I, so the channel is the cascade sum over 2 z0.
     """
     net.require(1, 2, 3, 4, 5)
-    stack = _loads_for(net, loads)
-    eye_i = net.z0 * np.eye(net.dims.n_i)
-    d_blocks = [stack.loads[k] + eye_i for k in range(net.dims.l)]
-    return _cascade_sum(net, d_blocks) / (2.0 * net.z0)
+    diagonal = [net.z0 * np.eye(net.dims.n_i)] * net.dims.l
+    return _cascade_sum(net, loads, diagonal) / (2.0 * net.z0)
 
 
 def channel_z_pure_cascade(net: MultiportNetwork, loads) -> np.ndarray:
     """Channel when only the through-cascade path exists (assumptions 1-6).
 
-    H = -(-1)^(l-1)/(2 z0) * Z_RI,l-1 inv(Z_l-1 + z0 I)
+    The matched channel on a network whose side blocks are zero, which is
+    -(-1)^(l-1)/(2 z0) * Z_RI,l-1 inv(Z_l-1 + z0 I)
         prod_{k=l-2..0} [ Z_hop,k inv(Z_k + z0 I) ] * Z_IT,0
     with the product taken in strictly decreasing surface order.
     """
     net.require(1, 2, 3, 4, 5, 6)
-    stack = _loads_for(net, loads)
-    l = net.dims.l
-    eye_i = net.z0 * np.eye(net.dims.n_i)
-    inv_last = _checked_inv(stack.loads[l - 1] + eye_i, f"load {l - 1} + z0*I")
-    acc = net.block("r", l - 1) @ inv_last
-    for k in range(l - 2, -1, -1):
-        inv_k = _checked_inv(stack.loads[k] + eye_i, f"load {k} + z0*I")
-        acc = acc @ (net.block(k + 1, k) @ inv_k)
-    sign = -((-1.0) ** (l - 1))
-    return (sign / (2.0 * net.z0)) * (acc @ net.block(0, "t"))
+    return channel_z_matched(net, loads)
 
 
 # -- impedance / scattering maps --------------------------------------------------
@@ -354,7 +305,8 @@ def scattering_to_z(theta: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
     """Load impedance realizing a scattering matrix: Z = z0 (I + Theta) inv(I - Theta).
 
     Raises OpenCircuitSingularity when Theta has an eigenvalue at 1, since that
-    element is an open circuit with no finite impedance.
+    element is an open circuit with no finite impedance, and SingularMatrix when
+    I - Theta exceeds the condition cap all the same.
     """
     th = _square(theta, "scattering matrix")
     z0 = _checked_z0(z0)
@@ -363,7 +315,7 @@ def scattering_to_z(theta: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:
         raise OpenCircuitSingularity(
             "scattering matrix has an eigenvalue at 1; the load is an open circuit")
     eye = np.eye(th.shape[0])
-    return z0 * (eye + th) @ np.linalg.inv(eye - th)
+    return z0 * (eye + th) @ _checked_inv(eye - th, "I - theta")
 
 
 def normalize_z_to_channel(z_block: np.ndarray, z0: float = DEFAULT_Z0) -> np.ndarray:

@@ -16,9 +16,15 @@ from multiris.cascade import (
     factor_times,
     times_factor,
 )
-from multiris.errors import DimensionMismatch, ZeroVector
+from multiris.errors import DimensionMismatch, SingularDiagonalBlock, ZeroVector, as_finite
 from multiris.fading import FadingSpec, LosLink, _draw_los_hop, gen_cascade
-from multiris.multiport import DEFAULT_Z0, Dimensions, MultiportNetwork, RisLoadStack
+from multiris.multiport import (
+    CONDITION_CAP,
+    DEFAULT_Z0,
+    Dimensions,
+    MultiportNetwork,
+    RisLoadStack,
+)
 from multiris.optimize import (
     InnerProblemData,
     OptimizationResult,
@@ -123,6 +129,52 @@ def assemble_block_bidiagonal(diag, sub) -> np.ndarray:
     for k in range(l - 1):
         m[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = sub[k]
     return m
+
+
+def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[np.ndarray]]:
+    """Invert a block matrix whose only nonzero blocks sit on the diagonal and
+    the first subdiagonal.
+
+    For M with diagonal blocks D_0..D_{l-1} and subdiagonal blocks S_k mapping
+    block column k to block row k+1, the inverse N is block lower triangular:
+
+        N[i][i] = inv(D_i)
+        N[i][j] = (-1)^(i-j) inv(D_i) (S_{i-1} inv(D_{i-1})) ... (S_j inv(D_j)),  i > j
+
+    with the factors multiplied in strictly decreasing block order, and
+    N[i][j] for i < j exactly the zero matrix. Returns the inverse as a list
+    of lists of blocks: the oracle for the forward solve of the structured channel
+    models in multiris.multiport.
+    """
+    d = [as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
+    s = [as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
+    l = len(d)
+    if l == 0:
+        raise DimensionMismatch("need at least one diagonal block")
+    if len(s) != l - 1:
+        raise DimensionMismatch(f"{l} diagonal blocks need {l - 1} subdiagonal blocks, got {len(s)}")
+    n = d[0].shape[0]
+    for kind, blocks in (("diagonal", d), ("subdiagonal", s)):
+        for k, b in enumerate(blocks):
+            if b.shape != (n, n):
+                raise DimensionMismatch(f"{kind} block {k} must be {n} x {n}, got shape {b.shape}")
+
+    d_inv = []
+    for k, b in enumerate(d):
+        cond = np.linalg.cond(b)
+        if not np.isfinite(cond) or cond > CONDITION_CAP:
+            raise SingularDiagonalBlock(k, float(cond))
+        d_inv.append(np.linalg.inv(b))
+    sd = [s[k] @ d_inv[k] for k in range(l - 1)]
+
+    out = [[np.zeros((n, n), dtype=complex) for _ in range(l)] for _ in range(l)]
+    for i in range(l):
+        out[i][i] = d_inv[i]
+        acc = d_inv[i]
+        for j in range(i - 1, -1, -1):
+            acc = -(acc @ sd[j])
+            out[i][j] = acc
+    return out
 
 
 def random_diagonal_lossless_loads(l: int, n: int, rng: np.random.Generator,

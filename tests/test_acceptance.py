@@ -14,6 +14,7 @@ from conftest import (
     assemble_block_bidiagonal,
     best_of_restarts,
     bidiagonal_instance,
+    block_subdiagonal_inverse,
     dense_cascade,
     gaussian_cascade,
     grid_search_gain_l2,
@@ -21,6 +22,7 @@ from conftest import (
     random_diagonal_lossless_loads,
     random_full_lossless_loads,
     random_phase_stack,
+    well_conditioned_block,
 )
 from multiris.cascade import (
     assemble,
@@ -32,7 +34,8 @@ from multiris.fading import FadingSpec, gen_cascade
 from multiris.harness import ExperimentSpec, emit, figure_preset, run_experiment
 from multiris.multiport import (
     Dimensions,
-    block_subdiagonal_inverse,
+    MultiportNetwork,
+    RisLoadStack,
     channel_z_cascade,
     channel_z_general,
     channel_z_matched,
@@ -102,10 +105,32 @@ def los_metric_samples():
     return out
 
 
+def _bidiagonal_network(diag, sub, rng) -> MultiportNetwork:
+    """A network meeting assumptions 1-3 whose surface core is the block-bidiagonal
+    matrix of diag and sub, with random end arrays and every surface coupled to
+    both ends."""
+    l, n = len(diag), diag[0].shape[0]
+    dims = Dimensions(n_t=int(rng.integers(1, 4)), n_r=int(rng.integers(1, 4)), n_i=n, l=l)
+    ports = dims.ports
+    z = np.zeros((dims.n_ports, dims.n_ports), dtype=complex)
+    z[ports("t"), ports("t")] = well_conditioned_block(dims.n_t, rng)
+    z[ports("r"), ports("r")] = well_conditioned_block(dims.n_r, rng)
+    for rows, cols in (("r", "t"), ("r", "i"), ("i", "t")):
+        shape = z[ports(rows), ports(cols)].shape
+        z[ports(rows), ports(cols)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for k in range(l):
+        z[ports(k), ports(k)] = diag[k]
+    for k in range(l - 1):
+        z[ports(k + 1), ports(k)] = sub[k]
+    return MultiportNetwork(dims, z)
+
+
 def test_structured_inverse_oracle(report):
     t0 = time.perf_counter()
     rng = RandomStream(1001, ("acceptance", "inverse")).generator()
+    ends = RandomStream(1001, ("acceptance", "inverse", "ends")).generator()
     worst = 0.0
+    worst_channel = 0.0
     for _ in range(200):
         l = int(rng.integers(1, 7))
         n = int(rng.integers(1, 9))
@@ -114,11 +139,23 @@ def test_structured_inverse_oracle(report):
         dense = np.linalg.inv(assemble_block_bidiagonal(diag, sub))
         stacked = np.block(blocks) if l > 1 else blocks[0][0]
         worst = max(worst, _rel_err(stacked, dense))
+        # the forward solve of channel_z_cascade against the channel built from the
+        # oracle's blocks, on the same core with zero loads
+        net = _bidiagonal_network(diag, sub, ends)
+        inner = net.block("r", "t") - sum(
+            net.block("r", i) @ blocks[i][j] @ net.block(j, "t")
+            for i in range(l) for j in range(i + 1))
+        expected = (net.z0 * np.linalg.inv(net.z0 * np.eye(net.dims.n_r) + net.block("r", "r"))
+                    @ inner @ np.linalg.inv(net.block("t", "t")))
+        loads = RisLoadStack(tuple(np.zeros((n, n)) for _ in range(l)))
+        worst_channel = max(worst_channel, _rel_err(channel_z_cascade(net, loads), expected))
     dt = time.perf_counter() - t0
-    ok = worst < 1e-10 and dt < 10.0
-    report(1, ok, f"structured block inverse vs dense oracle on 200 instances "
-                  f"(worst rel err {worst:.2e} < 1e-10, {dt:.1f} s < 10 s)")
+    ok = worst < 1e-10 and worst_channel < 1e-10 and dt < 10.0
+    report(1, ok, f"structured block inverse vs dense oracle, and the cascade channel's "
+                  f"forward solve vs those blocks, on 200 instances (worst rel err "
+                  f"{worst:.2e} and {worst_channel:.2e} < 1e-10, {dt:.1f} s < 10 s)")
     assert worst < 1e-10
+    assert worst_channel < 1e-10
     assert dt < 10.0
 
 

@@ -10,7 +10,6 @@ from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    block_subdiagonal_inverse,
     normalize_z_to_channel,
     scattering_to_z,
     z_to_scattering,
@@ -28,7 +27,6 @@ ENTRY_POINTS = {
     "assemble": (2, lambda a: assemble(ones_cascade(l=1), [a], [1])),
     "MultiportNetwork": (2, lambda a: MultiportNetwork(Dimensions(1, 1, 1, 1), a)),
     "RisLoadStack": (2, lambda a: RisLoadStack((a,))),
-    "block_subdiagonal_inverse": (2, lambda a: block_subdiagonal_inverse([a], [])),
     "z_to_scattering": (2, z_to_scattering),
     "scattering_to_z": (2, scattering_to_z),
     "normalize_z_to_channel": (2, normalize_z_to_channel),

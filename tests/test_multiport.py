@@ -1,4 +1,4 @@
-"""Impedance-domain core: structured inverse, channel models, conversions."""
+"""Impedance-domain core: channel models, their structured-inverse oracle, conversions."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assemble_block_bidiagonal,
     bidiagonal_instance,
+    block_subdiagonal_inverse,
     gaussian_cascade,
     network_from_cascade,
     random_diagonal_lossless_loads,
@@ -18,12 +19,12 @@ from multiris.errors import (
     NonFiniteInput,
     OpenCircuitSingularity,
     SingularDiagonalBlock,
+    SingularMatrix,
 )
 from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    block_subdiagonal_inverse,
     channel_z_cascade,
     channel_z_general,
     channel_z_matched,
@@ -71,6 +72,8 @@ class TestDimensions:
 
 
 class TestBlockSubdiagonalInverse:
+    """The conftest oracle the structured channel models are checked against."""
+
     def test_single_block_is_plain_inverse(self):
         d = [np.array([[2.0, 1.0], [0.0, 2.0]])]
         out = block_subdiagonal_inverse(d, [])
@@ -276,6 +279,33 @@ class TestChannelModels:
             with pytest.raises(AssumptionViolated):
                 channel_z_pure_cascade(net, loads)
 
+    @pytest.mark.parametrize("model", [channel_z_cascade, channel_z_matched,
+                                       channel_z_pure_cascade])
+    def test_singular_surface_block_named(self, model):
+        # a load of -z0 I cancels surface 1's matched diagonal block
+        net = broken_network(())
+        loads = random_diagonal_lossless_loads(3, 3, np.random.default_rng(89))
+        loads = RisLoadStack((loads.loads[0], -net.z0 * np.eye(3), loads.loads[2]))
+        with pytest.raises(SingularDiagonalBlock) as exc:
+            model(net, loads)
+        assert exc.value.index == 1
+
+    def test_pure_cascade_keeps_side_blocks_within_tolerance(self):
+        # side blocks below 1e-10 z0 still satisfy assumption 6, and the
+        # pure-cascade model must carry them as channel_z_general does
+        rng = np.random.default_rng(83)
+        net = network_from_cascade(gaussian_cascade(_DIMS, rng))
+        z, ports = net.z.copy(), net.dims.ports
+        for rows, cols in (("r", "t"), ("r", 0), ("r", 1), (1, "t"), (2, "t")):
+            shape = z[ports(rows), ports(cols)].shape
+            z[ports(rows), ports(cols)] = 0.9e-10 * net.z0 * np.exp(2j * np.pi * rng.random(shape))
+        near = MultiportNetwork(net.dims, z, net.z0)
+        assert near.assumptions == {1, 2, 3, 4, 5, 6}
+        loads = random_full_lossless_loads(3, 3, rng)
+        h = channel_z_general(near, loads)
+        assert rel_err(h, channel_z_general(net, loads)) > 1e-12
+        assert rel_err(h, channel_z_pure_cascade(near, loads)) < 1e-12
+
     def test_matched_prefactor_is_half_z0_inverse(self):
         # on a pure direct-path network the matched model is Z_RT / (2 z0)
         net = build_trivial_network(z_rt_scale=0.8)
@@ -354,6 +384,13 @@ class TestConversions:
         with pytest.raises(OpenCircuitSingularity):
             scattering_to_z(np.eye(2))
 
+    def test_near_open_circuit_rejected(self):
+        # eigenvalues 1 +- 3.2e-9 pass the open-circuit test, but I - Theta has
+        # condition 1e17: its inverse would be a load of max |Z| ~ 1e19
+        theta = np.array([[1.0, 1.0], [1e-17, 1.0]])
+        with pytest.raises(SingularMatrix, match="I - theta"):
+            scattering_to_z(theta)
+
     def test_normalize_is_linear_scaling(self):
         block = np.arange(6, dtype=complex).reshape(2, 3)
         assert rel_err(normalize_z_to_channel(block, 50.0), block / 100.0) < 1e-15
@@ -362,10 +399,8 @@ class TestConversions:
     @pytest.mark.parametrize("call", [
         lambda: scattering_to_z(np.array([[np.nan]])),
         lambda: z_to_scattering(np.array([[np.nan]])),
-        lambda: block_subdiagonal_inverse([np.array([[np.nan]])], []),
-        lambda: block_subdiagonal_inverse([np.eye(2), np.eye(2)], [np.full((2, 2), np.inf)]),
         lambda: normalize_z_to_channel(np.array([[np.nan]])),
-    ], ids=["scattering_to_z", "z_to_scattering", "diagonal", "subdiagonal", "normalize"])
+    ], ids=["scattering_to_z", "z_to_scattering", "normalize"])
     def test_non_finite_input_rejected(self, call):
         with pytest.raises(NonFiniteInput):
             call()
