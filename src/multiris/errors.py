@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -13,8 +14,27 @@ def is_int(value) -> bool:
 
 
 def is_finite_real(value) -> bool:
-    """An int or float, not a bool, inside the double range: not NaN, +-inf or a huge int."""
+    """A Python or numpy int or float, not a bool, inside the double range: not NaN,
+    +-inf or a huge int. Callers store an accepted value as a Python int or float."""
+    if isinstance(value, np.floating):
+        value = float(value)  # a float32 would compare in float32, where the max overflows
     return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def in_range(context: str, value, exact_zero: bool = False) -> float:
+    """value(), or RangeExceeded where it leaves the double range: beyond its top (a
+    Python OverflowError or a numpy overflow to inf), or below its smallest normal
+    number in magnitude when the exact value is not zero."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = value()
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise RangeExceeded(f"{context} overflows double precision")
+    if abs(result) < sys.float_info.min and not exact_zero:
+        raise RangeExceeded(f"{context} underflows double precision")
+    return result
 
 
 def shown(value) -> str:
@@ -111,7 +131,7 @@ class EmptySequence(MultirisError):
 
 
 class RangeExceeded(MultirisError):
-    """A closed-form value overflows double precision for these inputs."""
+    """A computed value leaves the double range for these inputs."""
 
 
 class UnknownPreset(MultirisError):

@@ -24,7 +24,7 @@ class LosLink:
     b: np.ndarray
 
     def __post_init__(self):
-        _check_nonnegative("path_gain", self.path_gain)
+        object.__setattr__(self, "path_gain", _check_nonnegative("path_gain", self.path_gain))
         try:
             a, b = (np.asarray(x, dtype=complex) for x in (self.a, self.b))
         except (TypeError, ValueError):
@@ -55,13 +55,16 @@ class FadingSpec:
         if self.kind not in ("los", "rayleigh", "rician"):
             raise DimensionMismatch(
                 f"fading kind must be 'los', 'rayleigh' or 'rician', got {self.kind!r}")
+        # stored as Python floats: a float32 would keep k / (k + 1.0) in float32
         for name in ("path_gain", "rician_k"):
-            _check_nonnegative(name, getattr(self, name))
+            object.__setattr__(self, name, _check_nonnegative(name, getattr(self, name)))
 
 
-def _check_nonnegative(name, value):
+def _check_nonnegative(name, value) -> float:
+    """value as a Python float, or DimensionMismatch unless it is finite and >= 0."""
     if not (is_finite_real(value) and value >= 0):
         raise DimensionMismatch(f"{name} must be a finite number >= 0, got {shown(value)}")
+    return float(value)
 
 
 def _check_link(rows, cols, path_gain):

@@ -186,7 +186,7 @@ class ExperimentSpec:
         except DimensionMismatch as exc:
             raise SpecError(f"optimizer: {exc}") from exc
         object.__setattr__(self, "optimizer",
-                           {k: int(v) if is_int(v) else v for k, v in opt.items()})
+                           {k: int(v) if is_int(v) else float(v) for k, v in opt.items()})
 
     def _check_gain_scale(self):
         """Reject a path gain whose gain scale path_gain^(2(l+1)) n_i^(2l) n_t n_r

@@ -21,6 +21,7 @@ from .errors import (
     NotRankOne,
     ZeroVector,
     as_finite,
+    in_range,
     is_finite_real,
     is_int,
     shown,
@@ -132,8 +133,10 @@ def spectral_norm(h) -> float:
 
 
 def channel_gain(h) -> float:
-    """Squared spectral norm of the channel: the gain a matched beamformer sees."""
-    return spectral_norm(h) ** 2
+    """Squared spectral norm of the channel: the gain a matched beamformer sees.
+    RangeExceeded where the square leaves the double range."""
+    sigma = spectral_norm(h)
+    return in_range("channel_gain", lambda: sigma ** 2, sigma == 0.0)
 
 
 # -- rank-1 factor extraction --------------------------------------------------------
@@ -243,7 +246,8 @@ def los_gains(hops: Sequence[LosLink]) -> list[tuple[float, float, float]]:
     Each lam is its hop's drawn path gain. Each hop is factored as a stack, in the
     gauge of los_optimal_phases_widely, and each s is one stacked dot per surface;
     the products are then taken trial by trial in Python floats, each lam^2 joining
-    its surface's factor in the order of the assembled channel.
+    its surface's factor in the order of the assembled channel. A gain beyond the
+    double range raises RangeExceeded.
     """
     if not (isinstance(hops, Sequence) and hops and all(isinstance(hop, LosLink) for hop in hops)):
         raise DimensionMismatch("los_gains needs one or more stacked LosLinks")
@@ -251,11 +255,13 @@ def los_gains(hops: Sequence[LosLink]) -> list[tuple[float, float, float]]:
     if (len({t for t, _, _ in shapes}) > 1 or 0 in sum(shapes, ())
             or any(n != m for (_, _, n), (_, m, _) in zip(shapes, shapes[1:]))):
         raise DimensionMismatch(f"link stacks differ in length, are empty or unchained: {shapes}")
-    first, *lam = (float(hop.path_gain) ** 2 for hop in hops)
+    first, *lam = (in_range("a squared path gain", lambda: float(hop.path_gain) ** 2, True)
+                   for hop in hops)
     first *= shapes[0][1] * shapes[-1][2]
     factors = [_factor_los_hop(hop) for hop in hops]
-    surfaces = [(a.shape[1], (b[:, None] @ a[:, :, None])[:, 0, 0].tolist())
-                for (_, b), (a, _) in zip(factors, factors[1:])]
+    dots = [(a.shape[1], (b[:, None] @ a[:, :, None])[:, 0, 0])
+            for (_, b), (a, _) in zip(factors, factors[1:])]
+    surfaces = [(n, s.tolist()) for n, s in dots]
     gains = []
     for t in range(shapes[0][0]):
         physics = widely = cross = first
@@ -264,6 +270,14 @@ def los_gains(hops: Sequence[LosLink]) -> list[tuple[float, float, float]]:
             widely *= n * n * link
             cross *= abs(n - s[t]) ** 2 * link
         gains.append((physics, widely, cross))
+    # the products overflow to inf and underflow to 0 silently, so the block is checked
+    # once; a cross gain with a factor n - s of exactly 0 is exactly 0, and its trial's
+    # physics gain stands in for it
+    block = np.array(gains)
+    for n, s in dots:
+        block[s == n, 2] = block[s == n, 0]
+    in_range("a line-of-sight gain", block.max)
+    in_range("a line-of-sight gain", block.min)
     return gains
 
 
@@ -414,6 +428,7 @@ class OptimizerConfig:
             raise DimensionMismatch(f"iteration caps must be integers >= 1, got {shown(caps)}")
         if not (is_finite_real(self.rel_tol) and self.rel_tol > 0):
             raise DimensionMismatch(f"rel_tol must be finite and > 0, got {shown(self.rel_tol)}")
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
 
 
 @dataclass(frozen=True)

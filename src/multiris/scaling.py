@@ -11,7 +11,6 @@ counterparts of both operate on paired gain samples.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +20,8 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     NonFiniteInput,
-    RangeExceeded,
     as_finite,
+    in_range,
     is_finite_real,
     is_int,
     shown,
@@ -53,20 +52,6 @@ def _per_surface(n_i: int) -> dict[str, float]:
     return {"physics": (s + 1.0) / n, "widely_used": 0.0, "suboptimal_cross": 1.0 / n}
 
 
-def _in_range(context: str, value, exact_zero: bool = False) -> float:
-    """value(), or RangeExceeded where it leaves the double range: above its top,
-    or below its smallest normal number when the exact value is not zero."""
-    try:
-        result = value()
-    except OverflowError:
-        result = math.inf
-    if not math.isfinite(result):
-        raise RangeExceeded(f"{context} overflows double precision")
-    if result < sys.float_info.min and not exact_zero:
-        raise RangeExceeded(f"{context} underflows double precision")
-    return result
-
-
 def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
     """path_gain^2 * (n_i^2 (1 + excess))^l * n_r n_t for the per-surface excess of
     model, formed exactly and rounded once: path_gain^2 or n_i^2 alone may leave the
@@ -76,7 +61,7 @@ def _expected_gain(model: str, n_i, l, n_t, n_r, path_gain) -> float:
     # the binary exponent first, so that no power is formed far outside the range
     log2 = 2 * math.log2(path_gain or 1.0) + math.log2(n_r * n_t) + \
         l * (2 * math.log2(n_i) + math.log1p(excess) / math.log(2))
-    return _in_range(f"the expected {model} gain", lambda: float(
+    return in_range(f"the expected {model} gain", lambda: float(
         Fraction(path_gain) ** 2 * (Fraction(n_i) ** 2 * (1 + Fraction(excess))) ** l
         * (n_r * n_t)) if abs(log2) < 1100 else (math.inf if log2 > 0 else 0.0),
         path_gain == 0)
@@ -112,15 +97,15 @@ def relative_difference_los(n_i: int, l: int) -> float:
     (1 + excess)^l - 1 so that it neither cancels nor overflows before eta does."""
     n_i, l = _check_los_dims(n_i, l)[:2]
     excess = _per_surface(n_i)["physics"]
-    return _in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)),
-                     l == 0)
+    return in_range("relative_difference_los", lambda: math.expm1(l * math.log1p(excess)),
+                    l == 0)
 
 
 def normalized_gain_los(n_i: int, l: int) -> float:
     """Closed-form rho: ((n_i + 1) / (n_i + sqrt(pi n_i) + 1))^l."""
     n_i, l = _check_los_dims(n_i, l)[:2]
     table = _per_surface(n_i)
-    return _in_range("normalized_gain_los", lambda: (
+    return in_range("normalized_gain_los", lambda: (
         (1.0 + table["suboptimal_cross"]) / (1.0 + table["physics"])) ** l)
 
 
@@ -137,25 +122,30 @@ def _paired_means(x, y, x_name: str, y_name: str):
                                 f"{xs.shape} vs {ys.shape}")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise NonFiniteInput(f"{x_name} and {y_name} must be finite")
-    return float(xs.mean()), float(ys.mean())
+    # only a mean's sum can leave the range; a mean may be as small as its samples
+    return tuple(in_range(f"the mean of {name}", lambda: float(samples.mean()), True)
+                 for samples, name in ((xs, x_name), (ys, y_name)))
 
 
 def mc_relative_difference(physics_gains, widely_gains) -> float:
-    """Sample eta: (mean physics gain - mean widely gain) / mean widely gain."""
+    """Sample eta: (mean physics gain - mean widely gain) / mean widely gain, exactly
+    zero where the means are equal."""
     mean_p, mean_w = _paired_means(physics_gains, widely_gains,
                                    "physics_gains", "widely_gains")
     if not mean_w > 0.0:
         raise DegenerateDenominator("mean widely used gain must be positive")
-    return (mean_p - mean_w) / mean_w
+    return in_range("mc_relative_difference", lambda: (mean_p - mean_w) / mean_w,
+                    mean_p == mean_w)
 
 
 def mc_normalized_gain(suboptimal_gains, physics_gains) -> float:
-    """Sample rho: mean suboptimal physical gain / mean optimal physical gain."""
+    """Sample rho: mean suboptimal physical gain / mean optimal physical gain, exactly
+    zero where the suboptimal mean is."""
     mean_s, mean_p = _paired_means(suboptimal_gains, physics_gains,
                                    "suboptimal_gains", "physics_gains")
     if not mean_p > 0.0:
         raise DegenerateDenominator("mean optimal physics gain must be positive")
-    return mean_s / mean_p
+    return in_range("mc_normalized_gain", lambda: mean_s / mean_p, mean_s == 0.0)
 
 
 # -- structural scattering strength ---------------------------------------------------

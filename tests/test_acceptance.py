@@ -24,13 +24,8 @@ from conftest import (
     random_phase_stack,
     well_conditioned_block,
 )
-from multiris.cascade import (
-    assemble,
-    assemble_physics_channel,
-    assemble_widely_used,
-    cascade_from_network,
-)
-from multiris.fading import FadingSpec, gen_cascade
+from multiris.cascade import assemble, assemble_physics_channel, cascade_from_network
+from multiris.fading import FadingSpec, draw_los_cascades, gen_cascade
 from multiris.harness import ExperimentSpec, emit, figure_preset, run_experiment
 from multiris.multiport import (
     Dimensions,
@@ -44,11 +39,10 @@ from multiris.multiport import (
 )
 from multiris.optimize import (
     OptimizerConfig,
-    _physics_from_widely,
     alg1_batch,
     alg1_optimize,
     channel_gain,
-    los_optimal_phases_widely,
+    los_gains,
     upper_bound_physics,
     upper_bound_widely,
 )
@@ -77,23 +71,13 @@ def _rel_err(a, b) -> float:
 
 
 def _los_point_gains(n_i: int, l: int, trials: int, stream: RandomStream):
-    """Per-trial optimized gains at one line-of-sight grid point: the physical
-    model at its optimum, the widely used model at its optimum, and the
-    physical model evaluated at the widely-used optimum (paired draws). Each link is
-    factored once: the physics phases are los_optimal_phases_physics's, turned from
-    the widely used ones."""
+    """Per-trial optimized gains at one line-of-sight grid point, trial t drawn from
+    stream.child(t): the physical model at its optimum, the widely used model at its
+    optimum, and the physical model at the widely used optimum (paired draws). One
+    block through the path that writes the line-of-sight tables."""
     dims = Dimensions(n_t=2, n_r=2, n_i=n_i, l=l)
-    phys = np.empty(trials)
-    widely = np.empty(trials)
-    cross = np.empty(trials)
-    for t in range(trials):
-        ch = gen_cascade(dims, FadingSpec("los"), stream.child(t))
-        stack_w = los_optimal_phases_widely(ch)
-        stack_p = _physics_from_widely(stack_w)
-        phys[t] = channel_gain(assemble_physics_channel(ch, stack_p))
-        widely[t] = channel_gain(assemble_widely_used(ch, stack_w))
-        cross[t] = channel_gain(assemble_physics_channel(ch, stack_w.thetas))
-    return phys, widely, cross
+    gains = los_gains(draw_los_cascades(dims, 1.0, [stream.child(t) for t in range(trials)]))
+    return tuple(np.array(gains).T)
 
 
 @pytest.fixture(scope="module")

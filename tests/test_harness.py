@@ -270,6 +270,24 @@ class TestSpecValidation:
             assert format_table(run_experiment(spec), fmt) == \
                 format_table(run_experiment(plain), fmt)
 
+    def test_numpy_floats_give_the_bytes_of_python_floats(self, tmp_path):
+        # float32 values were refused as not finite; stored as they came, rician_k would
+        # keep the Rician mix in float32 and rel_tol would fail json.dumps after the run
+        def spec(real):
+            return ExperimentSpec(scenario="rician", l=(2,), n_i_grid=(4,), seed=3, trials=3,
+                                  rician_k=(real(0.0), real(2.5)), path_gain=real(0.5),
+                                  optimizer={"rel_tol": real(1e-6)},
+                                  models=("physics", "widely_used", "suboptimal_cross"))
+
+        single, plain = spec(np.float32), spec(lambda x: float(np.float32(x)))
+        assert single == plain
+        assert all(type(v) is float for v in (single.path_gain, *single.rician_k,
+                                              *single.optimizer.values()))
+        for fmt in ("csv", "json"):
+            written = [emit(run_experiment(s), fmt, tmp_path / f"{name}.{fmt}").read_bytes()
+                       for name, s in (("single", single), ("plain", plain))]
+            assert written[0] == written[1]
+
     def test_numpy_bools_are_not_ints(self):
         with pytest.raises(SpecError, match="trials"):
             ExperimentSpec(scenario="los", l=(2,), n_i_grid=(4,), seed=1, trials=np.True_)
