@@ -113,10 +113,15 @@ def gen_rician_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream
     fixed pair of draws instead of producing unrelated channels.
     """
     k = spec.rician_k
-    los = gen_los_link(rows, cols, 1.0, stream.child("specular"))
-    nlos = gen_rayleigh_link(rows, cols, 1.0, stream.child("scatter"))
-    mixed = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
-    return spec.path_gain * mixed
+    # built in place, in the order of sqrt(k/(k+1)) los + sqrt(1/(k+1)) nlos scaled by
+    # the path gain, so the bytes are those of that expression
+    mixed = gen_los_link(rows, cols, 1.0, stream.child("specular"))
+    mixed *= np.sqrt(k / (k + 1.0))
+    scatter = gen_rayleigh_link(rows, cols, 1.0, stream.child("scatter"))
+    scatter *= np.sqrt(1.0 / (k + 1.0))
+    mixed += scatter
+    mixed *= spec.path_gain
+    return mixed
 
 
 def gen_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream) -> np.ndarray:

@@ -174,6 +174,25 @@ def _require_pure_cascades(chs: Sequence[CascadeChannels]):
         raise AssumptionViolated("needs a pure cascade (assumption 6), got side links")
 
 
+def _check_gain_scales(links: list[np.ndarray]):
+    """Raise RangeExceeded unless the gain scale 4^l prod_k ||H_k||_F^2 of every member
+    of a batch, given as one stacked link per hop position, lies in the double range.
+
+    The scale bounds every gain alg1 and the bounds form, as |theta - d| <= 2 on every
+    element, and, for links of one magnitude as every drawn cascade has, every fold
+    product too; so a batch that passes neither overflows nor underflows. Each squared
+    norm is one stacked BLAS dot per hop position. A scale of exactly zero passes only
+    where one of the member's links is identically zero.
+    """
+    flat = [link.reshape(len(link), -1).view(float) for link in links]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = 4.0 ** (len(links) - 1) * np.prod(
+            [(v[:, None] @ v[:, :, None])[:, 0, 0] for v in flat], axis=0)
+    for i in np.flatnonzero(~((scales >= _NORMAL) & (scales < np.inf))):
+        in_range("a cascade's gain scale", lambda: float(scales[i]),
+                 not all(v[i].any() for v in flat))
+
+
 # -- closed-form line-of-sight configurations ------------------------------------------
 
 
@@ -594,7 +613,9 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     the last step of one surface visit into the next, across sweeps too, and
     compacted with the members, so only the first visit computes an initial pair;
     see _tune_surface for the coefficient products of a diagonal step and the unit
-    check once per visit. A cascade with side links raises AssumptionViolated.
+    check once per visit. A cascade with side links raises AssumptionViolated, and a
+    batch with a gain scale outside the double range RangeExceeded, before any sweep
+    (see _check_gain_scales).
     """
     _require_pure_cascades(chs)
     count = len(chs)
@@ -606,6 +627,7 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     if len({tuple(m.shape for m in h) for h in hops}) > 1:
         raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
     links = [np.stack(h) for h in zip(*hops)]
+    _check_gain_scales(links)
     starts = [_init_thetas(ch, s) for ch, s in zip(chs, streams)]
     thetas = [np.stack(surface) for surface in zip(*starts)]
     offsets = np.array([1.0 if c.model == "physics" else 0.0 for c in cfgs])
@@ -687,10 +709,12 @@ def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[flo
     norms one stacked LAPACK call, which works matrix by matrix, so no member's
     bounds depend on its batch. The widely used bound takes its squared link norms
     from the length-1 segments of the physics path sum, so no link is decomposed twice.
-    A cascade with side links raises AssumptionViolated.
+    A cascade with side links raises AssumptionViolated, and a batch with a gain scale
+    outside the double range RangeExceeded (see _check_gain_scales).
     """
     _require_pure_cascades(chs)
     factors = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
+    _check_gain_scales(factors)
     count = len(factors)
     paths = [np.ones(len(chs))] + [np.zeros(len(chs)) for _ in range(count)]
     links = []

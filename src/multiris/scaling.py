@@ -161,17 +161,27 @@ def structural_scattering_strength(mean_sq_singular_values) -> float:
     if np.any(np.diff(lam) > 1e-9 * lam[0]):
         raise DimensionMismatch("mean squared singular values must be sorted descending")
     n = lam.size
-    return float((1.0 + lam[1:].sum() / lam[0]) / (n * n))
+    # each ratio is at most 1 on sorted input, so no sum leaves the double range
+    return float((1.0 + (lam[1:] / lam[0]).sum()) / (n * n))
 
 
 def estimate_mean_sq_singular_values(rows: int, cols: int, spec: FadingSpec,
                                      stream: RandomStream, draws: int = 10000) -> np.ndarray:
     """Monte Carlo estimate of the per-direction average squared singular values
-    of a link distribution, sorted descending."""
+    of a link distribution, sorted descending. RangeExceeded where the largest leaves
+    the double range."""
     if not is_int(draws) or draws < 1:
         raise EmptySample(f"draws must be an integer >= 1, got {shown(draws)}")
-    acc = np.zeros(min(rows, cols))
-    for t in range(draws):
-        h = gen_link(rows, cols, spec, stream.child("draw", t))
-        acc += np.linalg.svd(h, compute_uv=False) ** 2
-    return acc / draws
+    lam = np.zeros(min(rows, cols))
+
+    def largest() -> float:
+        for t in range(draws):
+            h = gen_link(rows, cols, spec, stream.child("draw", t))
+            lam[:] += np.linalg.svd(h, compute_uv=False) ** 2
+        lam[:] /= draws
+        return float(lam[0])
+
+    # the largest mean bounds every square and sum taken; it is exactly zero only for
+    # links of zero path gain
+    in_range("the mean squared singular values", largest, spec.path_gain == 0.0)
+    return lam

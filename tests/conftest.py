@@ -17,7 +17,14 @@ from multiris.cascade import (
     times_factor,
 )
 from multiris.errors import DimensionMismatch, SingularDiagonalBlock, ZeroVector, as_finite
-from multiris.fading import FadingSpec, LosLink, _draw_los_hop, gen_cascade
+from multiris.fading import (
+    FadingSpec,
+    LosLink,
+    _draw_los_hop,
+    gen_cascade,
+    gen_los_link,
+    gen_rayleigh_link,
+)
 from multiris.multiport import (
     CONDITION_CAP,
     DEFAULT_Z0,
@@ -77,6 +84,17 @@ def draw_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) 
     """One line-of-sight link of one stream, as the block draw gives it: a LosLink
     stack of one row, a (1, rows) and b (1, cols)."""
     return _draw_los_hop(rows, cols, path_gain, [stream])
+
+
+def rician_link_expression(rows: int, cols: int, spec: FadingSpec,
+                           stream: RandomStream) -> np.ndarray:
+    """A Rician link as one expression of its parts, each part a fresh array: the
+    oracle for the in-place mix of gen_rician_link, which must keep these bytes."""
+    k = spec.rician_k
+    los = gen_los_link(rows, cols, 1.0, stream.child("specular"))
+    nlos = gen_rayleigh_link(rows, cols, 1.0, stream.child("scatter"))
+    mixed = np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos
+    return spec.path_gain * mixed
 
 
 def gaussian_cascade(dims: Dimensions, rng: np.random.Generator,

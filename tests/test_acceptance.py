@@ -6,6 +6,7 @@ asserted alongside the numeric tolerances.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from multiris.optimize import (
     OptimizerConfig,
     alg1_batch,
     alg1_optimize,
-    channel_gain,
     los_gains,
     upper_bound_physics,
     upper_bound_widely,
@@ -261,39 +261,33 @@ def test_widely_bound_tightness_unitary(report):
     assert dt < 120.0
 
 
+# the abstract's headline cell, deep-cascade at l = 4 and n_i = 128, as run_experiment
+# writes it; a change that moves it updates these pins and lists old and new in CHANGES.md
+HEADLINE = {"eta": 14.274447675411617, "rho": 0.07218803940790113}
+
+
 def test_multipath_discrepancy_trends(report):
     t0 = time.perf_counter()
-    stream = RandomStream(1007, ("acceptance", "depth4"))
-    dims = Dimensions(2, 2, 128, 4)
-    trials = 100
+    # rows in the preset's model order: physics, widely_used, suboptimal_cross
+    phys, widely, cross = run_experiment(replace(figure_preset("deep-cascade"), n_i_grid=(128,)))
     rho_band = (0.03, 0.15)
-    cfgs = (OptimizerConfig(model="widely_used", architecture="diagonal"),
-            OptimizerConfig(model="physics", architecture="diagonal"))
-    phys, widely, cross = [], [], []
-    # 32 trials per alg1 batch, each trial's widely used and physics runs side by side
-    for first in range(0, trials, 32):
-        subs = [stream.child("trial", t) for t in range(first, min(first + 32, trials))]
-        chs = [gen_cascade(dims, FadingSpec("rayleigh"), sub.child("ch")) for sub in subs]
-        runs = alg1_batch([ch for ch in chs for _ in cfgs], list(cfgs) * len(chs),
-                          [sub.child(name) for sub in subs for name in ("w", "p")])
-        for ch, res_w, res_p in zip(chs, runs[::2], runs[1::2]):
-            phys.append(res_p.gain)
-            widely.append(res_w.gain)
-            cross.append(channel_gain(assemble_physics_channel(ch, res_w.stack.thetas)))
-    phys = np.array(phys)
-    widely = np.array(widely)
-    cross = np.array(cross)
-    eta_hat = (phys.mean() - widely.mean()) / widely.mean()
-    rho_hat = cross.mean() / phys.mean()
-    se_p = phys.std(ddof=1) / np.sqrt(len(phys)) / phys.mean()
-    se_x = cross.std(ddof=1) / np.sqrt(len(cross)) / cross.mean()
+    # pinned at perfbench's reference tolerance, 1e-6 relative
+    pin_dev = max(abs(phys.eta / HEADLINE["eta"] - 1), abs(cross.rho / HEADLINE["rho"] - 1))
+    bounded = all(r.bound_mean >= r.mean_gain * (1 - 1e-9) for r in (phys, widely))
     dt = time.perf_counter() - t0
-    ok = eta_hat > 5.0 and rho_band[0] <= rho_hat <= rho_band[1] and dt < 1800.0
-    report(7, ok, f"deep multipath discrepancy at n_i=128, l=4 ({trials} trials): "
-                  f"eta {eta_hat:.2f} > 5, rho {rho_hat:.3f} in [{rho_band[0]}, {rho_band[1]}] "
-                  f"(rel std err {100 * se_p:.1f}% / {100 * se_x:.1f}%, {dt:.0f} s < 1800 s)")
-    assert eta_hat > 5.0
-    assert rho_band[0] <= rho_hat <= rho_band[1]
+    ok = (phys.trials == 100 and phys.eta > 5.0 and rho_band[0] <= cross.rho <= rho_band[1]
+          and pin_dev <= 1e-6 and bounded and dt < 1800.0)
+    report(7, ok, f"deep multipath discrepancy at n_i=128, l=4 ({phys.trials} trials): "
+                  f"eta {phys.eta:.2f} > 5, rho {cross.rho:.3f} in [{rho_band[0]}, {rho_band[1]}], "
+                  f"off the pinned cell by {pin_dev:.1e} <= 1e-6, bound >= gain: {bounded} "
+                  f"(rel std err {100 * phys.std_err / phys.mean_gain:.1f}% / "
+                  f"{100 * cross.std_err / cross.mean_gain:.1f}%, converged "
+                  f"{phys.converged_frac:.2f} / {widely.converged_frac:.2f}, {dt:.0f} s < 1800 s)")
+    assert phys.trials == 100
+    assert phys.eta > 5.0
+    assert rho_band[0] <= cross.rho <= rho_band[1]
+    assert pin_dev <= 1e-6
+    assert bounded
     assert dt < 1800.0
 
 

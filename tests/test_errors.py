@@ -7,7 +7,7 @@ import pytest
 from conftest import ones_cascade
 from multiris.cascade import CascadeChannels, ScatteringStack, SideLinks, assemble
 from multiris.errors import DimensionMismatch, EmptySequence, NonFiniteInput, RangeExceeded
-from multiris.fading import FadingSpec, LosLink, draw_los_cascades
+from multiris.fading import FadingSpec, LosLink, draw_los_cascades, gen_cascade
 from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
@@ -19,12 +19,16 @@ from multiris.multiport import (
 from multiris.optimize import (
     InnerProblemData,
     OptimizerConfig,
+    alg1_optimize,
     channel_gain,
     los_gains,
     spectral_norm,
+    upper_bound_physics,
+    upper_bound_widely,
 )
 from multiris.rng import RandomStream
 from multiris.scaling import (
+    estimate_mean_sq_singular_values,
     mc_normalized_gain,
     mc_relative_difference,
     structural_scattering_strength,
@@ -83,13 +87,22 @@ def _los_block(n_i: int, l: int, path_gain: float):
     return los_gains(draw_los_cascades(Dimensions(2, 2, n_i, l), path_gain, [RandomStream(1)]))
 
 
+def _rayleigh_cascade(path_gain: float):
+    return gen_cascade(Dimensions(2, 2, 4, 2), FadingSpec("rayleigh", path_gain), RandomStream(1))
+
+
+def _mean_sq_singular_values(path_gain: float):
+    return estimate_mean_sq_singular_values(3, 3, FadingSpec("rayleigh", path_gain),
+                                            RandomStream(2), draws=3)
+
+
 def _ones_block():
     """A two-trial l = 2 block of all-ones links: every surface factor n - s is 0."""
     return los_gains([LosLink(1.0, np.ones((2, a)), np.ones((2, b)))
                       for a, b in ((2, 4), (4, 4), (4, 2))])
 
 
-# (call, RangeExceeded where its value leaves the double range, or the exact zero it is)
+# (call, RangeExceeded where its value leaves the double range, or the value it is)
 RANGE_CASES = {
     "channel_gain-over": (lambda: channel_gain(np.eye(2) * 1e200), RangeExceeded),
     "channel_gain-under": (lambda: channel_gain(np.eye(2) * 1e-200), RangeExceeded),
@@ -106,6 +119,25 @@ RANGE_CASES = {
     "mc_normalized_gain-over": (lambda: mc_normalized_gain([1e300], [1e-300]), RangeExceeded),
     "mc_normalized_gain-under": (lambda: mc_normalized_gain([1e-300], [1e300]), RangeExceeded),
     "mc_normalized_gain-zero": (lambda: mc_normalized_gain([0.0, 0.0], [1.0, 2.0]), 0.0),
+    # the gain scale of a cascade drawn far outside the spec's window, checked before
+    # any fold product or bound is formed
+    "upper_bound_physics-over": (lambda: upper_bound_physics(_rayleigh_cascade(1e120)),
+                                 RangeExceeded),
+    "upper_bound_physics-under": (lambda: upper_bound_physics(_rayleigh_cascade(1e-120)),
+                                  RangeExceeded),
+    "upper_bound_widely-over": (lambda: upper_bound_widely(_rayleigh_cascade(1e120)),
+                                RangeExceeded),
+    "upper_bound_widely-under": (lambda: upper_bound_widely(_rayleigh_cascade(1e-120)),
+                                 RangeExceeded),
+    "alg1_optimize-over": (lambda: alg1_optimize(_rayleigh_cascade(1e120)), RangeExceeded),
+    "alg1_optimize-under": (lambda: alg1_optimize(_rayleigh_cascade(1e-120)), RangeExceeded),
+    "estimate_mean_sq_singular_values-over": (lambda: _mean_sq_singular_values(1e200),
+                                              RangeExceeded),
+    "estimate_mean_sq_singular_values-under": (lambda: _mean_sq_singular_values(1e-200),
+                                               RangeExceeded),
+    # the sum of the entries overflows, but the strength, 1/3, does not
+    "structural_scattering_strength-large": (
+        lambda: structural_scattering_strength([1e308] * 3), 1 / 3),
 }
 
 
@@ -114,7 +146,8 @@ def test_values_beyond_the_double_range_raise(case):
     """A gain or metric beyond the top of the double range, or nonzero below its
     smallest normal number, raises RangeExceeded, as the closed forms of scaling do,
     instead of Python's OverflowError, numpy's RuntimeWarning, inf or 0.0; an exact
-    zero stays 0.0."""
+    zero stays 0.0, and a value inside the range is returned whatever the range of
+    its terms."""
     call, expect = RANGE_CASES[case]
     if expect is RangeExceeded:
         with pytest.raises(RangeExceeded):

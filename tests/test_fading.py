@@ -22,7 +22,12 @@ from multiris.fading import (
 from multiris.multiport import Dimensions
 from multiris.rng import RandomStream
 
-from conftest import draw_los_link, int_list_seed_sequence, los_link_oracle
+from conftest import (
+    draw_los_link,
+    int_list_seed_sequence,
+    los_link_oracle,
+    rician_link_expression,
+)
 
 
 class _One(enum.IntEnum):
@@ -317,6 +322,17 @@ class TestRician:
             spec = FadingSpec("rician", path_gain=1.0, rician_k=k)
             h = gen_rician_link(320, 320, spec, RandomStream(23, ("ric", int(k))))
             assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 3.0, 10.0, 30.0])
+    def test_in_place_mix_matches_the_expression(self, k):
+        # 3 path gains x 5 shapes x 5 seeds per K, square and not, down to one entry
+        for path_gain in (1.0, 0.37, 2.5):
+            spec = FadingSpec("rician", path_gain, k)
+            for rows, cols in ((1, 1), (2, 32), (32, 2), (32, 32), (7, 5)):
+                for seed in range(5):
+                    stream = RandomStream(seed, ("ric-mix",))
+                    assert np.array_equal(gen_rician_link(rows, cols, spec, stream),
+                                          rician_link_expression(rows, cols, spec, stream))
 
     def test_k_sweep_is_paired(self):
         # same stream, different K: the specular and scatter parts are reused
