@@ -6,7 +6,6 @@ from .cascade import (
     ScatteringStack,
     SideLinks,
     assemble,
-    assemble_full_physics,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
@@ -34,10 +33,7 @@ from .multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    channel_z_cascade,
-    channel_z_general,
-    channel_z_matched,
-    channel_z_pure_cascade,
+    channel_z,
     normalize_z_to_channel,
     scattering_to_z,
     z_to_scattering,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiport
-from .errors import DimensionMismatch, MissingSideLinks, as_finite, shown
+from .errors import DimensionMismatch, as_finite, shown
 
 DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -222,53 +222,45 @@ def sweep_folds(hops: list, thetas: list, offsets):
 
 
 def assemble(ch: CascadeChannels, stack, offsets) -> np.ndarray:
-    """Pure-cascade channel h_ri_l (Theta_{l-1} - d_{l-1} I) ... (Theta_0 - d_0 I) h_it_1.
+    """Channel with each surface k contributing Theta_k - d_k I.
 
     offsets holds one d per surface: 1 keeps the surface's structural term, as
     in the physical model and for a sectored surface used reflectively (arrival
     and departure sector coincide); 0 drops it, as in the widely used model and
     for a sectored surface used transmissively, which contributes bare Theta.
     Any other value, or a list of the wrong length, raises DimensionMismatch.
+
+    A pure cascade is h_ri_l (Theta_{l-1} - d_{l-1} I) ... (Theta_0 - d_0 I) h_it_1.
+    A cascade with side links adds the direct and skip paths, all 1 + l(l+1)/2
+    paths in one pass over the surfaces: reach_k, every path from the
+    transmitter through surface k, is (Theta_k - d_k I)(in_k + inter[k-1] reach_{k-1}).
     """
     thetas = _theta_list(stack, ch)
     if len(offsets) != ch.n_l or not set(offsets) <= {0, 1}:
         raise DimensionMismatch(
             f"{ch.n_l} surfaces need {ch.n_l} offsets, each 0 or 1, got {shown(offsets)}")
-    left, right = next(sweep_folds(ch.hops(), thetas, offsets))
-    return times_factor(left, thetas[0], offsets[0]) @ right
+    if ch.sides is None:
+        left, right = next(sweep_folds(ch.hops(), thetas, offsets))
+        return times_factor(left, thetas[0], offsets[0]) @ right
+    # receiver-side link leaving surface k / transmitter-side link entering surface k
+    out_links = [*ch.sides.h_ri, ch.h_ri_l]
+    in_links = [ch.h_it_1, *ch.sides.h_it]
+    h = ch.sides.h_rt
+    for k in range(ch.n_l):
+        entering = in_links[k] if k == 0 else in_links[k] + ch.inter[k - 1] @ reach
+        reach = factor_times(thetas[k], offsets[k], entering)
+        h = h + out_links[k] @ reach
+    return h
 
 
 def assemble_physics_channel(ch: CascadeChannels, stack) -> np.ndarray:
-    """Pure-cascade channel with structural scattering kept: factors (Theta - I)."""
+    """Channel with structural scattering kept: factors (Theta - I)."""
     return assemble(ch, stack, [1.0] * ch.n_l)
 
 
 def assemble_widely_used(ch: CascadeChannels, stack) -> np.ndarray:
-    """Pure-cascade channel in the widely used convention: bare Theta factors."""
+    """Channel in the widely used convention: bare Theta factors."""
     return assemble(ch, stack, [0.0] * ch.n_l)
-
-
-def assemble_full_physics(ch: CascadeChannels, stack) -> np.ndarray:
-    """Full multipath channel: direct, single-bounce and every multi-bounce path.
-
-    Sums the 1 + l(l+1)/2 paths in one pass over the surfaces: reach_k, every
-    path from the transmitter through surface k, is (Theta_k - I)(in_k +
-    inter[k-1] reach_{k-1}). Needs the side links; raises MissingSideLinks
-    when the cascade does not carry them.
-    """
-    if ch.sides is None:
-        raise MissingSideLinks("assemble_full_physics needs side links on the cascade")
-    thetas = _theta_list(stack, ch)
-    # receiver-side link leaving surface k / transmitter-side link entering surface k
-    out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
-    in_links = [ch.h_it_1] + list(ch.sides.h_it)
-
-    h = ch.sides.h_rt
-    for k in range(ch.n_l):
-        entering = in_links[k] if k == 0 else in_links[k] + ch.inter[k - 1] @ reach
-        reach = factor_times(thetas[k], 1.0, entering)
-        h = h + out_links[k] @ reach
-    return h
 
 
 # -- impedance-domain bridge -------------------------------------------------------

@@ -102,10 +102,6 @@ class OpenCircuitSingularity(MultirisError):
     """A scattering matrix has an eigenvalue at 1, so no finite impedance exists."""
 
 
-class MissingSideLinks(MultirisError):
-    """The full multipath assembly needs side links the cascade does not carry."""
-
-
 class NotRankOne(MultirisError):
     """A link matrix is not a rank-1 steering product."""
 

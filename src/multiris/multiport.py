@@ -3,9 +3,9 @@
 The whole wireless system is one linear N-port: transmitter antennas, the
 elements of each reconfigurable surface in order, then receiver antennas.
 Its impedance matrix Z is held whole; Dimensions.ports says which rows and
-columns belong to which port group. The channel expressions here map Z's
-blocks plus the surface load impedances to the end-to-end voltage-transfer
-channel matrix under progressively stronger assumptions:
+columns belong to which port group. channel_z maps Z's blocks plus the
+surface load impedances to the end-to-end voltage-transfer channel matrix.
+A network reads which of these assumptions its blocks satisfy:
 
 1. no feedback into the transmitter and none out of the receiver
    (Z_TI = Z_TR = Z_IR = 0),
@@ -18,9 +18,10 @@ channel matrix under progressively stronger assumptions:
 6. the transmitter reaches only the first surface and the receiver hears
    only the last one (all other Z_IT / Z_RI blocks and Z_RT are zero).
 
-A network reads which of these its blocks satisfy from the blocks themselves;
-a model raises AssumptionViolated instead of silently zeroing a block it drops
-that is not zero.
+channel_z needs only 1. It solves a surface core that is exactly block
+bidiagonal by forward substitution and inverts any other core whole, so it
+drops no block. A routine that needs an assumption the blocks break raises
+AssumptionViolated instead of silently zeroing a block that is not zero.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class MultiportNetwork:
     assumptions: frozenset[int] = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.dims, Dimensions):
+            raise DimensionMismatch(f"dims must be a Dimensions, got {type(self.dims).__name__}")
         object.__setattr__(self, "z0", _checked_z0(self.z0))
         z = as_finite(self.z, "z").copy()
         n = self.dims.n_ports
@@ -209,38 +212,37 @@ def _between_end_arrays(net: MultiportNetwork, inner: np.ndarray) -> np.ndarray:
     return left @ inner @ _checked_inv(net.block("t", "t"), "z_tt")
 
 
-def channel_z_general(net: MultiportNetwork, loads) -> np.ndarray:
-    """End-to-end channel from the full impedance matrix.
+def _bidiagonal_core(net: MultiportNetwork) -> bool:
+    """True when every surface block above the diagonal, and every block two or
+    more below it, is exactly zero, so the forward solve of _cascade_sum is exact."""
+    l = net.dims.l
+    return not any(net.block(i, j).any() for i in range(l) for j in range(l)
+                   if i < j or i > j + 1)
 
-    Needs only assumption 1. Computes
-    z0 * inv(z0*I + Z_RR) @ (Z_RT - Z_RI inv(Z_I + Z_II) Z_IT) @ inv(Z_TT)
-    where Z_I is the block-diagonal matrix of surface loads.
-    """
-    net.require(1)
-    stack = _loads_for(net, loads)
+
+def _dense_sum(net: MultiportNetwork, stack: RisLoadStack) -> np.ndarray:
+    """Z_RT - Z_RI inv(Z_I + Z_II) Z_IT with the whole surface core inverted."""
     ports = net.dims.ports
     z = net.z.copy()
     for k, z_k in enumerate(stack.loads):
         z[ports(k), ports(k)] += z_k
     y = _checked_inv(z[ports("i"), ports("i")], "z_i + z_ii")
-    inner = net.block("r", "t") - net.block("r", "i") @ y @ net.block("i", "t")
-    return _between_end_arrays(net, inner)
+    return net.block("r", "t") - net.block("r", "i") @ y @ net.block("i", "t")
 
 
-def _cascade_sum(net: MultiportNetwork, loads, diagonal) -> np.ndarray:
+def _cascade_sum(net: MultiportNetwork, stack: RisLoadStack) -> np.ndarray:
     """Z_RT - Z_RI inv(Z_I + Z_II) Z_IT on a block-bidiagonal surface core, by one
     forward substitution over the surfaces, O(l):
 
         x_0 = inv(D_0) Z_IT,0,    x_k = inv(D_k) (Z_IT,k - Z_k,k-1 x_{k-1}),
 
-    with D_k = load_k + diagonal[k]; the result is Z_RT - sum_k Z_RI,k x_k. Raises
+    with D_k = load_k + Z_k,k; the result is Z_RT - sum_k Z_RI,k x_k. Raises
     SingularDiagonalBlock(k) when D_k exceeds the condition cap.
     """
-    stack = _loads_for(net, loads)
     acc = net.block("r", "t").copy()
     x = None
     for k, load in enumerate(stack.loads):
-        d_k = load + diagonal[k]
+        d_k = load + net.block(k, k)
         cond = np.linalg.cond(d_k)
         if not np.isfinite(cond) or cond > CONDITION_CAP:
             raise SingularDiagonalBlock(k, float(cond))
@@ -250,38 +252,19 @@ def _cascade_sum(net: MultiportNetwork, loads, diagonal) -> np.ndarray:
     return acc
 
 
-def channel_z_cascade(net: MultiportNetwork, loads) -> np.ndarray:
-    """Channel by forward substitution through the block-bidiagonal surface core.
+def channel_z(net: MultiportNetwork, loads) -> np.ndarray:
+    """End-to-end channel of a network terminated by its surface loads,
 
-    Needs assumptions 1-3. Algebraically identical to channel_z_general on any
-    network satisfying them, but never forms the dense surface inverse.
+        z0 * inv(z0*I + Z_RR) @ (Z_RT - Z_RI inv(Z_I + Z_II) Z_IT) @ inv(Z_TT),
+
+    where Z_I is the block-diagonal matrix of surface loads. Needs assumption 1.
+    A surface core that is exactly block bidiagonal is solved by forward
+    substitution, one thin solve per surface; any other core is inverted whole.
     """
-    net.require(1, 2, 3)
-    diagonal = [net.block(k, k) for k in range(net.dims.l)]
-    return _between_end_arrays(net, _cascade_sum(net, loads, diagonal))
-
-
-def channel_z_matched(net: MultiportNetwork, loads) -> np.ndarray:
-    """Channel for matched, uncoupled arrays everywhere (assumptions 1-5).
-
-    The end-array inverses collapse to 1/(2 z0) and every surface diagonal block
-    to load + z0*I, so the channel is the cascade sum over 2 z0.
-    """
-    net.require(1, 2, 3, 4, 5)
-    diagonal = [net.z0 * np.eye(net.dims.n_i)] * net.dims.l
-    return _cascade_sum(net, loads, diagonal) / (2.0 * net.z0)
-
-
-def channel_z_pure_cascade(net: MultiportNetwork, loads) -> np.ndarray:
-    """Channel when only the through-cascade path exists (assumptions 1-6).
-
-    The matched channel on a network whose side blocks are zero, which is
-    -(-1)^(l-1)/(2 z0) * Z_RI,l-1 inv(Z_l-1 + z0 I)
-        prod_{k=l-2..0} [ Z_hop,k inv(Z_k + z0 I) ] * Z_IT,0
-    with the product taken in strictly decreasing surface order.
-    """
-    net.require(1, 2, 3, 4, 5, 6)
-    return channel_z_matched(net, loads)
+    net.require(1)
+    stack = _loads_for(net, loads)
+    inner = _cascade_sum(net, stack) if _bidiagonal_core(net) else _dense_sum(net, stack)
+    return _between_end_arrays(net, inner)
 
 
 # -- impedance / scattering maps --------------------------------------------------

@@ -158,6 +158,8 @@ def structural_scattering_strength(mean_sq_singular_values) -> float:
     lam = as_finite(mean_sq_singular_values, "mean squared singular values", (1,), float)
     if lam[0] <= 0.0:
         raise DegenerateDenominator("the dominant mean squared singular value must be positive")
+    if np.any(lam < 0.0):
+        raise DimensionMismatch("mean squared singular values must be non-negative")
     if np.any(np.diff(lam) > 1e-9 * lam[0]):
         raise DimensionMismatch("mean squared singular values must be sorted descending")
     n = lam.size

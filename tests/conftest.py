@@ -161,8 +161,7 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[
 
     with the factors multiplied in strictly decreasing block order, and
     N[i][j] for i < j exactly the zero matrix. Returns the inverse as a list
-    of lists of blocks: the oracle for the forward solve of the structured channel
-    models in multiris.multiport.
+    of lists of blocks: the oracle for the forward solve of multiport.channel_z.
     """
     d = [as_finite(b, f"diagonal block {k}") for k, b in enumerate(diagonal_blocks)]
     s = [as_finite(b, f"subdiagonal block {k}") for k, b in enumerate(subdiagonal_blocks)]
@@ -193,6 +192,21 @@ def block_subdiagonal_inverse(diagonal_blocks, subdiagonal_blocks) -> list[list[
             acc = -(acc @ sd[j])
             out[i][j] = acc
     return out
+
+
+def channel_z_dense(net: MultiportNetwork, loads) -> np.ndarray:
+    """z0 inv(z0 I + Z_RR) (Z_RT - Z_RI inv(Z_I + Z_II) Z_IT) inv(Z_TT) with the
+    loaded impedance matrix inverted whole and no condition check: the oracle for
+    multiport.channel_z on any network that satisfies assumption 1."""
+    ports = net.dims.ports
+    z = net.z.copy()
+    for k, z_k in enumerate(loads.loads if isinstance(loads, RisLoadStack) else loads):
+        z[ports(k), ports(k)] += z_k
+    inner = z[ports("r"), ports("t")] - (z[ports("r"), ports("i")]
+                                         @ np.linalg.inv(z[ports("i"), ports("i")])
+                                         @ z[ports("i"), ports("t")])
+    left = net.z0 * np.linalg.inv(net.z0 * np.eye(net.dims.n_r) + z[ports("r"), ports("r")])
+    return left @ inner @ np.linalg.inv(z[ports("t"), ports("t")])
 
 
 def random_diagonal_lossless_loads(l: int, n: int, rng: np.random.Generator,
@@ -284,19 +298,23 @@ def dense_cascade(ch: CascadeChannels, thetas, offsets) -> np.ndarray:
     return h
 
 
-def full_physics_pairwise(ch: CascadeChannels, stack: ScatteringStack) -> np.ndarray:
-    """The full multipath channel as the explicit sum over (entry, exit) surface
-    pairs, l(l+1)/2 products: the oracle for cascade.assemble_full_physics."""
+def full_physics_pairwise(ch: CascadeChannels, stack: ScatteringStack,
+                          offsets=None) -> np.ndarray:
+    """The channel of a cascade with side links as the explicit sum over (entry,
+    exit) surface pairs, l(l+1)/2 products, with surface k contributing
+    Theta_k - offsets[k] I (every offset 1 by default): the oracle for
+    cascade.assemble on such a cascade."""
     thetas = stack.thetas
+    d = [1.0] * ch.n_l if offsets is None else offsets
     out_links = list(ch.sides.h_ri) + [ch.h_ri_l]
     in_links = [ch.h_it_1] + list(ch.sides.h_it)
     h = ch.sides.h_rt
     for k in range(ch.n_l):
-        h = h + times_factor(out_links[k], thetas[k], 1.0) @ in_links[k]
+        h = h + times_factor(out_links[k], thetas[k], d[k]) @ in_links[k]
     for top in range(1, ch.n_l):
-        acc = times_factor(out_links[top], thetas[top], 1.0)
+        acc = times_factor(out_links[top], thetas[top], d[top])
         for k in range(top - 1, -1, -1):
-            acc = times_factor(acc @ ch.inter[k], thetas[k], 1.0)
+            acc = times_factor(acc @ ch.inter[k], thetas[k], d[k])
             h = h + acc @ in_links[k]
     return h
 

@@ -16,6 +16,7 @@ from conftest import (
     best_of_restarts,
     bidiagonal_instance,
     block_subdiagonal_inverse,
+    channel_z_dense,
     dense_cascade,
     gaussian_cascade,
     grid_search_gain_l2,
@@ -32,10 +33,7 @@ from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    channel_z_cascade,
-    channel_z_general,
-    channel_z_matched,
-    channel_z_pure_cascade,
+    channel_z,
     z_to_scattering,
 )
 from multiris.optimize import (
@@ -123,7 +121,7 @@ def test_structured_inverse_oracle(report):
         dense = np.linalg.inv(assemble_block_bidiagonal(diag, sub))
         stacked = np.block(blocks) if l > 1 else blocks[0][0]
         worst = max(worst, _rel_err(stacked, dense))
-        # the forward solve of channel_z_cascade against the channel built from the
+        # the forward solve of channel_z against the channel built from the
         # oracle's blocks, on the same core with zero loads
         net = _bidiagonal_network(diag, sub, ends)
         inner = net.block("r", "t") - sum(
@@ -132,7 +130,7 @@ def test_structured_inverse_oracle(report):
         expected = (net.z0 * np.linalg.inv(net.z0 * np.eye(net.dims.n_r) + net.block("r", "r"))
                     @ inner @ np.linalg.inv(net.block("t", "t")))
         loads = RisLoadStack(tuple(np.zeros((n, n)) for _ in range(l)))
-        worst_channel = max(worst_channel, _rel_err(channel_z_cascade(net, loads), expected))
+        worst_channel = max(worst_channel, _rel_err(channel_z(net, loads), expected))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and worst_channel < 1e-10 and dt < 10.0
     report(1, ok, f"structured block inverse vs dense oracle, and the cascade channel's "
@@ -156,19 +154,19 @@ def test_model_chain_equivalence(report):
         net = network_from_cascade(ch)
         loads = (random_diagonal_lossless_loads(l, dims.n_i, rng) if i % 2 == 0
                  else random_full_lossless_loads(l, dims.n_i, rng))
-        h_general = channel_z_general(net, loads)
+        h_dense = channel_z_dense(net, loads)
         thetas = [z_to_scattering(z, net.z0) for z in loads.loads]
         h_s = assemble_physics_channel(cascade_from_network(net), thetas)
-        for other in (channel_z_cascade(net, loads), channel_z_matched(net, loads),
-                      channel_z_pure_cascade(net, loads), h_s):
-            worst = max(worst, _rel_err(h_general, other))
+        for other in (channel_z(net, loads), h_s):
+            worst = max(worst, _rel_err(h_dense, other))
         if l == 1:
             # single surface: the whole chain collapses to one reflected hop
             h_hop = ch.h_ri_l @ (thetas[0] - np.eye(dims.n_i)) @ ch.h_it_1
-            worst_single = max(worst_single, _rel_err(h_general, h_hop))
+            worst_single = max(worst_single, _rel_err(h_dense, h_hop))
     dt = time.perf_counter() - t0
     ok = worst < 1e-12 and worst_single < 1e-12 and dt < 10.0
-    report(2, ok, f"four channel forms and the scattering route agree on 100 instances "
+    report(2, ok, f"the impedance channel, its dense oracle and the scattering route agree "
+                  f"on 100 instances "
                   f"(worst rel err {worst:.2e}, single-surface reduction {worst_single:.2e} "
                   f"< 1e-12, {dt:.1f} s < 10 s)")
     assert worst < 1e-12

@@ -18,22 +18,16 @@ from multiris.cascade import (
     ScatteringStack,
     SideLinks,
     assemble,
-    assemble_full_physics,
     assemble_physics_channel,
     assemble_widely_used,
     cascade_from_network,
     sweep_folds,
 )
-from multiris.errors import (
-    DimensionMismatch,
-    MissingSideLinks,
-    NonFiniteInput,
-)
+from multiris.errors import DimensionMismatch, NonFiniteInput
 from multiris.multiport import (
     Dimensions,
     RisLoadStack,
-    channel_z_matched,
-    channel_z_pure_cascade,
+    channel_z,
     scattering_to_z,
 )
 from multiris.optimize import InnerProblemData, channel_gain
@@ -178,7 +172,7 @@ class TestPureCascadeAssembly:
             net = network_from_cascade(ch)
             stack = random_phase_stack((3,) * l, rng)
             loads = [scattering_to_z(np.diag(t), net.z0) for t in stack.thetas]
-            h_z = channel_z_pure_cascade(net, loads)
+            h_z = channel_z(net, loads)
             h_s = assemble_physics_channel(cascade_from_network(net), stack)
             assert rel_err(h_z, h_s) < 1e-12
 
@@ -245,10 +239,7 @@ class TestPureCascadeAssembly:
 
 
 class TestFullMultipath:
-    def test_requires_side_links(self):
-        ch = ones_cascade(l=2)
-        with pytest.raises(MissingSideLinks):
-            assemble_full_physics(ch, [np.eye(1)] * 2)
+    """assemble on a cascade that carries side links sums its direct and skip paths."""
 
     def test_term_enumeration_and_count(self):
         # the assembly must equal the explicit path sum, which has 1 + l(l+1)/2 terms
@@ -272,7 +263,7 @@ class TestFullMultipath:
                     acc = acc @ ch.inter[p] @ (thetas[p] - eye)
                 terms.append(acc @ in_links[k])
         assert len(terms) == 1 + l * (l + 1) // 2 == 11
-        assert rel_err(assemble_full_physics(ch, stack), sum(terms)) < 1e-12
+        assert rel_err(assemble_physics_channel(ch, stack), sum(terms)) < 1e-12
 
     @pytest.mark.parametrize("architecture", ["diagonal", "unitary"])
     def test_one_pass_matches_pairwise_sum(self, architecture):
@@ -284,8 +275,22 @@ class TestFullMultipath:
             else:
                 gauss = rng.normal(size=(l, 4, 4)) + 1j * rng.normal(size=(l, 4, 4))
                 stack = ScatteringStack("unitary", tuple(np.linalg.qr(gauss)[0]))
-            assert rel_err(assemble_full_physics(ch, stack), full_physics_pairwise(ch, stack)) \
-                < 1e-12
+            assert rel_err(assemble_physics_channel(ch, stack),
+                           full_physics_pairwise(ch, stack)) < 1e-12
+
+    @pytest.mark.parametrize("offsets", [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)],
+                             ids=["widely", "mixed-1010", "mixed-0110"])
+    def test_any_offsets_match_pairwise_sum(self, offsets):
+        # the direct and skip paths are summed whatever each surface's offset
+        rng = np.random.default_rng(53)
+        ch = gaussian_cascade(Dimensions(n_t=2, n_r=3, n_i=4, l=4), rng, include_sides=True)
+        stack = random_phase_stack((4,) * 4, rng)
+        want = full_physics_pairwise(ch, stack, offsets)
+        pure = CascadeChannels(ch.h_it_1, ch.inter, ch.h_ri_l)
+        assert rel_err(assemble(pure, stack, offsets), want) > 1e-3
+        assert rel_err(assemble(ch, stack, offsets), want) < 1e-12
+        if offsets == (0, 0, 0, 0):
+            assert rel_err(assemble_widely_used(ch, stack), want) < 1e-12
 
     def test_matches_impedance_matched_model(self):
         rng = np.random.default_rng(29)
@@ -295,8 +300,8 @@ class TestFullMultipath:
             net = network_from_cascade(ch)
             stack = random_phase_stack((3,) * l, rng)
             loads = [scattering_to_z(np.diag(t), net.z0) for t in stack.thetas]
-            h_z = channel_z_matched(net, loads)
-            h_s = assemble_full_physics(cascade_from_network(net), stack)
+            h_z = channel_z(net, loads)
+            h_s = assemble_physics_channel(cascade_from_network(net), stack)
             assert rel_err(h_z, h_s) < 1e-12
 
     def test_reduces_to_pure_cascade_when_sides_vanish(self):
@@ -309,7 +314,7 @@ class TestFullMultipath:
                                tuple(np.zeros((3, 2)) for _ in range(2)))
         ch_sided = CascadeChannels(ch.h_it_1, ch.inter, ch.h_ri_l, zero_sides)
         stack = random_phase_stack((3, 3, 3), rng)
-        assert rel_err(assemble_full_physics(ch_sided, stack),
+        assert rel_err(assemble_physics_channel(ch_sided, stack),
                        assemble_physics_channel(ch, stack)) < 1e-13
 
 

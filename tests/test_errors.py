@@ -102,7 +102,8 @@ def _ones_block():
                       for a, b in ((2, 4), (4, 4), (4, 2))])
 
 
-# (call, RangeExceeded where its value leaves the double range, or the value it is)
+# (call, the error it raises, RangeExceeded where its value leaves the double range,
+# or the value it is)
 RANGE_CASES = {
     "channel_gain-over": (lambda: channel_gain(np.eye(2) * 1e200), RangeExceeded),
     "channel_gain-under": (lambda: channel_gain(np.eye(2) * 1e-200), RangeExceeded),
@@ -138,6 +139,12 @@ RANGE_CASES = {
     # the sum of the entries overflows, but the strength, 1/3, does not
     "structural_scattering_strength-large": (
         lambda: structural_scattering_strength([1e308] * 3), 1 / 3),
+    # a negative mean square is no spectrum: it read -1.0 here, and the sortedness
+    # check overflowed on the difference of the second pair
+    "structural_scattering_strength-negative": (
+        lambda: structural_scattering_strength([1.0, -5.0]), DimensionMismatch),
+    "structural_scattering_strength-negative-large": (
+        lambda: structural_scattering_strength([1e308, -1e308]), DimensionMismatch),
 }
 
 
@@ -147,10 +154,10 @@ def test_values_beyond_the_double_range_raise(case):
     smallest normal number, raises RangeExceeded, as the closed forms of scaling do,
     instead of Python's OverflowError, numpy's RuntimeWarning, inf or 0.0; an exact
     zero stays 0.0, and a value inside the range is returned whatever the range of
-    its terms."""
+    its terms. An input no value can come from raises its own error first."""
     call, expect = RANGE_CASES[case]
-    if expect is RangeExceeded:
-        with pytest.raises(RangeExceeded):
+    if isinstance(expect, type):
+        with pytest.raises(expect):
             call()
     else:
         assert call() == expect

@@ -1,4 +1,4 @@
-"""Impedance-domain core: channel models, their structured-inverse oracle, conversions."""
+"""Impedance-domain core: the channel, its dense and structured-inverse oracles, conversions."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from conftest import (
     assemble_block_bidiagonal,
     bidiagonal_instance,
     block_subdiagonal_inverse,
+    channel_z_dense,
     gaussian_cascade,
     network_from_cascade,
     random_diagonal_lossless_loads,
@@ -25,10 +26,9 @@ from multiris.multiport import (
     Dimensions,
     MultiportNetwork,
     RisLoadStack,
-    channel_z_cascade,
-    channel_z_general,
-    channel_z_matched,
-    channel_z_pure_cascade,
+    _between_end_arrays,
+    _cascade_sum,
+    channel_z,
     normalize_z_to_channel,
     scattering_to_z,
     z_to_scattering,
@@ -169,25 +169,20 @@ def broken_network(ids, seed=61):
     return net
 
 
-# what each model needs, by its function
-_NEEDS = [(channel_z_general, {1}), (channel_z_cascade, {1, 2, 3}),
-          (channel_z_matched, {1, 2, 3, 4, 5}), (channel_z_pure_cascade, {1, 2, 3, 4, 5, 6})]
-
-
 class TestChannelModels:
     def test_direct_path_normalization(self):
         # with Z_RT = 2 z0 J and matched ends the channel is exactly J
         net = build_trivial_network()
         assert net.assumptions == {1, 2, 3, 4, 5}
         loads = RisLoadStack((1j * 50.0 * np.eye(2),))
-        h = channel_z_general(net, loads)
+        h = channel_z(net, loads)
         assert rel_err(h, np.ones((2, 2))) < 1e-14
 
     def test_general_requires_assumption_one(self):
         fed_back = moved(build_trivial_network(), "t", "i")
         assert fed_back.assumptions == {2, 3, 4, 5}
         with pytest.raises(AssumptionViolated, match=r"\[1\]"):
-            channel_z_general(fed_back, RisLoadStack((1j * 50.0 * np.eye(2),)))
+            channel_z(fed_back, RisLoadStack((1j * 50.0 * np.eye(2),)))
 
     def test_assumptions_read_from_blocks(self):
         everything = {1, 2, 3, 4, 5, 6}
@@ -207,11 +202,11 @@ class TestChannelModels:
         z = net.z.copy()
         copied = MultiportNetwork(net.dims, z, net.z0)
         loads = random_diagonal_lossless_loads(2, 2, np.random.default_rng(79))
-        h = channel_z_pure_cascade(copied, loads)
+        h = channel_z(copied, loads)
         z[ports("r"), ports("t")] += 100.0
         assert 6 in copied.assumptions
-        assert np.array_equal(channel_z_pure_cascade(copied, loads), h)
-        assert rel_err(channel_z_general(copied, loads), h) < 1e-12
+        assert np.array_equal(channel_z(copied, loads), h)
+        assert rel_err(channel_z_dense(copied, loads), h) < 1e-12
 
     @pytest.mark.parametrize("include_sides", [False, True])
     def test_cascade_round_trips_through_its_network(self, include_sides):
@@ -229,15 +224,21 @@ class TestChannelModels:
 
     @pytest.mark.parametrize("broken", [1, 2, 3, 4, 5, 6])
     def test_models_refuse_a_broken_assumption(self, broken):
+        # channel_z needs only assumption 1; on any other break it still matches
+        # the dense oracle, whichever route the core takes
         net = broken_network({broken})
         assert net.assumptions == {1, 2, 3, 4, 5, 6} - {broken}
         loads = random_diagonal_lossless_loads(3, 3, np.random.default_rng(67))
-        for model, needs in _NEEDS:
-            if broken in needs:
-                with pytest.raises(AssumptionViolated, match=rf"\[{broken}\]"):
-                    model(net, loads)
-            else:
-                assert np.isfinite(model(net, loads)).all()
+        if broken == 1:
+            with pytest.raises(AssumptionViolated, match=r"\[1\]"):
+                channel_z(net, loads)
+        else:
+            want = channel_z_dense(net, loads)
+            assert rel_err(channel_z(net, loads), want) < 1e-12
+        if broken in (2, 3):
+            # the forward solve alone would drop the moved core block
+            dropped = _between_end_arrays(net, _cascade_sum(net, loads))
+            assert rel_err(dropped, want) > 1e-6
         if broken <= 5:
             with pytest.raises(AssumptionViolated):
                 cascade_from_network(net)
@@ -254,16 +255,10 @@ class TestChannelModels:
             net = network_from_cascade(ch)
             loads = (random_diagonal_lossless_loads(l, dims.n_i, rng) if i % 2
                      else random_full_lossless_loads(l, dims.n_i, rng))
-            h1 = channel_z_general(net, loads)
-            h2 = channel_z_cascade(net, loads)
-            h3 = channel_z_matched(net, loads)
-            h4 = channel_z_pure_cascade(net, loads)
-            assert rel_err(h1, h2) < 1e-12
-            assert rel_err(h1, h3) < 1e-12
-            assert rel_err(h1, h4) < 1e-12
+            assert rel_err(channel_z_dense(net, loads), channel_z(net, loads)) < 1e-12
 
     def test_chain_holds_with_side_links(self):
-        # the pure-cascade model needs assumption 6; the other three agree without it
+        # side links break assumption 6 but keep the core bidiagonal
         rng = np.random.default_rng(37)
         for _ in range(6):
             l = int(rng.integers(2, 4))
@@ -271,28 +266,27 @@ class TestChannelModels:
             ch = gaussian_cascade(dims, rng, include_sides=True)
             net = network_from_cascade(ch)
             loads = random_full_lossless_loads(l, 3, rng)
-            h1 = channel_z_general(net, loads)
-            h2 = channel_z_cascade(net, loads)
-            h3 = channel_z_matched(net, loads)
-            assert rel_err(h1, h2) < 1e-12
-            assert rel_err(h1, h3) < 1e-12
-            with pytest.raises(AssumptionViolated):
-                channel_z_pure_cascade(net, loads)
+            assert 6 not in net.assumptions
+            assert rel_err(channel_z_dense(net, loads), channel_z(net, loads)) < 1e-12
 
-    @pytest.mark.parametrize("model", [channel_z_cascade, channel_z_matched,
-                                       channel_z_pure_cascade])
-    def test_singular_surface_block_named(self, model):
+    # each case id names the removed route that once served its network: mismatched
+    # end arrays with a side link, a side link alone, and the pure cascade
+    @pytest.mark.parametrize("breaks", [{4, 6}, {6}, set()],
+                             ids=["channel_z_cascade", "channel_z_matched",
+                                  "channel_z_pure_cascade"])
+    def test_singular_surface_block_named(self, breaks):
         # a load of -z0 I cancels surface 1's matched diagonal block
-        net = broken_network(())
+        net = broken_network(breaks)
+        assert net.assumptions == {1, 2, 3, 4, 5, 6} - breaks
         loads = random_diagonal_lossless_loads(3, 3, np.random.default_rng(89))
         loads = RisLoadStack((loads.loads[0], -net.z0 * np.eye(3), loads.loads[2]))
         with pytest.raises(SingularDiagonalBlock) as exc:
-            model(net, loads)
+            channel_z(net, loads)
         assert exc.value.index == 1
 
     def test_pure_cascade_keeps_side_blocks_within_tolerance(self):
         # side blocks below 1e-10 z0 still satisfy assumption 6, and the
-        # pure-cascade model must carry them as channel_z_general does
+        # forward solve must carry them as the dense oracle does
         rng = np.random.default_rng(83)
         net = network_from_cascade(gaussian_cascade(_DIMS, rng))
         z, ports = net.z.copy(), net.dims.ports
@@ -302,21 +296,37 @@ class TestChannelModels:
         near = MultiportNetwork(net.dims, z, net.z0)
         assert near.assumptions == {1, 2, 3, 4, 5, 6}
         loads = random_full_lossless_loads(3, 3, rng)
-        h = channel_z_general(near, loads)
-        assert rel_err(h, channel_z_general(net, loads)) > 1e-12
-        assert rel_err(h, channel_z_pure_cascade(near, loads)) < 1e-12
+        h = channel_z_dense(near, loads)
+        assert rel_err(h, channel_z_dense(net, loads)) > 1e-12
+        assert rel_err(h, channel_z(near, loads)) < 1e-12
+
+    def test_core_blocks_within_tolerance_are_kept(self):
+        # upward and skip blocks below 1e-10 z0 still satisfy assumptions 2 and 3,
+        # but they are not zero, so channel_z must carry them as the dense oracle does
+        rng = np.random.default_rng(101)
+        net = network_from_cascade(gaussian_cascade(_DIMS, rng))
+        z, ports = net.z.copy(), net.dims.ports
+        for rows, cols in ((0, 1), (1, 2), (0, 2), (2, 0)):
+            shape = z[ports(rows), ports(cols)].shape
+            z[ports(rows), ports(cols)] = 0.9e-10 * net.z0 * np.exp(2j * np.pi * rng.random(shape))
+        near = MultiportNetwork(net.dims, z, net.z0)
+        assert near.assumptions == {1, 2, 3, 4, 5, 6}
+        loads = random_full_lossless_loads(3, 3, rng)
+        h = channel_z_dense(near, loads)
+        assert rel_err(h, channel_z_dense(net, loads)) > 1e-12
+        assert rel_err(h, channel_z(near, loads)) < 1e-12
 
     def test_matched_prefactor_is_half_z0_inverse(self):
-        # on a pure direct-path network the matched model is Z_RT / (2 z0)
+        # on a matched pure direct-path network the channel is Z_RT / (2 z0)
         net = build_trivial_network(z_rt_scale=0.8)
         loads = RisLoadStack((1j * 50.0 * np.eye(2),))
-        h = channel_z_matched(net, loads)
+        h = channel_z(net, loads)
         assert rel_err(h, normalize_z_to_channel(net.block("r", "t"), 50.0)) < 1e-14
 
     def test_load_stack_shape_checked(self):
         net = build_trivial_network()
         with pytest.raises(DimensionMismatch):
-            channel_z_general(net, RisLoadStack((1j * np.eye(3),)))
+            channel_z(net, RisLoadStack((1j * np.eye(3),)))
 
     @pytest.mark.parametrize("z0", [True, 0.0, float("nan"), float("inf"), "50",
                                     pytest.param(10 ** 400, id="10**400"),
@@ -333,6 +343,12 @@ class TestChannelModels:
         with pytest.raises(DimensionMismatch, match="z must"):
             MultiportNetwork(Dimensions(n_t=2, n_r=2, n_i=2, l=1), z)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 1), None, 6], ids=["tuple", "None", "int"])
+    def test_dimensions_type_checked(self, dims):
+        # a tuple of the right counts used to fail on dims.n_ports with an AttributeError
+        with pytest.raises(DimensionMismatch, match="dims must be a Dimensions"):
+            MultiportNetwork(dims, np.eye(6))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_blocks_and_loads_rejected(self, bad):
         # on an instance whose other inputs are valid, a NaN block would otherwise give
@@ -341,7 +357,7 @@ class TestChannelModels:
         dims = Dimensions(n_t=2, n_r=2, n_i=3, l=2)
         net = network_from_cascade(gaussian_cascade(dims, rng))
         loads = random_diagonal_lossless_loads(2, 3, rng)
-        assert np.isfinite(channel_z_general(net, loads)).all()
+        assert np.isfinite(channel_z(net, loads)).all()
         with pytest.raises(NonFiniteInput, match="z has NaN"):
             moved(net, 1, 0, entry=(1, 1), by=bad)
         broken = loads.loads[1].copy()

@@ -732,9 +732,8 @@ class TestUpperBounds:
 
 class TestSideLinksRefused:
     """alg1, the upper bounds and the line-of-sight closed forms see only the pure
-    cascade, so a cascade carrying side links is refused, as channel_z_pure_cascade
-    refuses a network without assumption 6, instead of being optimized without its
-    direct and skip paths."""
+    cascade, so a cascade carrying side links is refused instead of being optimized
+    without its direct and skip paths."""
 
     @staticmethod
     def _pair(fading):
