@@ -13,6 +13,7 @@ from .cascade import (
 from .fading import (
     FadingSpec,
     LosLink,
+    draw_cascades,
     draw_los_cascades,
     gen_cascade,
     gen_link,

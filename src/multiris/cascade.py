@@ -112,6 +112,12 @@ class CascadeChannels:
         """The link matrices in product order: h_ri_l, inter[l-2], ..., inter[0], h_it_1."""
         return [self.h_ri_l, *reversed(self.inter), self.h_it_1]
 
+    @classmethod
+    def from_hops(cls, hops, sides: SideLinks | None = None) -> "CascadeChannels":
+        """The cascade whose hops() are hops; the links are kept as given, not copied."""
+        h_ri_l, *inter, h_it_1 = hops
+        return cls(h_it_1, tuple(reversed(inter)), h_ri_l, sides)
+
 
 @dataclass(frozen=True, eq=False)
 class ScatteringStack:

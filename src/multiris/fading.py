@@ -151,12 +151,31 @@ def draw_los_cascades(dims: Dimensions, path_gain: float,
                  for rows, cols, label in _cascade_links(dims))
 
 
+def draw_cascades(dims: Dimensions, fadings: list[FadingSpec],
+                  streams: list[RandomStream]) -> tuple[np.ndarray, ...]:
+    """The pure cascades gen_cascade draws from each stream, row t following fadings[t],
+    as one (T, rows, cols) stack per hop position in ch.hops() order: row t of each stack
+    is stream t's link, bit for bit. Each link is drawn from its own child stream and
+    written into its row, so a cascade's links do not depend on its block, and the block
+    holds one copy of them."""
+    if len(fadings) != len(streams):
+        raise DimensionMismatch(f"need one fading spec per stream, got {len(fadings)} "
+                                f"for {len(streams)}")
+    stacks = []
+    for rows, cols, label in _cascade_links(dims):
+        stack = np.empty((len(streams), rows, cols), dtype=complex)
+        for row, fading, stream in zip(stack, fadings, streams):
+            row[...] = gen_link(rows, cols, fading, stream.child(*label))
+        stacks.append(stack)
+    return tuple(stacks)
+
+
 def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
                 include_sides: bool = False) -> CascadeChannels:
-    """Draw every link of a cascade, all following fading, from independent child streams."""
+    """Draw every link of a cascade, all following fading, from independent child streams:
+    the pure cascade is draw_cascades' block of one stream."""
     l = dims.l
-    h_ri_l, *inter, h_it_1 = (gen_link(rows, cols, fading, stream.child(*label))
-                              for rows, cols, label in _cascade_links(dims))
+    hops = [stack[0] for stack in draw_cascades(dims, [fading], [stream])]
     sides = None
     if include_sides:
         h_rt = gen_link(dims.n_r, dims.n_t, fading, stream.child("side_rt"))
@@ -165,4 +184,4 @@ def gen_cascade(dims: Dimensions, fading: FadingSpec, stream: RandomStream,
         h_it = tuple(gen_link(dims.n_i, dims.n_t, fading, stream.child("side_it", k))
                      for k in range(1, l))
         sides = SideLinks(h_rt, h_ri, h_it)
-    return CascadeChannels(h_it_1, tuple(reversed(inter)), h_ri_l, sides)
+    return CascadeChannels.from_hops(hops, sides)

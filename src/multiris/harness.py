@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-# the benchmark tracer binds the six names marked "for the tracer only" here
+# the benchmark tracer binds the seven names marked "for the tracer only" here
 from .cascade import (  # noqa: F401
+    CascadeChannels,
     assemble_physics_channel,
     assemble_widely_used,  # for the tracer only
 )
@@ -34,12 +35,17 @@ from .errors import (
     is_int,
     shown,
 )
-from .fading import FadingSpec, draw_los_cascades, gen_cascade
+from .fading import (  # noqa: F401
+    FadingSpec,
+    draw_cascades,
+    draw_los_cascades,
+    gen_cascade,  # for the tracer only
+)
 from .multiport import Dimensions
 from .optimize import (  # noqa: F401
     OptimizerConfig,
+    _alg1_stacked,
     _upper_bounds,
-    alg1_batch,
     alg1_optimize,  # for the tracer only
     channel_gain,
     los_gains,
@@ -57,9 +63,9 @@ ARCHITECTURES = ("diagonal", "unitary")
 
 # the bytes a unit of work may hold: the (grid point, trial) pairs of one block, cut
 # from the K grid of one (l, n_i), are optimized as one alg1 batch per architecture,
-# and a block takes as many pairs as this budget holds by _pair_bytes. 32 pairs of the
-# headline diagonal cascade (l = 4, n_i = 128, 2 x 2 antennas, two alg1 models) fill it;
-# that block peaks near 121 MB RSS, and _pair_bytes keeps every other block below it.
+# and a block takes as many pairs as this budget holds by _pair_bytes. 54 pairs of the
+# headline diagonal cascade (l = 4, n_i = 128, 2 x 2 antennas, two alg1 models) fill it,
+# and peak near 109 MB RSS; a full block of any alg1 preset stays at or below 115 MB.
 # Sequential and parallel runs execute the same blocks
 BLOCK_BYTES = 79 << 20
 
@@ -335,27 +341,31 @@ def _point_label(point: _GridPoint) -> tuple:
     return ("point", point.l, point.n_i)
 
 
-def _optimize_block(spec: ExperimentSpec, chs, roots) -> dict:
+def _optimize_block(spec: ExperimentSpec, links: tuple, roots) -> dict:
     """The bounds of every trial from one stacked pass, then one alg1 batch per
-    architecture over every (trial, model) of the block; the trials may come from
-    several K points of one (l, n_i)."""
+    architecture over every (trial, model) of the block, all reading the block's one
+    link stack per hop position; the trials may come from several K points of one
+    (l, n_i)."""
     columns = {}
-    for m, bounds in zip(("physics", "widely_used"), _upper_bounds(chs)):
+    for m, bounds in zip(("physics", "widely_used"), _upper_bounds(links)):
         if m in spec.models:
             columns[("bound", m)] = bounds
     models = [m for m in ("widely_used", "physics") if m in spec.models]
-    members = [(t, m) for t in range(len(chs)) for m in models]
+    members = [(t, m) for t in range(len(roots)) for m in models]
     for arch in spec.architectures:
-        runs = alg1_batch([chs[t] for t, _ in members],
-                          [spec.optimizer_config(m, arch) for _, m in members],
-                          [roots[t].child("opt", m, arch) for t, m in members])
+        runs = _alg1_stacked(links, [t for t, _ in members],
+                             [spec.optimizer_config(m, arch) for _, m in members],
+                             [roots[t].child("opt", m, arch) for t, m in members])
         # members are trial-major, so model j's runs sit at stride len(models)
         for j, m in enumerate(models):
             columns[(m, arch)] = [(run.gain, run.converged) for run in runs[j::len(models)]]
         if "suboptimal_cross" in spec.models:
+            # each trial's cascade is a view of its row of the stacks
             columns[("suboptimal_cross", arch)] = [
-                (channel_gain(assemble_physics_channel(ch, run.stack)), run.converged)
-                for ch, run in zip(chs, runs[models.index("widely_used")::len(models)])]
+                (channel_gain(assemble_physics_channel(
+                    CascadeChannels.from_hops([link[t] for link in links]), run.stack)),
+                 run.converged)
+                for t, run in enumerate(runs[models.index("widely_used")::len(models)])]
     return columns
 
 
@@ -366,14 +376,15 @@ def _run_block(spec: ExperimentSpec, pairs: tuple) -> dict:
     pair, ("bound", model) to one upper bound per pair."""
     roots = [RandomStream(spec.seed, _point_label(point)).child("trial", t) for point, t in pairs]
     dims = Dimensions(n_t=spec.n_t, n_r=spec.n_r, n_i=pairs[0][0].n_i, l=pairs[0][0].l)
+    streams = [root.child("channel") for root in roots]
     if spec.scenario != "los":
-        chs = [gen_cascade(dims, _fading_for(spec, point), root.child("channel"))
-               for (point, _), root in zip(pairs, roots)]
-        return _optimize_block(spec, chs, roots)
+        # each hop position is drawn as one stack over the block's trials, which the
+        # bounds, alg1 and the cross gains all read
+        links = draw_cascades(dims, [_fading_for(spec, point) for point, _ in pairs], streams)
+        return _optimize_block(spec, links, roots)
     # closed forms need no alg1 batch: each hop position is drawn as one stack over
     # the block's trials, and los_gains reads the gains off the stacks
-    drawn = draw_los_cascades(dims, spec.path_gain, [root.child("channel") for root in roots])
-    gains = los_gains(drawn)
+    gains = los_gains(draw_los_cascades(dims, spec.path_gain, streams))
     return {(m, arch): [(g[MODELS.index(m)], True) for g in gains]
             for m in spec.models for arch in spec.architectures}
 
@@ -386,23 +397,26 @@ def _pair_bytes(spec: ExperimentSpec, point: _GridPoint) -> int:
     """The bytes one (grid point, trial) pair holds in a block at its peak, read from
     the spec alone.
 
-    That is the harness's own copy of the pair's links plus, per alg1 member of the
-    pair (one per model among physics and widely_used), a stacked copy of the links,
-    _VECTOR_ROWS rows of n_i entries per surface, the l n_i x n_i surfaces and
-    _UNITARY_TEMPS step temporaries when the spec runs unitary surfaces, and
-    _MEMBER_BYTES of Python objects. A line-of-sight pair counts as one member with
-    one row per surface: its closed forms form no surface and no fold.
+    That is one copy of the pair's links, the block's drawn stack, which the bounds,
+    every alg1 member and the cross gains read in place; the bound pass's n_i x n_i
+    segment products (at most two at once, from l = 3 up); and, per alg1 member of the
+    pair (one per model among physics and widely_used), _VECTOR_ROWS rows of n_i
+    entries per surface, the l n_i x n_i surfaces and _UNITARY_TEMPS step temporaries
+    when the spec runs unitary surfaces, and _MEMBER_BYTES of Python objects. A
+    line-of-sight pair counts as one member with two copies of the links and one row
+    per surface, which covers its drawn phases and the matrices its closed forms
+    factor in chunks: it forms no surface and no fold.
     """
     n, l = point.n_i, point.l
     links = spec.n_r * n + (l - 1) * n * n + n * spec.n_t
     if spec.scenario == "los":
-        members, surfaces = 1, l * n
-    else:
-        members = sum(m in spec.models for m in ("physics", "widely_used"))
-        surfaces = _VECTOR_ROWS * l * n
-        if "unitary" in spec.architectures:
-            surfaces += (l + _UNITARY_TEMPS) * n * n
-    return _ENTRY_BYTES * ((members + 1) * links + members * surfaces) + members * _MEMBER_BYTES
+        return _ENTRY_BYTES * (2 * links + l * n) + _MEMBER_BYTES
+    members = sum(m in spec.models for m in ("physics", "widely_used"))
+    surfaces = _VECTOR_ROWS * l * n
+    if "unitary" in spec.architectures:
+        surfaces += (l + _UNITARY_TEMPS) * n * n
+    products = min(2, max(0, l - 2)) * n * n
+    return _ENTRY_BYTES * (links + products + members * surfaces) + members * _MEMBER_BYTES
 
 
 def _blocks(spec: ExperimentSpec) -> list[tuple]:

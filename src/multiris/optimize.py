@@ -8,6 +8,7 @@ achievable gain.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -362,6 +363,16 @@ def inner_solve_diagonal(data: InnerProblemData) -> np.ndarray:
     return _diagonal_phases(data.g_rt, data.g_ri * data.g_it)
 
 
+@functools.lru_cache(maxsize=None)
+def _completion_mask(n: int) -> np.ndarray:
+    """The entries _unitaries_with_first_columns keeps of x_i scale_k: row 0, column 0
+    and below the diagonal. Built once per n, read-only."""
+    keep = np.tri(n, n, -1, dtype=bool)
+    keep[0] = keep[:, 0] = True
+    keep.flags.writeable = False
+    return keep
+
+
 def _unitaries_with_first_columns(x: np.ndarray) -> np.ndarray:
     """Unitary matrices whose first columns are exactly the unit rows of x (B, n).
 
@@ -385,10 +396,8 @@ def _unitaries_with_first_columns(x: np.ndarray) -> np.ndarray:
     scale = np.empty_like(x)
     scale[:, 0] = 1.0
     scale[:, 1:] = -x[:, 1:].conj() / (root[:, :-1] * root[:, 1:])
-    keep = np.tri(n, n, -1, dtype=bool)
-    keep[0] = keep[:, 0] = True
     q = x[:, :, None] * scale[:, None, :]
-    q *= keep
+    q *= _completion_mask(n)
     q.reshape(count, n * n)[:, n + 1::n + 1] = root[:, 1:] / root[:, :-1]
     if flat.any():
         w = -x[flat]
@@ -464,10 +473,11 @@ class OptimizationResult:
         return self.gain_trace[-1]
 
 
-def _init_thetas(ch: CascadeChannels, stream: RandomStream | None) -> list[np.ndarray]:
-    """Initial surfaces as phase vectors of uniform random phases drawn from stream."""
+def _init_thetas(widths: Sequence[int], stream: RandomStream | None) -> list[np.ndarray]:
+    """Initial surfaces of the given widths as phase vectors of uniform random phases
+    drawn from stream."""
     rng = (stream or RandomStream(0, ("alg1-init",))).generator()
-    return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, ch.width(k))) for k in range(ch.n_l)]
+    return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, w)) for w in widths]
 
 
 def _top_pairs(h: np.ndarray):
@@ -579,18 +589,159 @@ def _shared_config(cfgs) -> OptimizerConfig:
     return first
 
 
-def _compact(links: list, keep: np.ndarray) -> list:
-    """The members where keep is True, moved to the front of each stacked link.
+def _stack_cascades(chs: Sequence[CascadeChannels]) -> tuple[list[np.ndarray], list[int]]:
+    """One (T, rows, cols) link stack per hop position, in ch.hops() order, over the
+    distinct cascades of chs (by identity, in order of first appearance), and the row
+    of each ch. A cascade with side links raises AssumptionViolated; cascades of
+    different shapes, or none, DimensionMismatch."""
+    _require_pure_cascades(chs)
+    rows: dict[CascadeChannels, int] = {}
+    trials = [rows.setdefault(ch, len(rows)) for ch in chs]
+    hops = [ch.hops() for ch in rows]
+    if not hops:
+        raise DimensionMismatch("a batch needs one or more cascades")
+    if len({tuple(m.shape for m in h) for h in hops}) > 1:
+        raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
+    return [np.stack(h) for h in zip(*hops)], trials
 
-    Overwrites the stacks and returns views of them: a dropped member's links are
-    not copied again, and no second stack is allocated.
+
+def _swap_rows(arrays: list[np.ndarray], front: np.ndarray, back: np.ndarray):
+    """Swap rows front[i] and back[i] of every array in place, one row at a time."""
+    for m in arrays:
+        for i, j in zip(front.tolist(), back.tolist()):
+            held = m[i].copy()
+            m[i] = m[j]
+            m[j] = held
+
+
+def _member_rows(x: np.ndarray, active: np.ndarray, trial: np.ndarray,
+                 pick: np.ndarray | None) -> np.ndarray:
+    """The rows of the active (trial, slot) members of a (T, S, ...) stack, row-major:
+    pick holds their flat (trial, slot) indices, or is None while every slot is active
+    (then the rows are a reshape, a view where they can be). A (T, 1, ...) stack with
+    S > 1, a link that every slot of a trial shares, is gathered by each member's trial."""
+    if x.shape[1] < active.shape[1]:
+        return x[:, 0][trial]
+    flat = x.reshape(-1, *x.shape[2:])
+    return flat if pick is None else flat[pick]
+
+
+def _alg1_stacked(links: list[np.ndarray], trials: Sequence[int],
+                  cfgs: Sequence[OptimizerConfig],
+                  streams: Sequence[RandomStream | None] | None = None) -> list[OptimizationResult]:
+    """alg1 for B members over one stack of pure cascades: member b runs on the cascade in
+    row trials[b] of links (one (T, rows, cols) stack per hop position, in ch.hops()
+    order), with cfgs[b] and streams[b]. Every row should carry a member.
+
+    Members are laid out as (trial, slot): a trial's members take slots 0, 1, ... in
+    batch order, and a slot that no member fills is masked from the start. The links get
+    a singleton slot axis, so sweep_folds multiplies each shared link against every
+    slot's rows, matrix by matrix, and no member holds a copy of its links. A member that
+    stops at the end of a sweep stays masked in its trial's rows, and _tune_surface sees
+    only the active rows (gathered, unless every slot is active). Once every trial runs
+    fewer members than there are slots, the running members move to the leading slots
+    and the rest are dropped. A trial whose members have all stopped is swapped behind
+    the trials still running, so the folds read a leading slice of each link stack; the
+    swaps are undone before returning, so links are left as they came. See alg1_batch
+    for the contract.
     """
-    rows = np.flatnonzero(keep)
-    for m in links:
-        for j, i in enumerate(rows):
-            if i != j:
-                m[j] = m[i]
-    return [m[:len(rows)] for m in links]
+    count = len(trials)
+    streams = [None] * count if streams is None else list(streams)
+    if count == 0 or len(cfgs) != count or len(streams) != count:
+        raise DimensionMismatch("a batch needs one config and one stream per cascade")
+    cfg = _shared_config(cfgs)
+    _check_gain_scales(links)
+    l = len(links) - 1
+    widths = [links[l - k].shape[1] for k in range(l)]
+    slots, taken = [], {}
+    for t in trials:
+        slots.append(taken.get(t, 0))
+        taken[t] = slots[-1] + 1
+    rows = len(links[0])
+    ids = np.full((rows, max(slots) + 1), -1)
+    ids[trials, slots] = np.arange(count)
+    active = ids >= 0
+    offsets = np.zeros(ids.shape)
+    offsets[trials, slots] = [1.0 if c.model == "physics" else 0.0 for c in cfgs]
+    thetas = [np.ones(ids.shape + (w,), dtype=complex) for w in widths]
+    for t, slot, stream in zip(trials, slots, streams):
+        for theta, start in zip(thetas, _init_thetas(widths, stream)):
+            theta[t, slot] = start
+
+    traces: list[list[float]] = [[] for _ in range(count)]
+    # (surfaces, converged, sweeps) of each member once it stops
+    finals: list[tuple | None] = [None] * count
+    swaps = []
+    previous = pair = None
+    changed = True
+    try:
+        for sweeps in range(1, cfg.max_outer_iters + 1):
+            if changed:
+                # the active members, row-major: every per-member array follows this order
+                where = np.nonzero(active)
+                pick = None if active.all() else np.flatnonzero(active)
+                member_ids = ids[where]
+                member_offsets = _member_rows(offsets, active, where[0], pick)
+                hops = [link[:rows, None] for link in links]
+                changed = False
+            for pos, (left, right) in enumerate(sweep_folds(hops, thetas, [offsets] * l)):
+                theta, pair = _tune_surface(
+                    *(_member_rows(x, active, where[0], pick) for x in (left, right, thetas[pos])),
+                    member_offsets, pair, cfg)
+                if pick is None:
+                    thetas[pos] = theta.reshape(active.shape + theta.shape[1:])
+                else:
+                    if theta.ndim > thetas[pos].ndim - 1:
+                        # a unitary surface's first visit: its masked rows become matrices
+                        thetas[pos] = thetas[pos][..., None] * np.eye(theta.shape[-1])
+                    thetas[pos][where] = theta
+            gain = pair[0]
+            for m, g in zip(member_ids.tolist(), gain.tolist()):
+                traces[m].append(g)
+            converged = np.zeros(len(gain), dtype=bool) if previous is None else \
+                np.abs(gain - previous) <= cfg.rel_tol * np.maximum(gain, _TINY)
+            stop = converged | (sweeps == cfg.max_outer_iters)
+            for i in np.flatnonzero(stop):
+                t, slot = where[0][i], where[1][i]
+                finals[member_ids[i]] = ([th[t, slot].copy() for th in thetas],
+                                         bool(converged[i]), sweeps)
+            if stop.all():
+                break
+            if stop.any():
+                changed = True
+                active[where[0][stop], where[1][stop]] = False
+                running = active.sum(axis=1)
+                width = running.max()
+                if width < active.shape[1]:
+                    # every trial runs fewer members than there are slots: its running
+                    # members move, in slot order, to the leading slots, and the rest go
+                    order = np.argsort(~active, axis=1, kind="stable")[:, :width]
+                    index = (np.arange(len(active))[:, None] * active.shape[1] + order).ravel()
+                    ids, active, offsets, *thetas = (
+                        a.reshape(-1, *a.shape[2:])[index].reshape(len(a), width, *a.shape[2:])
+                        for a in (ids, active, offsets, *thetas))
+                if not running.all():
+                    # trials whose members all stopped swap places with running trials
+                    # behind them, and the running ones become the leading rows
+                    rows = int((running > 0).sum())
+                    front = np.flatnonzero(running[:rows] == 0)
+                    back = rows + np.flatnonzero(running[rows:])
+                    _swap_rows(links, front, back)
+                    swaps.append((front, back))
+                    kept = np.arange(rows)
+                    kept[front] = back
+                    ids, active, offsets, *thetas = (a[kept] for a in (ids, active, offsets, *thetas))
+                # the carried pairs follow their members into the new row-major order
+                place = np.empty(count, dtype=int)
+                place[member_ids] = np.arange(len(member_ids))
+                pair = tuple(a[place[ids[active]]] for a in pair)
+            previous = pair[0]
+    finally:
+        for front, back in reversed(swaps):
+            _swap_rows(links, front, back)
+    return [OptimizationResult(ScatteringStack(cfg.architecture, tuple(surfaces)),
+                               tuple(trace), converged, sweeps)
+            for (surfaces, converged, sweeps), trace in zip(finals, traces)]
 
 
 def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
@@ -604,62 +755,22 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     larger batch or with the batch permuted, a member's gain trace, stop and
     stack are the same bit for bit, because every stacked operation works per
     member (the harness packs blocks by cascade shape on this, and
-    test_batch_composition_does_not_change_results pins it). Links are stacked on
-    a leading axis and singular pairs come from one stacked LAPACK SVD per step.
-    A member leaves the sweep loop's arrays at the end of the sweep in which it
-    converges; inside a surface visit it leaves the working arrays when its step
-    gain stalls, unless every member still in the visit stalls on that same step,
-    which ends the visit with no copy. Each member's (gain, u, v) is carried from
-    the last step of one surface visit into the next, across sweeps too, and
-    compacted with the members, so only the first visit computes an initial pair;
-    see _tune_surface for the coefficient products of a diagonal step and the unit
-    check once per visit. A cascade with side links raises AssumptionViolated, and a
-    batch with a gain scale outside the double range RangeExceeded, before any sweep
-    (see _check_gain_scales).
+    test_batch_composition_does_not_change_results pins it). Each distinct cascade
+    (by identity) is stacked once, and its members share that stack (see
+    _alg1_stacked, which the harness calls on its drawn stack); singular pairs come
+    from one stacked LAPACK SVD per step. A member leaves the sweep loop's arrays at
+    the end of the sweep in which it converges; inside a surface visit it leaves the
+    working arrays when its step gain stalls, unless every member still in the visit
+    stalls on that same step, which ends the visit with no copy. Each member's
+    (gain, u, v) is carried from the last step of one surface visit into the next,
+    across sweeps too, so only the first visit computes an initial pair; see
+    _tune_surface for the coefficient products of a diagonal step and the unit check
+    once per visit. A cascade with side links raises AssumptionViolated, and a batch
+    with a gain scale outside the double range RangeExceeded, before any sweep (see
+    _check_gain_scales).
     """
-    _require_pure_cascades(chs)
-    count = len(chs)
-    streams = [None] * count if streams is None else list(streams)
-    if count == 0 or len(cfgs) != count or len(streams) != count:
-        raise DimensionMismatch("a batch needs one config and one stream per cascade")
-    cfg = _shared_config(cfgs)
-    hops = [ch.hops() for ch in chs]
-    if len({tuple(m.shape for m in h) for h in hops}) > 1:
-        raise DimensionMismatch("batched cascades must share depth, widths, n_t and n_r")
-    links = [np.stack(h) for h in zip(*hops)]
-    _check_gain_scales(links)
-    starts = [_init_thetas(ch, s) for ch, s in zip(chs, streams)]
-    thetas = [np.stack(surface) for surface in zip(*starts)]
-    offsets = np.array([1.0 if c.model == "physics" else 0.0 for c in cfgs])
-
-    members = np.arange(count)
-    traces: list[list[float]] = [[] for _ in range(count)]
-    # (surfaces, converged, sweeps) of each member once it stops
-    finals: list[tuple | None] = [None] * count
-    previous = pair = None
-    for sweeps in range(1, cfg.max_outer_iters + 1):
-        for pos, (left, right) in enumerate(sweep_folds(links, thetas, [offsets] * len(thetas))):
-            thetas[pos], pair = _tune_surface(left, right, thetas[pos], offsets, pair, cfg)
-        gain = pair[0]
-        for m, g in zip(members, gain.tolist()):
-            traces[m].append(g)
-        converged = np.zeros(len(members), dtype=bool) if previous is None else \
-            np.abs(gain - previous) <= cfg.rel_tol * np.maximum(gain, _TINY)
-        stop = converged | (sweeps == cfg.max_outer_iters)
-        for i in np.flatnonzero(stop):
-            finals[members[i]] = ([t[i].copy() for t in thetas], bool(converged[i]), sweeps)
-        if stop.all():
-            break
-        if stop.any():
-            keep = ~stop
-            members, offsets = members[keep], offsets[keep]
-            pair = tuple(a[keep] for a in pair)
-            links = _compact(links, keep)
-            thetas = [t[keep] for t in thetas]
-        previous = pair[0]
-    return [OptimizationResult(ScatteringStack(cfg.architecture, tuple(surfaces)),
-                               tuple(trace), converged, sweeps)
-            for (surfaces, converged, sweeps), trace in zip(finals, traces)]
+    links, trials = _stack_cascades(chs)
+    return _alg1_stacked(links, trials, cfgs, streams)
 
 
 def alg1_optimize(ch: CascadeChannels, cfg: OptimizerConfig | None = None,
@@ -693,41 +804,52 @@ def upper_bound_physics(ch: CascadeChannels) -> float:
     bounds over all 2^l sets is a path sum over cut points, computed in O(l^2)
     segment norms: paths[0] = 1, paths[j] = sum_{i<j} paths[i] ||F_i ... F_{j-1}||.
     """
-    return _upper_bounds([ch])[0][0]
+    return _upper_bounds(_stack_cascades([ch])[0])[0][0]
 
 
 def upper_bound_widely(ch: CascadeChannels) -> float:
-    """Widely used gain ceiling, the product of squared link norms: _upper_bounds([ch])."""
-    return _upper_bounds([ch])[1][0]
+    """Widely used gain ceiling, the product of squared link norms: the widely used
+    bound of _upper_bounds over ch alone, from its l + 1 link norms only."""
+    factors = _stack_cascades([ch])[0]
+    _check_gain_scales(factors)
+    return _widely_bounds(_link_norms(factors))[0]
 
 
-def _upper_bounds(chs: Sequence[CascadeChannels]) -> tuple[list[float], list[float]]:
-    """upper_bound_physics and upper_bound_widely of every cascade of a batch that
-    shares one cascade shape, bit for bit, from one stacked pass over the segments.
+def _link_norms(factors: list[np.ndarray]) -> list[np.ndarray]:
+    """The spectral norm of every link of each stacked hop position, one LAPACK call each."""
+    return [np.linalg.svd(f, compute_uv=False)[:, 0] for f in factors]
+
+
+def _widely_bounds(norms: list[np.ndarray]) -> list[float]:
+    """Each member's product of squared link norms, in Python floats as the scalar bound
+    takes it."""
+    return [float(np.prod([s ** 2 for s in member])) for member in zip(*(n.tolist() for n in norms))]
+
+
+def _upper_bounds(factors: list[np.ndarray]) -> tuple[list[float], list[float]]:
+    """upper_bound_physics and upper_bound_widely of every cascade of a block, given as
+    one (T, rows, cols) link stack per hop position in ch.hops() order, bit for bit, from
+    one stacked pass over the segments.
 
     Each segment F_i ... F_{j-1} of every member is one stacked product and its
     norms one stacked LAPACK call, which works matrix by matrix, so no member's
-    bounds depend on its batch. The widely used bound takes its squared link norms
-    from the length-1 segments of the physics path sum, so no link is decomposed twice.
-    A cascade with side links raises AssumptionViolated, and a batch with a gain scale
-    outside the double range RangeExceeded (see _check_gain_scales).
+    bounds depend on its batch. The length-1 segments are the links themselves, read
+    in place; a longer segment is grown one link at a time, so at most two segment
+    products are held at once. The widely used bound takes its squared link norms from
+    the length-1 segments of the physics path sum, so no link is decomposed twice. A
+    batch with a gain scale outside the double range raises RangeExceeded (see
+    _check_gain_scales).
     """
-    _require_pure_cascades(chs)
-    factors = [np.stack(h) for h in zip(*(ch.hops() for ch in chs))]
     _check_gain_scales(factors)
-    count = len(factors)
-    paths = [np.ones(len(chs))] + [np.zeros(len(chs)) for _ in range(count)]
-    links = []
+    count, members = len(factors), len(factors[0])
+    norms = _link_norms(factors)
+    paths = [np.ones(members)] + [np.zeros(members) for _ in range(count)]
     for i in range(count):
+        paths[i + 1] += paths[i] * norms[i]
         segment = factors[i]
-        for j in range(i + 1, count + 1):
-            if j > i + 1:
-                segment = segment @ factors[j - 1]
-            norms = np.linalg.svd(segment, compute_uv=False)[:, 0]
-            if j == i + 1:
-                links.append(norms.tolist())
-            paths[j] += paths[i] * norms
+        for j in range(i + 2, count + 1):
+            segment = segment @ factors[j - 1]
+            paths[j] += paths[i] * np.linalg.svd(segment, compute_uv=False)[:, 0]
     # the last steps in Python floats, as the scalar bounds take them
     physics = [p ** 2 for p in paths[count].tolist()]
-    widely = [float(np.prod([s ** 2 for s in member])) for member in zip(*links)]
-    return physics, widely
+    return physics, _widely_bounds(norms)

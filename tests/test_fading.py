@@ -13,8 +13,10 @@ from multiris.fading import (
     FadingSpec,
     LosLink,
     _draw_los_hop,
+    draw_cascades,
     draw_los_cascades,
     gen_cascade,
+    gen_link,
     gen_los_link,
     gen_rayleigh_link,
     gen_rician_link,
@@ -380,6 +382,47 @@ class TestLinkSize:
         returning a NaN or infinite link."""
         with pytest.raises(DimensionMismatch, match="path_gain"):
             gen(2, 2, path_gain, RandomStream(59))
+
+
+class TestBlockDraw:
+    """A multipath block is drawn as one (T, rows, cols) stack per hop position; row t
+    of every stack keeps the bytes of stream t's own draw of that link."""
+
+    _FADINGS = (FadingSpec("rayleigh", 0.37), FadingSpec("rician", 0.37, 0.0),
+                FadingSpec("rician", 0.37, 3.0), FadingSpec("los", 0.37))
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_rows_are_each_streams_links(self, l):
+        # one fading spec per row, as a K grid's block mixes rows of several K
+        dims = Dimensions(n_t=3, n_r=2, n_i=5, l=l)
+        streams = [RandomStream(79, ("block", l, t)) for t in range(len(self._FADINGS))]
+        block = draw_cascades(dims, list(self._FADINGS), streams)
+        for t, (fading, stream) in enumerate(zip(self._FADINGS, streams)):
+            labelled = [gen_link(rows, cols, fading, child)
+                        for rows, cols, child in _labelled_links(dims, stream)]
+            ch = gen_cascade(dims, fading, stream)
+            for stack, hop, want in zip(block, ch.hops(), labelled, strict=True):
+                assert stack.shape == (len(streams), *want.shape)
+                assert _same_bits(stack[t], want) and _same_bits(hop, want)
+
+    def test_rows_do_not_depend_on_the_block(self):
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=3)
+        fadings = [FadingSpec("rician", 1.0, k) for k in (0.0, 1.0, 30.0)]
+        streams = [RandomStream(83, ("position", t)) for t in range(3)]
+        forward = draw_cascades(dims, fadings, streams)
+        backward = draw_cascades(dims, fadings[::-1], streams[::-1])
+        for t, (fading, stream) in enumerate(zip(fadings, streams)):
+            alone = draw_cascades(dims, [fading], [stream])
+            for ahead, behind, want in zip(forward, backward, alone, strict=True):
+                assert _same_bits(ahead[t], want[0]) and _same_bits(behind[2 - t], want[0])
+        # an empty block is l + 1 stacks of no links
+        assert [stack.shape for stack in draw_cascades(dims, [], [])] == [
+            (0, 2, 4), (0, 4, 4), (0, 4, 4), (0, 4, 2)]
+
+    def test_one_fading_spec_per_stream(self):
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        with pytest.raises(DimensionMismatch, match="one fading spec per stream"):
+            draw_cascades(dims, [FadingSpec("rayleigh")], [RandomStream(1), RandomStream(2)])
 
 
 class TestGenCascade:

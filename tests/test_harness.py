@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +40,8 @@ from multiris.multiport import Dimensions
 from multiris.optimize import _LOS_CHUNK_BYTES
 from multiris.rng import RandomStream
 from multiris.scaling import expected_gain_physics_los, expected_gain_widely_los
+
+_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
 def tiny_los_spec(**overrides):
@@ -495,17 +499,18 @@ class TestRunExperiment:
         assert [_block_cost(block) for block in blocks] == [32 * 2 * 16, 7 * 2 * 16]
 
         batch_sizes = []
-        alg1_batch = harness.alg1_batch
+        alg1_stacked = harness._alg1_stacked
 
-        def counted(chs, *args):
-            batch_sizes.append(len(chs))
-            return alg1_batch(chs, *args)
+        def counted(links, trials, *args):
+            batch_sizes.append((len(links[0]), len(trials)))
+            return alg1_stacked(links, trials, *args)
 
-        monkeypatch.setattr(harness, "alg1_batch", counted)
+        monkeypatch.setattr(harness, "_alg1_stacked", counted)
         table = run_experiment(spec)
-        # one batch per architecture and block over every (pair, model) member
-        assert batch_sizes == [32 * 2, 32 * 2, 7 * 2, 7 * 2]
-        monkeypatch.setattr(harness, "alg1_batch", alg1_batch)
+        # one batch per architecture and block over every (pair, model) member, on one
+        # link stack of the block's pairs
+        assert batch_sizes == [(32, 32 * 2), (32, 32 * 2), (7, 7 * 2), (7, 7 * 2)]
+        monkeypatch.setattr(harness, "_alg1_stacked", alg1_stacked)
 
         def rows(text):
             header, *lines = text.splitlines()[1:]
@@ -568,8 +573,9 @@ class TestBlockBudget:
             # every block of an (l, n_i) run is full but the last
             assert all(full for _, full in blocks[:-1])
             if (l, n_i) == (4, 128) and spec.scenario != "los":
-                # the headline diagonal block holds the 32 pairs it always held
-                assert [count for count, _ in blocks] == [32, 32, 32, 4]
+                # the headline diagonal block: a pair holds one copy of its links, so
+                # 54 pairs fill it
+                assert [count for count, _ in blocks] == [54, 46]
 
     def test_pair_over_budget_runs_alone(self):
         spec = ExperimentSpec(scenario="rayleigh", l=(4,), n_i_grid=(2048,), seed=1, trials=3)
@@ -583,9 +589,33 @@ class TestBlockBudget:
         two = _pair_bytes(ExperimentSpec(**base), point)
         unitary = _pair_bytes(ExperimentSpec(**base, architectures=("diagonal", "unitary")), point)
         los = _pair_bytes(ExperimentSpec(**{**base, "scenario": "los"}), point)
-        assert los < one < two < unitary
+        assert one < two < unitary
+        # a line-of-sight pair keeps its count of two link copies, which an alg1 pair
+        # of one model, holding one copy, now undercuts
+        assert one < los < two
         # a unitary member holds its l surfaces and the step's temporaries as matrices
         assert unitary - two >= 2 * 16 * (2 + 1) * 32 * 32
+
+    def test_ci_pool_cases_span_two_blocks(self):
+        """The CI cases that run a table through the process pool to check its bytes
+        against a sequential run need two blocks or more, or the pool never starts: the
+        cases are read from the workflow file, so a footprint change that turns one
+        into a single block fails here."""
+        text = _WORKFLOW.read_text()
+        specs = {name: ExperimentSpec.from_json(body) for name, body in re.findall(
+            r'cat > "\$RUNNER_TEMP/(\w+)\.json" <<\'EOF\'\n(.*?)\n\s*EOF\n', text, re.S)}
+        cases = {}
+        for line in text.splitlines():
+            name, *args = line.split() or [""]
+            if args[:1] in (["--preset"], ["--spec"]):
+                options = dict(zip(args[::2], args[1::2]))
+                spec = figure_preset(options["--preset"]) if "--preset" in options else \
+                    specs[Path(options["--spec"]).stem]
+                if "--trials" in options:
+                    spec = replace(spec, trials=int(options["--trials"]), trial_overrides={})
+                cases[name] = spec
+        for name in ("ric", "los4", "fold13"):
+            assert len(_blocks(cases[name])) >= 2, name
 
     @pytest.mark.parametrize("spec", [
         # the K grid of one (l, n_i), both architectures and all three models
@@ -823,6 +853,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert "invalid choice" in captured.err and "validate" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+class TestBlockMemory:
+    def test_block_holds_one_copy_of_its_links(self, monkeypatch):
+        """Past the drawn link stacks, the bound pass, the alg1 batch and the cross
+        gains of an 8-trial, two-model block at l = 4, n_i = 64 allocate less than one
+        more copy of the links: they read the drawn stacks in place, with no copy per
+        member."""
+        import multiris.harness as harness
+
+        optimize_block = harness._optimize_block
+        peaks = []
+
+        def traced(spec, links, roots):
+            tracemalloc.start()
+            try:
+                columns = optimize_block(spec, links, roots)
+                peaks.append((tracemalloc.get_traced_memory()[1],
+                              sum(link.nbytes for link in links)))
+            finally:
+                tracemalloc.stop()
+            return columns
+
+        monkeypatch.setattr(harness, "_optimize_block", traced)
+        spec = ExperimentSpec(scenario="rayleigh", l=4, n_i_grid=64, seed=163, trials=8,
+                              models=("physics", "widely_used", "suboptimal_cross"),
+                              optimizer={"max_outer_iters": 10})
+        table = run_experiment(spec)
+        (peak, links), = peaks
+        assert links == 8 * 16 * (2 * 64 + 3 * 64 * 64 + 64 * 2)
+        assert peak < links
+        assert table.rows[0].trials == 8
 
 
 class TestLosBlock:

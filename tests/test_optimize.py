@@ -60,9 +60,11 @@ from multiris.optimize import (
     upper_bound_widely,
 )
 from multiris.optimize import (
+    _alg1_stacked,
     _dominant_pairs,
     _physics_from_widely,
     _rank_one_factors,
+    _stack_cascades,
     _top_pairs,
     _tune_surface,
     _upper_bounds,
@@ -719,15 +721,39 @@ class TestUpperBounds:
             hops = chs[member].hops()
             hops[link] = np.zeros_like(hops[link])
             chs[member] = CascadeChannels(hops[-1], tuple(reversed(hops[1:-1])), hops[0])
-            physics, widely = _upper_bounds(chs)
+            physics, widely = _upper_bounds(_stack_cascades(chs)[0])
             for ch, p, w in zip(chs, physics, widely):
                 assert p == upper_bound_physics_path_sum(ch)
                 assert w == upper_bound_widely_product(ch) == upper_bound_widely(ch)
-                assert _upper_bounds([ch]) == ([p], [w])
+                assert _upper_bounds(_stack_cascades([ch])[0]) == ([p], [w])
                 assert upper_bound_physics(ch) == p
             assert physics[member] == widely[member] == 0.0
 
         check()
+
+
+    def test_widely_bound_reads_only_the_link_norms(self, monkeypatch):
+        """upper_bound_widely is the widely used column of the block pass, bit for bit,
+        from one stacked LAPACK call per link: no segment product and no segment norm."""
+        stream = RandomStream(149, ("widely-links",))
+        shapes = [(1, 3, 2, 2), (2, 4, 1, 3), (3, 5, 3, 1), (4, 16, 2, 2), (6, 2, 2, 2)]
+        chs = [gen_cascade(Dimensions(n_t=n_t, n_r=n_r, n_i=n_i, l=l), FadingSpec("rayleigh"),
+                           stream.child(l, n_i)) for l, n_i, n_t, n_r in shapes]
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        for ch in chs:
+            want = _upper_bounds(_stack_cascades([ch])[0])[1][0]
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "svd", counted)
+                got = upper_bound_widely(ch)
+            assert got == want
+            assert calls == [(1, *h.shape) for h in ch.hops()]
 
 
 class TestSideLinksRefused:
@@ -753,7 +779,8 @@ class TestSideLinksRefused:
             "alg1_batch": lambda ch: alg1_batch([pure, ch], [cfg, cfg]),
             "upper_bound_physics": upper_bound_physics,
             "upper_bound_widely": upper_bound_widely,
-            "_upper_bounds": lambda ch: _upper_bounds([pure, ch]),
+            # the block pass reads stacks, which _stack_cascades builds and checks
+            "_upper_bounds": lambda ch: _upper_bounds(_stack_cascades([pure, ch])[0]),
         }[entry]
         run(pure)
         with pytest.raises(AssumptionViolated, match="assumption 6"):
@@ -1052,6 +1079,69 @@ class TestAlg1Batch:
         # members leave the batch at different sweeps, and some hit the cap
         assert len({run.iterations for run in whole}) >= 3
         assert not all(run.converged for run in whole)
+
+    @staticmethod
+    def _assert_runs_alone(members, runs):
+        for member, run in zip(members, runs, strict=True):
+            alone = alg1_batch(*zip(member))[0]
+            assert run.gain_trace == alone.gain_trace
+            assert (run.converged, run.iterations) == (alone.converged, alone.iterations)
+            for mine, theirs in zip(run.stack.thetas, alone.stack.thetas, strict=True):
+                assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("arch", ["diagonal", "unitary"])
+    def test_shared_cascade_matches_equal_copies(self, arch):
+        """Members that share one cascade object share one row of the link stack; the
+        same members given one equal copy each, one row each, get the same bits."""
+        stream = RandomStream(151, ("shared-stack",))
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=3)
+        chs = [gen_cascade(dims, FadingSpec("rician", 1.0, k), stream.child("ch", s))
+               for s, k in enumerate((0.0, 3.0))]
+        members = [(ch, OptimizerConfig(model=model, architecture=arch, max_outer_iters=8),
+                    stream.child("opt", s, model, r))
+                   for s, ch in enumerate(chs) for model in ("physics", "widely_used")
+                   for r in range(2)]
+        shared = alg1_batch(*zip(*members))
+        copies = alg1_batch(*zip(*((CascadeChannels.from_hops([h.copy() for h in ch.hops()]),
+                                    cfg, opt) for ch, cfg, opt in members)))
+        for mine, theirs in zip(shared, copies, strict=True):
+            assert mine.gain_trace == theirs.gain_trace
+            assert (mine.converged, mine.iterations) == (theirs.converged, theirs.iterations)
+            for a, b in zip(mine.stack.thetas, theirs.stack.thetas, strict=True):
+                assert np.array_equal(a, b)
+        assert len({run.iterations for run in shared}) >= 2
+
+    @pytest.mark.parametrize("arch", ["diagonal", "unitary"])
+    def test_uneven_members_per_cascade(self, arch):
+        """Cascades with one, two, three and one members, interleaved in the batch, so
+        the (trial, slot) layout masks slots from the start and trials leave the stack
+        at different sweeps: each member gets its run alone, and the stacked links are
+        left as they came."""
+        stream = RandomStream(157, ("uneven-stack",))
+        dims = Dimensions(n_t=2, n_r=2, n_i=4, l=2)
+        chs = [gen_cascade(dims, FadingSpec("rician", 1.0, k), stream.child("ch", s))
+               for s, k in enumerate((30.0, 1.0, 3.0, 0.0))]
+        layout = [(0, "physics"), (1, "widely_used"), (2, "physics"), (1, "physics"),
+                  (2, "widely_used"), (3, "widely_used"), (2, "physics")]
+        members = [(chs[s], OptimizerConfig(model=model, architecture=arch, max_outer_iters=8),
+                    stream.child("opt", i)) for i, (s, model) in enumerate(layout)]
+        runs = alg1_batch(*zip(*members))
+        self._assert_runs_alone(members, runs)
+        assert len({run.iterations for run in runs}) >= 3
+        # the first row's trial stops before the last row's, so its row swaps with a
+        # running one
+        assert runs[0].iterations < runs[5].iterations
+        # the core on a stack it did not build: finished trials swap behind running ones,
+        # and the swaps are undone before it returns
+        links, trials = _stack_cascades(chs)
+        before = [link.copy() for link in links]
+        cfgs, opts = [m[1] for m in members], [m[2] for m in members]
+        stacked = _alg1_stacked(links, [s for s, _ in layout], cfgs, opts)
+        assert trials == [0, 1, 2, 3]
+        for link, kept in zip(links, before, strict=True):
+            assert np.array_equal(link, kept)
+        for mine, theirs in zip(stacked, runs, strict=True):
+            assert mine.gain_trace == theirs.gain_trace
 
     def test_best_of_restarts_keeps_the_best_run(self):
         stream = RandomStream(109, ("restarts",))
