@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiport
-from .errors import DimensionMismatch, as_finite, shown
+from .errors import AssumptionViolated, DimensionMismatch, as_finite, shown
 
 DIAGONAL_UNIT_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -277,10 +277,26 @@ def cascade_from_network(net: multiport.MultiportNetwork) -> CascadeChannels:
 
     Requires assumptions 1-5. Side links are populated unless the blocks also
     satisfy assumption 6, in which case the layout is pure-cascade and sides
-    stay None.
+    stay None. The conversion takes the end and surface arrays as z0*I and drops
+    the blocks those assumptions zero, so it needs them exact: a block that holds
+    its assumption only within the tolerance raises AssumptionViolated naming it,
+    since the cascade would drop the difference that channel_z carries.
     """
     net.require(1, 2, 3, 4, 5)
     l = net.dims.l
+    zero = [("t", "i"), ("t", "r"), ("i", "r"),
+            *((i, j) for i in range(l) for j in range(l) if i < j or i > j + 1)]
+    if 6 in net.assumptions:
+        zero += [("r", "t"), *((k, "t") for k in range(1, l)), *(("r", k) for k in range(l - 1))]
+    # the end and surface arrays are the only blocks on the diagonal: they must be
+    # z0*I, every other block checked here zero
+    for rows, cols in [(g, g) for g in ("t", "r", *range(l))] + zero:
+        block = net.block(rows, cols)
+        scale = net.z0 if rows == cols else 0.0
+        if not np.array_equal(block, scale * np.eye(*block.shape)):
+            raise AssumptionViolated(
+                f"block ({rows!r}, {cols!r}) is {'z0*I' if scale else 'zero'} only within "
+                f"tolerance, and the cascade would drop the difference")
 
     def channel(rows, cols):
         return multiport.normalize_z_to_channel(net.block(rows, cols), net.z0)

@@ -97,13 +97,22 @@ def gen_los_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -
     return _draw_los_hop(rows, cols, path_gain, [stream]).matrix()[0]
 
 
+def _fill_rayleigh(out: np.ndarray, path_gain: float, stream: RandomStream) -> np.ndarray:
+    """Write a Rayleigh link into the complex array out and return it: the parts are two
+    standard_normal draws of out's shape, then out is scaled in place by path_gain and
+    by 1/sqrt(2), the operations of path_gain * (re + 1j * im) / sqrt(2) in turn."""
+    rng = stream.generator()
+    out.real = rng.standard_normal(out.shape)
+    out.imag = rng.standard_normal(out.shape)
+    out *= path_gain
+    out /= np.sqrt(2.0)
+    return out
+
+
 def gen_rayleigh_link(rows: int, cols: int, path_gain: float, stream: RandomStream) -> np.ndarray:
     """i.i.d. circularly symmetric complex Gaussian entries, per-entry std path_gain."""
     _check_link(rows, cols, path_gain)
-    rng = stream.generator()
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return path_gain * (re + 1j * im) / np.sqrt(2.0)
+    return _fill_rayleigh(np.empty((rows, cols), dtype=complex), path_gain, stream)
 
 
 def gen_rician_link(rows: int, cols: int, spec: FadingSpec, stream: RandomStream) -> np.ndarray:
@@ -155,9 +164,9 @@ def draw_cascades(dims: Dimensions, fadings: list[FadingSpec],
                   streams: list[RandomStream]) -> tuple[np.ndarray, ...]:
     """The pure cascades gen_cascade draws from each stream, row t following fadings[t],
     as one (T, rows, cols) stack per hop position in ch.hops() order: row t of each stack
-    is stream t's link, bit for bit. Each link is drawn from its own child stream and
-    written into its row, so a cascade's links do not depend on its block, and the block
-    holds one copy of them."""
+    is stream t's link, bit for bit. Each link is drawn from its own child stream into its
+    row (a Rayleigh link in place, any other copied there), so a cascade's links do not
+    depend on its block, and the block holds one copy of them."""
     if len(fadings) != len(streams):
         raise DimensionMismatch(f"need one fading spec per stream, got {len(fadings)} "
                                 f"for {len(streams)}")
@@ -165,7 +174,10 @@ def draw_cascades(dims: Dimensions, fadings: list[FadingSpec],
     for rows, cols, label in _cascade_links(dims):
         stack = np.empty((len(streams), rows, cols), dtype=complex)
         for row, fading, stream in zip(stack, fadings, streams):
-            row[...] = gen_link(rows, cols, fading, stream.child(*label))
+            if fading.kind == "rayleigh":
+                _fill_rayleigh(row, fading.path_gain, stream.child(*label))
+            else:
+                row[...] = gen_link(rows, cols, fading, stream.child(*label))
         stacks.append(stack)
     return tuple(stacks)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 from pathlib import Path
@@ -443,6 +442,14 @@ def _block_cost(block: tuple) -> int:
     return sum(point.l * point.n_i ** 2 for point, _ in pairs)
 
 
+def _process_pool(workers: int):
+    """A pool of worker processes. concurrent.futures is imported here, by the first run
+    that starts a pool, so a sequential run never loads the multiprocessing stack."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     """Run the full grid and aggregate per-point statistics.
 
@@ -467,7 +474,7 @@ def run_experiment(spec: ExperimentSpec, parallel: int = 1) -> GainTable:
     else:
         # a stable sort keeps blocks of equal cost in grid order
         order = sorted(range(len(tasks)), key=lambda i: -_block_cost(tasks[i]))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             by_index = dict(zip(order, pool.map(_block_task, [tasks[i] for i in order])))
         done = [by_index[i] for i in range(len(tasks))]
     grid = _grid(spec)

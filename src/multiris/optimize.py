@@ -488,7 +488,8 @@ def _top_pairs(h: np.ndarray):
 
 
 def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
-                  offsets: np.ndarray, pair: tuple | None, cfg: OptimizerConfig):
+                  offsets: np.ndarray, pair: tuple | None, cfg: OptimizerConfig,
+                  used_u: list, used_v: list):
     """Alternate the pair (u, v) and one surface's inner solution, member by member.
 
     left (A, n_r, n) and right (A, n, n_t) are the surface's end links, theta its
@@ -510,9 +511,9 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
     its arrays alone and returns them as they stand. Once members stop on different
     steps, the output stacks are allocated, the stopped members are written there
     and leave the working arrays, and the rest are written at the end. The returned
-    arrays never share memory with the inputs. Every (u, v) pair the visit consumed
-    is checked for unit norm once, at its end. Returns the tuned stack and each
-    member's final (gain, u, v).
+    arrays never share memory with the inputs. Every (u, v) pair the visit consumes is
+    appended to used_u and used_v, for the caller to check for unit norm. Returns the
+    tuned stack and each member's final (gain, u, v).
     """
     gain, u, v = _top_pairs(times_factor(left, theta, offsets) @ right) if pair is None \
         else pair
@@ -525,7 +526,8 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
         theta = theta[:, :, None] * np.eye(n)
     out = None
     rows = np.arange(count)
-    used_u, used_v = [], []
+    # the structural path's sign, formed once and compacted with the members
+    negated = -offsets
     for _ in range(cfg.max_inner_iters):
         used_u.append(u)
         used_v.append(v)
@@ -533,15 +535,16 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
             uv = (u.conj()[:, :, None] * v[:, None, :]).reshape(len(rows), -1, 1)
             terms = (coef @ uv)[:, :, 0]
             # the structural path -d left right seen through (u, v)
-            g_rt = -offsets * terms.sum(axis=1)
+            g_rt = negated * terms.sum(axis=1)
             theta = _diagonal_phases(g_rt, terms)
             h = ((theta - offsets[:, None])[:, None, :] @ coef).reshape(len(rows), n_r, -1)
         else:
             g_ri = (u.conj()[:, None, :] @ left)[:, 0]
             g_it = (right @ v[:, :, None])[:, :, 0]
-            g_rt = -offsets * (g_ri * g_it).sum(axis=1)
-            norm_ri = np.linalg.norm(g_ri, axis=1)
-            norm_it = np.linalg.norm(g_it, axis=1)
+            g_rt = negated * (g_ri * g_it).sum(axis=1)
+            # np.linalg.norm(g, axis=1) without its wrapper, bit for bit
+            norm_ri, norm_it = (np.sqrt(np.add.reduce((g.conj() * g).real, axis=1))
+                                for g in (g_ri, g_it))
             live = (norm_ri > _TINY) & (norm_it > _TINY)
             if live.all():
                 theta = _unitary_solutions(g_rt, g_ri, g_it, norm_ri, norm_it)
@@ -555,9 +558,10 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
         value, u, v = _top_pairs(h)
         going = value - gain > cfg.rel_tol * np.maximum(value, _TINY)
         gain = value
-        if going.all():
+        still = np.count_nonzero(going)
+        if still == len(going):
             continue
-        if not going.any():
+        if still == 0:
             break
         stop = ~going
         if out is None:
@@ -565,8 +569,8 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
         done = rows[stop]
         for kept, now in zip(out, (theta, gain, u, v)):
             kept[done] = now[stop]
-        rows, theta, offsets, gain, u, v = (
-            a[going] for a in (rows, theta, offsets, gain, u, v))
+        rows, theta, offsets, negated, gain, u, v = (
+            a[going] for a in (rows, theta, offsets, negated, gain, u, v))
         if diagonal:
             coef = coef[going]
         else:
@@ -575,7 +579,6 @@ def _tune_surface(left: np.ndarray, right: np.ndarray, theta: np.ndarray,
         for kept, now in zip(out, (theta, gain, u, v)):
             kept[rows] = now
         theta, gain, u, v = out
-    _check_unit_pairs(np.concatenate(used_u), np.concatenate(used_v))
     return theta, (gain, u, v)
 
 
@@ -684,10 +687,11 @@ def _alg1_stacked(links: list[np.ndarray], trials: Sequence[int],
                 member_offsets = _member_rows(offsets, active, where[0], pick)
                 hops = [link[:rows, None] for link in links]
                 changed = False
+            used_u, used_v = [], []
             for pos, (left, right) in enumerate(sweep_folds(hops, thetas, [offsets] * l)):
                 theta, pair = _tune_surface(
                     *(_member_rows(x, active, where[0], pick) for x in (left, right, thetas[pos])),
-                    member_offsets, pair, cfg)
+                    member_offsets, pair, cfg, used_u, used_v)
                 if pick is None:
                     thetas[pos] = theta.reshape(active.shape + theta.shape[1:])
                 else:
@@ -695,6 +699,8 @@ def _alg1_stacked(links: list[np.ndarray], trials: Sequence[int],
                         # a unitary surface's first visit: its masked rows become matrices
                         thetas[pos] = thetas[pos][..., None] * np.eye(theta.shape[-1])
                     thetas[pos][where] = theta
+            # every (u, v) pair the sweep consumed, checked for unit norm at once
+            _check_unit_pairs(np.concatenate(used_u), np.concatenate(used_v))
             gain = pair[0]
             for m, g in zip(member_ids.tolist(), gain.tolist()):
                 traces[m].append(g)
@@ -764,10 +770,10 @@ def alg1_batch(chs: Sequence[CascadeChannels], cfgs: Sequence[OptimizerConfig],
     stalls on that same step, which ends the visit with no copy. Each member's
     (gain, u, v) is carried from the last step of one surface visit into the next,
     across sweeps too, so only the first visit computes an initial pair; see
-    _tune_surface for the coefficient products of a diagonal step and the unit check
-    once per visit. A cascade with side links raises AssumptionViolated, and a batch
-    with a gain scale outside the double range RangeExceeded, before any sweep (see
-    _check_gain_scales).
+    _tune_surface for the coefficient products of a diagonal step. Every (u, v) pair a
+    sweep consumed is checked for unit norm once, at the sweep's end. A cascade with
+    side links raises AssumptionViolated, and a batch with a gain scale outside the
+    double range RangeExceeded, before any sweep (see _check_gain_scales).
     """
     links, trials = _stack_cascades(chs)
     return _alg1_stacked(links, trials, cfgs, streams)

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -61,8 +64,8 @@ def inline_pool(monkeypatch):
     log = SimpleNamespace(workers=[], tasks=[])
 
     class InlinePool:
-        def __init__(self, max_workers):
-            log.workers.append(max_workers)
+        def __init__(self, workers):
+            log.workers.append(workers)
 
         def __enter__(self):
             return self
@@ -75,7 +78,7 @@ def inline_pool(monkeypatch):
             log.tasks.extend(tasks)
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_process_pool", InlinePool)
     return log
 
 
@@ -948,3 +951,109 @@ class TestLosBlock:
         assert sum(count for count, _ in stacks) == spec.trials * (4 + 1)
         assert max(nbytes for _, nbytes in stacks) <= _LOS_CHUNK_BYTES == 1 << 20
         assert max(count for count, _ in stacks) == 32
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(args, tmp_path, **env):
+    """Run python with args in a fresh interpreter that imports the package from this
+    checkout, with env's entries set (a None value unsets one); return its stdout."""
+    merged = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_SRC), *filter(None, [os.environ.get("PYTHONPATH")])]), OPENBLAS_NUM_THREADS="1")
+    for key, value in env.items():
+        merged.pop(key, None)
+        if value is not None:
+            merged[key] = value
+    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=merged,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# runs the CLI's sequential path, then a parallel run, and prints after each stage
+# which of the pool's modules (argv[3:]) it has loaded
+_FOOTPRINT = """
+import sys
+import multiris
+from multiris.cli import main
+
+spec, pool = sys.argv[1], sys.argv[2:]
+
+
+def stage(name):
+    print("stage", name, *(m for m in pool if m in sys.modules))
+
+
+stage("import")
+assert main(["run", "--preset", "smoke", "--out", "smoke.csv"]) == 0
+assert main(["run", "--spec", spec, "--out", "1.csv"]) == 0
+stage("sequential")
+assert main(["run", "--spec", spec, "--parallel", "2", "--out", "2.csv"]) == 0
+stage("parallel")
+"""
+
+
+def test_only_a_pool_run_imports_the_pool(tmp_path):
+    """A fresh interpreter that imports multiris and runs smoke and a two-block spec
+    sequentially has loaded none of the process pool's stack; a parallel run of the
+    two blocks loads it, and writes the sequential bytes."""
+    spec = tiny_rayleigh_spec(n_i_grid=(2, 3))
+    assert len(_blocks(spec)) == 2
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json_dict()))
+    pool = ["multiprocessing", "concurrent.futures.process"]
+    out = _fresh_python(["-c", _FOOTPRINT, "spec.json", *pool], tmp_path)
+    stages = [line.split()[1:] for line in out.splitlines() if line.startswith("stage ")]
+    assert stages == [["import"], ["sequential"], ["parallel", *pool]]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    assert (tmp_path / "smoke.csv").read_bytes() == \
+        format_table(run_experiment(figure_preset("smoke")), "csv").encode()
+
+
+def _kernel_skip_reason() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot pick the Haswell and Prescott kernels here, if so."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        from numpy._core._multiarray_umath import __cpu_features__
+    except (TypeError, KeyError, ImportError):
+        return "this numpy does not report its BLAS or the CPU's features"
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return f"numpy's BLAS is {blas.get('name')}, not OpenBLAS"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return "this OpenBLAS is built for one kernel (no DYNAMIC_ARCH)"
+    if not __cpu_features__.get("AVX2"):
+        return "the CPU lacks AVX2, which the Haswell kernel needs"
+    return None
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_multipath_cells_agree_across_blas_kernels(tmp_path, capsys, kernel):
+    """A Rayleigh table run under another OpenBLAS kernel agrees with the default
+    kernel's within 1e-12 relative, cell by cell: every mean_gain, bound_mean, eta
+    and rho of both architectures and all three models. The bytes may differ, and the
+    test reports whether they did."""
+    reason = _kernel_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    spec = ExperimentSpec(scenario="rayleigh", l=(2, 4), n_i_grid=(8,), seed=37, trials=4,
+                          models=("physics", "widely_used", "suboptimal_cross"),
+                          architectures=("diagonal", "unitary"))
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json_dict()))
+    run = ["-m", "multiris.cli", "run", "--spec", "spec.json", "--format", "json"]
+    default = _fresh_python(run, tmp_path, OPENBLAS_CORETYPE=None)
+    other = _fresh_python(run, tmp_path, OPENBLAS_CORETYPE=kernel)
+    rows, other_rows = (json.loads(text)["rows"] for text in (default, other))
+    assert len(rows) == len(other_rows) == 2 * 2 * 3
+    worst = 0.0
+    for row, other_row in zip(rows, other_rows):
+        labels = ("scenario", "model", "architecture", "l", "n_i", "rician_k", "trials")
+        assert [row[k] for k in labels] == [other_row[k] for k in labels]
+        for cell in ("mean_gain", "bound_mean", "eta", "rho"):
+            a, b = row[cell], other_row[cell]
+            assert (a is None) == (b is None), cell
+            if a is not None:
+                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    with capsys.disabled():
+        print(f"\n[{kernel}] bytes {'equal' if default == other else 'differ'}, "
+              f"worst relative difference {worst:.1e}")
+    assert worst <= 1e-12

@@ -1,5 +1,7 @@
 """Impedance-domain core: the channel, its dense and structured-inverse oracles, conversions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from conftest import (
     random_diagonal_lossless_loads,
     random_full_lossless_loads,
 )
-from multiris.cascade import cascade_from_network
+from multiris.cascade import assemble_physics_channel, cascade_from_network
 from multiris.errors import (
     AssumptionViolated,
     DimensionMismatch,
@@ -221,6 +223,35 @@ class TestChannelModels:
                       *zip(ch.sides.h_ri + ch.sides.h_it, back.sides.h_ri + back.sides.h_it)]
         for a, b in pairs:
             assert rel_err(a, b) < 1e-15
+
+    def test_cascade_needs_exactly_matched_surface_arrays(self):
+        # beside the exact network, the same one with 0.9e-10 z0 added to each surface
+        # array: it still holds assumptions 1-6, and channel_z carries the difference,
+        # so a cascade that took the arrays as z0*I would be about 4e-10 off
+        rng = np.random.default_rng(137)
+        exact = network_from_cascade(gaussian_cascade(_DIMS, rng))
+        z, ports = exact.z.copy(), exact.dims.ports
+        for k in range(3):
+            z[ports(k), ports(k)] += 0.9e-10 * exact.z0
+        near = MultiportNetwork(exact.dims, z, exact.z0)
+        assert near.assumptions == exact.assumptions == {1, 2, 3, 4, 5, 6}
+        loads = random_diagonal_lossless_loads(3, 3, rng)
+        thetas = [z_to_scattering(z_k, exact.z0) for z_k in loads.loads]
+        h = assemble_physics_channel(cascade_from_network(exact), thetas)
+        assert rel_err(h, channel_z(exact, loads)) < 1e-12
+        assert rel_err(channel_z(near, loads), channel_z_dense(near, loads)) < 1e-12
+        with pytest.raises(AssumptionViolated, match=r"block \(0, 0\) is z0\*I only within"):
+            cascade_from_network(near)
+
+    @pytest.mark.parametrize("held", [1, 2, 3, 4, 5, 6])
+    def test_cascade_refuses_a_block_within_tolerance(self, held):
+        # a block moved by less than the tolerance keeps its assumption, but the
+        # cascade would drop the move, so the block is named
+        rows, cols = _BREAKS[held]
+        net = moved(broken_network(()), rows, cols, by=0.9e-10 * 50.0)
+        assert net.assumptions == {1, 2, 3, 4, 5, 6}
+        with pytest.raises(AssumptionViolated, match=re.escape(f"block ({rows!r}, {cols!r})")):
+            cascade_from_network(net)
 
     @pytest.mark.parametrize("broken", [1, 2, 3, 4, 5, 6])
     def test_models_refuse_a_broken_assumption(self, broken):

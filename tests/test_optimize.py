@@ -1183,7 +1183,7 @@ class TestAlg1Batch:
 
     @pytest.mark.parametrize("bad", [0, 1, 2, 3])
     def test_every_consumed_pair_is_checked(self, monkeypatch, bad):
-        """The unit check runs once per visit, on every pair the visit consumed: the
+        """The unit check runs once per sweep, on every pair the sweep consumed: the
         initial pair and the pairs carried into later visits. The pair of the run's
         last step is consumed by no step."""
         ch = _rayleigh(RandomStream(131, ("checked-pair",)), 3, 4)
@@ -1240,7 +1240,7 @@ class TestAlg1Batch:
         cfg = OptimizerConfig(architecture=arch, max_inner_iters=cap)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimize, "_top_pairs", counted)
-            out, out_pair = _tune_surface(left, right, theta, offsets, pair, cfg)
+            out, out_pair = _tune_surface(left, right, theta, offsets, pair, cfg, [], [])
         assert {"together": 1 < len(steps) < cap, "apart": 1 < len(steps) < cap,
                 "cap": len(steps) == cap}[visit]
         for a, b in zip(inputs, before):
